@@ -238,8 +238,23 @@ def _parse_family(text: str) -> lifting.ParamTuple:
     return lifting.ParamTuple(*parts)
 
 
+def _parse_base(text: str) -> PdaParams:
+    parts = [int(x) for x in text.split(",")]
+    if len(parts) != 5:
+        raise ValueError("base tuple is K,f,Z,S,g")
+    k, f, z, s, g = parts
+    if f < 1:
+        raise ValueError("base subpacketization f must be positive")
+    return PdaParams(k, f, z, s, g, Fraction(z, f), Fraction(s, f))
+
+
 def _cmd_params(args) -> int:
-    families = [_parse_family(text) for text in args.family]
+    try:
+        families = [_parse_family(text) for text in args.family]
+        base = None if args.base is None else _parse_base(args.base)
+    except ValueError as exc:
+        print(f"bad parameters: {exc}", file=sys.stderr)
+        return 2
     if args.member_labels is not None or args.ref_labels is not None:
         if len(families) != 1:
             print("--member-labels/--ref-labels apply to a single --family", file=sys.stderr)
@@ -256,15 +271,13 @@ def _cmd_params(args) -> int:
             f"{combined.notation()} member_labels={combined.member_labels} "
             f"ref_labels={combined.ref_labels}"
         )
-    if args.base is None:
+    if base is None:
         if len(families) == 1:
             print(
                 f"{combined.notation()} member_labels={combined.member_labels} "
                 f"ref_labels={combined.ref_labels}"
             )
         return 0
-    k, f, z, s, g = (int(x) for x in args.base.split(","))
-    base = PdaParams(k, f, z, s, g, Fraction(z, f), Fraction(s, f))
     out = lifting.lifted_params(base, combined)
     print(_params_line(out))
     return 0

@@ -65,11 +65,10 @@ def _check_shape(ref: Pda, rows: int, cols: int, what: str) -> None:
 
 
 def _right_witnesses(p0: Pda, p1: Pda, pstar: Pda, pair=None):
-    idx0 = p0.label_positions()
-    idx1 = p1.label_positions()
-    for s in sorted(idx0.keys() & idx1.keys()):
-        for i0, j0 in idx0[s]:
-            for i1, j1 in idx1[s]:
+    for s in sorted(p0._label_index.keys() & p1._label_index.keys()):
+        cells1 = p1._cells_of(s)
+        for i0, j0 in p0._cells_of(s):
+            for i1, j1 in cells1:
                 if pstar.cell(i0, j1) is not None:
                     yield CompatWitness(s, (i0, j0), (i1, j1), (i0, j1), pair)
 
@@ -97,11 +96,10 @@ def is_blackburn_compatible(p0: Pda, p1: Pda, pstar: Pda) -> CompatReport:
         )
 
     def witnesses():
-        idx0 = p0.label_positions()
-        idx1 = p1.label_positions()
-        for s in sorted(idx0.keys() & idx1.keys()):
-            for c0 in idx0[s]:
-                for c1 in idx1[s]:
+        for s in sorted(p0._label_index.keys() & p1._label_index.keys()):
+            cells1 = p1._cells_of(s)
+            for c0 in p0._cells_of(s):
+                for c1 in cells1:
                     for mirror in ((c0[0], c1[1]), (c1[0], c0[1])):
                         if pstar.cell(*mirror) is not None:
                             yield CompatWitness(s, c0, c1, mirror)

@@ -22,6 +22,7 @@ from __future__ import annotations
 
 from dataclasses import dataclass
 from fractions import Fraction
+from operator import itemgetter
 from typing import Iterable, Mapping, Sequence
 
 from .errors import InvalidPdaError
@@ -47,12 +48,35 @@ Cell = "int | None"
 STAR = None
 
 
+class _cached:
+    """Compute an attribute on first access and keep it in the instance
+    dict, where later lookups find it without calling back here.
+
+    functools.cached_property does the same but on CPython 3.11 takes a
+    lock on every first access, which made validating the many small grids
+    that lifting builds measurably slower.  Threads racing on one grid may
+    each compute the value; the values are equal, since grids are immutable.
+    """
+
+    def __init__(self, func):
+        self.func = func
+        self.name = func.__name__
+
+    def __get__(self, obj, owner=None):
+        if obj is None:
+            return self
+        value = obj.__dict__[self.name] = self.func(obj)
+        return value
+
+
 @dataclass(frozen=True)
 class Pda:
     """An f x K grid of stars and integer labels, stored row-major.
 
     Rectangularity is enforced at construction; the PDA conditions are not,
-    use :func:`validate`.
+    use :func:`validate`.  A grid builds its label index, column star counts
+    and C3 verdict once, on first use, so repeated :func:`validate` and
+    :func:`params` calls on the same grid do not scan it again.
     """
 
     rows: int
@@ -62,16 +86,19 @@ class Pda:
     def __post_init__(self):
         if self.rows < 1 or self.cols < 1:
             raise ValueError(f"grid must be at least 1x1, got {self.rows}x{self.cols}")
+        if type(self.cells) is not tuple:
+            object.__setattr__(self, "cells", tuple(self.cells))
         if len(self.cells) != self.rows * self.cols:
             raise ValueError(
                 f"expected {self.rows * self.cols} cells for a "
                 f"{self.rows}x{self.cols} grid, got {len(self.cells)}"
             )
         for c in self.cells:
-            if c is not None and (
-                not isinstance(c, int) or isinstance(c, bool) or c < 0
-            ):
-                raise ValueError(f"cells must be None or non-negative int, got {c!r}")
+            # A non-negative plain int passes the full check, so only other
+            # cells pay for it.
+            if c is not None and (type(c) is not int or c < 0):
+                if not isinstance(c, int) or isinstance(c, bool) or c < 0:
+                    raise ValueError(f"cells must be None or non-negative int, got {c!r}")
 
     @classmethod
     def from_rows(cls, rows: Iterable[Sequence]) -> "Pda":
@@ -99,23 +126,47 @@ class Pda:
         return self.cells[k :: self.cols]
 
     def labels(self) -> frozenset:
-        return frozenset(c for c in self.cells if c is not None)
+        return frozenset(self.cells).difference((None,))
 
     def label_positions(self) -> dict:
         """Map each label to its cells as (row, col) pairs in row-major order."""
-        index: dict = {}
-        w = self.cols
-        for pos, c in enumerate(self.cells):
-            if c is not None:
-                index.setdefault(c, []).append((pos // w, pos % w))
-        return index
+        return {s: self._cells_of(s) for s in self._label_index}
 
     def star_positions(self) -> list:
         w = self.cols
         return [(pos // w, pos % w) for pos, c in enumerate(self.cells) if c is None]
 
     def column_star_count(self, k: int) -> int:
-        return sum(1 for c in self.column(k) if c is None)
+        return self.column(k).count(None)
+
+    @_cached
+    def _label_index(self) -> dict:
+        """Each label's flat row-major positions, labels in order of first
+        appearance; built once per grid and shared by validation,
+        compatibility checks and simulation, which must not mutate it."""
+        index: dict = {}
+        for pos, c in enumerate(self.cells):
+            if c is not None:
+                flat = index.get(c)
+                if flat is None:
+                    index[c] = [pos]
+                else:
+                    flat.append(pos)
+        return index
+
+    def _cells_of(self, s: int) -> list:
+        """Label s's cells as (row, col) pairs in row-major order."""
+        w = self.cols
+        return [divmod(pos, w) for pos in self._label_index[s]]
+
+    @_cached
+    def _star_counts(self) -> tuple:
+        cells, w = self.cells, self.cols
+        return tuple(cells[k::w].count(None) for k in range(w))
+
+    @_cached
+    def _c3(self) -> "Violation | None":
+        return _first_blackburn_violation(self)
 
     def to_rows(self) -> list:
         return [list(self.row(j)) for j in range(self.rows)]
@@ -157,7 +208,7 @@ def validate(p: Pda, expected_labels: "int | None" = None) -> ValidationReport:
     """
     violations = []
 
-    counts = [p.column_star_count(k) for k in range(p.cols)]
+    counts = p._star_counts
     c1_ok = True
     for k in range(1, p.cols):
         if counts[k] != counts[0]:
@@ -165,14 +216,14 @@ def validate(p: Pda, expected_labels: "int | None" = None) -> ValidationReport:
             violations.append(Violation("C1", (k, counts[k], counts[0])))
             break
 
-    present = p.labels()
+    present = p._label_index
     c2_ok = True
     if expected_labels is not None and len(present) < expected_labels:
         c2_ok = False
         missing = next(s for s in range(expected_labels) if s not in present)
         violations.append(Violation("C2", (missing,)))
 
-    c3 = _first_blackburn_violation(p)
+    c3 = p._c3
     c3_ok = c3 is None
     if c3 is not None:
         violations.append(c3)
@@ -181,21 +232,49 @@ def validate(p: Pda, expected_labels: "int | None" = None) -> ValidationReport:
 
 
 def _first_blackburn_violation(p: Pda) -> "Violation | None":
-    """Scan cells row-major, checking each label cell against all earlier
-    occurrences of the same label.  Cost is O(equal-label pairs)."""
-    w = p.cols
-    seen: dict = {}
-    for pos, s in enumerate(p.cells):
-        if s is None:
+    """The C3 violation a row-major scan meets first, or None.
+
+    A label at rows R and columns C obeys C3 exactly when its R x C
+    submatrix is all stars off the diagonal, so one star count per label
+    clears it; only a failing label is walked pair by pair.  The witness is
+    the smallest later cell, then its earliest earlier occurrence, then the
+    (j1, k2) mirror before (j2, k1).  Cost is O(equal-label pairs).
+    """
+    cells, w = p.cells, p.cols
+    rows = [cells[i : i + w] for i in range(0, len(cells), w)]
+    first = None
+    for flat in p._label_index.values():
+        g = len(flat)
+        if g < 2:
             continue
-        j2, k2 = pos // w, pos % w
-        for j1, k1 in seen.get(s, ()):
-            if p.cell(j1, k2) is not None:
-                return Violation("C3", ((j1, k1), (j2, k2), (j1, k2)))
-            if p.cell(j2, k1) is not None:
-                return Violation("C3", ((j1, k1), (j2, k2), (j2, k1)))
-        seen.setdefault(s, []).append((j2, k2))
-    return None
+        in_columns = itemgetter(*[pos % w for pos in flat])
+        stars = 0
+        for pos in flat:
+            stars += in_columns(rows[pos // w]).count(None)
+        if stars == g * g - g:
+            continue
+        found = _first_failing_pair(cells, w, flat)
+        if first is None or found[1] < first[1]:
+            first = found
+    if first is None:
+        return None
+    return Violation("C3", tuple(divmod(pos, w) for pos in first))
+
+
+def _first_failing_pair(cells: tuple, w: int, flat: list) -> tuple:
+    """(earlier cell, later cell, non-star mirror) as flat positions, for a
+    label known to fail C3.  With d the column offset k2 - k1, the mirrors
+    (j1, k2) and (j2, k1) sit at pos1 + d and pos2 - d."""
+    for b in range(1, len(flat)):
+        pos2 = flat[b]
+        k2 = pos2 % w
+        for pos1 in flat[:b]:
+            d = k2 - pos1 % w
+            if cells[pos1 + d] is not None:
+                return pos1, pos2, pos1 + d
+            if cells[pos2 - d] is not None:
+                return pos1, pos2, pos2 - d
+    raise AssertionError("label passed C3")
 
 
 @dataclass(frozen=True)
@@ -228,8 +307,8 @@ def params(p: Pda, expected_labels: "int | None" = None) -> PdaParams:
     report = validate(p, expected_labels)
     if not report.ok:
         raise InvalidPdaError(f"not a valid PDA: {report.violations}", report)
-    z = p.column_star_count(0)
-    index = p.label_positions()
+    z = p._star_counts[0]
+    index = p._label_index
     occurrences = {len(v) for v in index.values()}
     g = occurrences.pop() if len(occurrences) == 1 else None
     return PdaParams(

@@ -1,8 +1,8 @@
 """Grid text and JSON serialization for PDAs.
 
 Text format: an optional header line ``# pda f=<f> K=<K>``, then f lines of
-K whitespace-separated tokens, ``*`` for a star and a decimal non-negative
-integer otherwise.  Output uses LF line endings.
+K whitespace-separated tokens, ``*`` for a star and a non-negative integer in
+ASCII decimal digits otherwise.  Output uses LF line endings.
 
 JSON format: an object with fields ``rows``, ``cols`` and ``cells``, the
 latter a flat row-major list where stars encode as null.
@@ -25,15 +25,16 @@ __all__ = [
     "save_pda",
 ]
 
-_HEADER_RE = re.compile(r"#\s*pda\s+f=(\d+)\s+K=(\d+)\s*$")
-_TOKEN_RE = re.compile(r"^(?:\*|\d+)$")
+_HEADER_RE = re.compile(r"#\s*pda\s+f=([0-9]+)\s+K=([0-9]+)\s*$")
+# A stripped body line: stars and ASCII decimals separated by the same
+# whitespace str.split() separates on.
+_ROW_RE = re.compile(r"(?:\*|[0-9]+)(?:\s+(?:\*|[0-9]+))*")
 
 
 def parse_grid(text: str) -> Pda:
     lines = text.splitlines()
     header = None
     body = []
-    body_linenos = []
     for lineno, raw in enumerate(lines, start=1):
         line = raw.strip()
         if not line:
@@ -46,34 +47,37 @@ def parse_grid(text: str) -> Pda:
                 raise GridParseError("malformed header", lineno, 1)
             header = (int(m.group(1)), int(m.group(2)))
             continue
-        body.append(line.split())
-        body_linenos.append(lineno)
+        body.append((lineno, line))
 
     if not body:
         raise GridParseError("empty grid", 1, 1)
 
-    width = len(body[0])
-    rows = []
-    for tokens, lineno in zip(body, body_linenos):
-        if len(tokens) != width:
+    width = None
+    cells = []
+    for lineno, line in body:
+        tokens = line.split()
+        if width is None:
+            width = len(tokens)
+        elif len(tokens) != width:
             raise GridParseError(
                 f"ragged row: {len(tokens)} tokens, expected {width}", lineno, 1
             )
-        row = []
-        for col, tok in enumerate(tokens, start=1):
-            if not _TOKEN_RE.match(tok):
-                raise GridParseError(f"invalid token {tok!r}", lineno, col)
-            row.append(None if tok == "*" else int(tok))
-        rows.append(row)
+        if not _ROW_RE.fullmatch(line):
+            col, tok = next(
+                (col, tok)
+                for col, tok in enumerate(tokens, start=1)
+                if tok != "*" and not (tok.isascii() and tok.isdigit())
+            )
+            raise GridParseError(f"invalid token {tok!r}", lineno, col)
+        cells += [None if tok == "*" else int(tok) for tok in tokens]
 
-    p = Pda.from_rows(rows)
-    if header is not None and header != (p.rows, p.cols):
+    if header is not None and header != (len(body), width):
         raise GridParseError(
-            f"header says f={header[0]} K={header[1]} but body is {p.rows}x{p.cols}",
+            f"header says f={header[0]} K={header[1]} but body is {len(body)}x{width}",
             1,
             1,
         )
-    return p
+    return Pda(len(body), width, tuple(cells))
 
 
 def serialize_grid(p: Pda, header: bool = False) -> str:

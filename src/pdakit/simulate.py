@@ -112,11 +112,10 @@ def deliver(p: Pda, demands: Sequence[int], lib: Library) -> list:
     """One transmission per label in ascending order: the XOR over the
     label's cells of the subfile each cell's user demanded."""
     _check_demands(p, demands, lib.n_files)
-    index = p.label_positions()
     out = []
-    for s in sorted(index):
+    for s in sorted(p._label_index):
         payload = None
-        for j, k in index[s]:
+        for j, k in p._cells_of(s):
             sub = lib.subfile(demands[k], j)
             payload = sub if payload is None else _xor(payload, sub)
         out.append(Transmission(s, payload))
@@ -141,26 +140,29 @@ def decode(
     """Reconstruct the file user ``user`` demanded, using only its cache and
     the broadcast (transmissions plus the announced demand vector).
 
-    Raises :class:`DecodeError` when a peer subfile that the Blackburn
-    property promises is missing from the cache, the signature of an
-    invalid array reaching the simulator.
+    Raises :class:`DecodeError` when a subfile or transmission it needs is
+    missing: a peer subfile that the Blackburn property promises (the
+    signature of an invalid array reaching the simulator), a cached subfile
+    of its own, or the transmission for one of its labels.
     """
-    return _decode_indexed(p, user, demands, cache, transmissions, p.label_positions())
-
-
-def _decode_indexed(p, user, demands, cache, transmissions, index):
     d = demands[user]
     by_label = {t.label: t.payload for t in transmissions}
     own = cache[user]
     parts = []
-    file_size = None
     for j in range(p.rows):
         s = p.cell(j, user)
         if s is None:
-            parts.append(own[(d, j)])
+            sub = own.get((d, j))
+            if sub is None:
+                raise DecodeError(
+                    f"user {user} misses its own cached subfile (file {d}, subfile {j})"
+                )
+            parts.append(sub)
             continue
-        piece = by_label[s]
-        for j2, k2 in index[s]:
+        piece = by_label.get(s)
+        if piece is None:
+            raise DecodeError(f"user {user} received no transmission for label {s}")
+        for j2, k2 in p._cells_of(s):
             if k2 == user:
                 continue
             peer = own.get((demands[k2], j2))
@@ -189,9 +191,8 @@ def run(
         demands = [rng.randrange(n_files) for _ in range(p.cols)]
     caches = place(p, lib)
     transmissions = deliver(p, demands, lib)
-    index = p.label_positions()
     decode_ok = tuple(
-        _decode_indexed(p, k, demands, caches, transmissions, index)[:file_size]
+        decode(p, k, demands, caches, transmissions)[:file_size]
         == lib.files[demands[k]]
         for k in range(p.cols)
     )

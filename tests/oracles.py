@@ -54,3 +54,23 @@ def brute_force_full_ok(p0: Pda, p1: Pda, pstar: Pda) -> bool:
             if pstar.cell(i0, j1) is not None or pstar.cell(i1, j0) is not None:
                 return False
     return True
+
+
+def brute_force_first_c3(p: Pda):
+    """The C3 witness ((j1, k1), (j2, k2), mirror) a row-major scan meets
+    first, or None: every later cell in row-major order, then every earlier
+    cell with the same label, then the (j1, k2) mirror before (j2, k1)."""
+    cells = _coords(p)
+    for b in range(len(cells)):
+        j2, k2 = cells[b]
+        s = p.cell(j2, k2)
+        if s is None:
+            continue
+        for a in range(b):
+            j1, k1 = cells[a]
+            if p.cell(j1, k1) != s:
+                continue
+            for mirror in ((j1, k2), (j2, k1)):
+                if p.cell(*mirror) is not None:
+                    return ((j1, k1), (j2, k2), mirror)
+    return None

@@ -63,6 +63,21 @@ def random_valid_pda(rng: random.Random, max_cells: int = 250) -> Pda:
         return p
 
 
+def random_grid(rng: random.Random, max_side: int = 6, n_labels: int = 5) -> Pda:
+    """Any grid of stars and a few labels, mostly not a PDA: star columns
+    unbalanced, labels repeated in a row or column, mirrors not stars."""
+    rows, cols = rng.randint(1, max_side), rng.randint(1, max_side)
+    star = rng.random()
+    return Pda(
+        rows,
+        cols,
+        tuple(
+            None if rng.random() < star else rng.randrange(n_labels)
+            for _ in range(rows * cols)
+        ),
+    )
+
+
 def _random_member(rng, rows, cols, pool, attempts=300):
     """Random valid PDA of the given shape over the label pool, or None."""
     for _ in range(attempts):

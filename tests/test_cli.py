@@ -176,6 +176,20 @@ def test_params_single_family_with_label_flags(capsys):
     assert "valid (22,22,19,6) g=11" in out
 
 
+def test_params_malformed_tuples_are_usage_errors(capsys):
+    family = ["--family", "11,11,9,10,2,11"]
+    for argv in (
+        [*family, "--base", "4,6,3"],
+        [*family, "--base", "4,6,3,4,x"],
+        [*family, "--base", "4,0,3,4,3"],
+        ["--family", "11,11,9,10,2"],
+        ["--family", "11,11,9,ten,2,11"],
+    ):
+        code, out, err = run_cli(capsys, "params", *argv)
+        assert (code, out) == (2, "")
+        assert err.startswith("bad parameters: ")
+
+
 def test_table_commands(capsys, tmp_path):
     code, out, _ = run_cli(capsys, "table", "table1")
     assert code == 0

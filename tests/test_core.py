@@ -3,8 +3,10 @@ import random
 import pytest
 
 from pdakit.constructions import all_star, filled, identity, mn
+import pdakit.core
 from pdakit.core import (
     Pda,
+    Violation,
     canonicalize,
     disjoint_copy,
     hstack,
@@ -17,7 +19,8 @@ from pdakit.errors import InvalidPdaError
 from pdakit.gridio import parse_grid
 
 import printed
-from randgen import random_valid_pda
+from oracles import brute_force_first_c3
+from randgen import random_grid, random_valid_pda
 
 
 def test_grid_must_be_rectangular():
@@ -155,3 +158,109 @@ def test_stacking_shape_checks():
     with pytest.raises(ValueError):
         vstack([all_star(2, 2), all_star(2, 3)])
     assert hstack([identity(2, 0)]) == identity(2, 0)
+
+
+def test_list_cells_are_coerced_to_a_tuple():
+    cells = [0, 1]
+    p = Pda(1, 2, cells)
+    assert isinstance(p.cells, tuple)
+    assert p == Pda(1, 2, (0, 1))
+    assert hash(p) == hash(Pda(1, 2, (0, 1)))
+    cells[1] = 0  # would repeat label 0 in one row if the grid shared the list
+    assert validate(p).ok
+    assert params(p).s == 2
+
+
+def test_cell_type_check_keeps_its_message():
+    for bad in (True, -1, 1.0, "1"):
+        with pytest.raises(ValueError, match="cells must be None or non-negative int"):
+            Pda(1, 2, (0, bad))
+
+
+def _c3_violation(report):
+    return next((v for v in report.violations if v.condition == "C3"), None)
+
+
+def _oracle_violation(p):
+    witness = brute_force_first_c3(p)
+    return None if witness is None else Violation("C3", witness)
+
+
+def _criterion_8_mutations():
+    """The one-cell mutations of test_criterion_8_oracle_equivalence."""
+    rng = random.Random(8_2025)
+    for _ in range(40):
+        p = random_valid_pda(rng, max_cells=120)
+        index = p.label_positions()
+        if not index:
+            continue
+        cells = list(p.cells)
+        pos = rng.randrange(len(cells))
+        cells[pos] = rng.choice(sorted(index))
+        yield Pda(p.rows, p.cols, tuple(cells))
+
+
+def test_c3_witness_matches_row_major_oracle():
+    failing = 0
+    for q in _criterion_8_mutations():
+        want = _oracle_violation(q)
+        assert _c3_violation(validate(q)) == want
+        failing += want is not None
+    rng = random.Random(31)
+    for _ in range(300):
+        q = random_grid(rng)
+        want = _oracle_violation(q)
+        assert _c3_violation(validate(q)) == want
+        failing += want is not None
+    assert failing > 100
+
+
+def test_c3_witness_matches_oracle_property():
+    hypothesis = pytest.importorskip("hypothesis")
+    st = hypothesis.strategies
+
+    @hypothesis.settings(max_examples=150, deadline=None, derandomize=True, database=None)
+    @hypothesis.given(st.randoms(use_true_random=False), st.integers(0, 3))
+    def check(rng, mutations):
+        if mutations:
+            p = random_valid_pda(rng, max_cells=120)
+            cells = list(p.cells)
+            for _ in range(mutations):
+                cells[rng.randrange(len(cells))] = rng.choice([None, 0, 1, 2, 99])
+            p = Pda(p.rows, p.cols, tuple(cells))
+        else:
+            p = random_grid(rng)
+        assert _c3_violation(validate(p)) == _oracle_violation(p)
+        positions: dict = {}
+        for j in range(p.rows):
+            for k in range(p.cols):
+                if p.cell(j, k) is not None:
+                    positions.setdefault(p.cell(j, k), []).append((j, k))
+        assert p.label_positions() == positions
+        assert list(p.label_positions()) == list(positions)
+        assert p.labels() == frozenset(positions)
+
+    check()
+
+
+def test_params_after_validate_does_not_rescan(monkeypatch):
+    calls = []
+    scan = pdakit.core._first_blackburn_violation
+
+    def counted(p):
+        calls.append(p)
+        return scan(p)
+
+    monkeypatch.setattr(pdakit.core, "_first_blackburn_violation", counted)
+    p = mn(5, 2)
+    assert validate(p).ok
+    assert params(p) == params(mn(5, 2))
+    validate(p, expected_labels=10)
+    assert len(calls) == 2  # p once, the fresh mn(5, 2) once
+
+
+def test_star_counts_and_labels_do_not_build_the_index():
+    p = mn(5, 2)
+    assert p.column_star_count(0) == 4
+    assert len(p.labels()) == 10
+    assert "_label_index" not in vars(p)

@@ -47,6 +47,19 @@ def test_invalid_token_reports_position():
             parse_grid(bad)
 
 
+def test_only_ascii_digits_are_labels():
+    for text, where in (
+        ("* \u0663", (1, 2)),
+        ("0 1\n1 \uff11", (2, 2)),
+        ("0 1\n* **", (2, 2)),
+        ("0 1*\n* 0", (1, 2)),
+        ("# pda f=\u0661 K=2\n* 0", (1, 1)),
+    ):
+        with pytest.raises(GridParseError) as err:
+            parse_grid(text)
+        assert (err.value.line, err.value.column) == where
+
+
 def test_ragged_rows_rejected():
     with pytest.raises(GridParseError) as err:
         parse_grid("0 1 2\n3 4")

@@ -162,6 +162,28 @@ def test_blackburn_break_causes_decode_error():
         decode(p, 0, (0, 1), caches, tx)
 
 
+def test_decode_lost_transmission_raises_decode_error():
+    p = mn(4, 2)
+    demands = [2, 1, 0, 3]
+    lib = make_library(4, 60, p.rows, seed=3)
+    caches = place(p, lib)
+    sent = [t for t in deliver(p, demands, lib) if t.label != 0]
+    user = next(k for k in range(p.cols) if 0 in p.column(k))
+    with pytest.raises(DecodeError, match="no transmission for label 0"):
+        decode(p, user, demands, caches, sent)
+
+
+def test_decode_empty_own_cache_raises_decode_error():
+    p = mn(4, 2)
+    demands = [2, 1, 0, 3]
+    lib = make_library(4, 60, p.rows, seed=3)
+    sent = deliver(p, demands, lib)
+    empty = tuple({} for _ in range(p.cols))
+    assert p.cell(0, 0) is None
+    with pytest.raises(DecodeError, match=r"\(file 2, subfile 0\)"):
+        decode(p, 0, demands, empty, sent)
+
+
 def test_mutation_fuzz_invalid_or_undecodable():
     rng = random.Random(18)
     broken_runs = 0
