@@ -12,6 +12,7 @@ import json
 import sys
 from dataclasses import replace
 from fractions import Fraction
+from itertools import permutations
 
 from . import constructions as cons
 from . import lifting
@@ -33,10 +34,7 @@ def _write_text(text: str, out: "str | None") -> None:
 
 
 def _emit_pda(p: Pda, out: "str | None", fmt: str) -> None:
-    if out is None:
-        _write_text(pda_to_json(p) + "\n" if fmt == "json" else serialize_grid(p), None)
-    else:
-        save_pda(p, out, fmt)
+    _write_text(pda_to_json(p) + "\n" if fmt == "json" else serialize_grid(p), out)
 
 
 def _witness_line(w) -> str:
@@ -45,19 +43,20 @@ def _witness_line(w) -> str:
 
 # ----------------------------------------------------------------- gen
 
+# name: (parameter count, the option passed after the parameters, builder)
 _GENERATORS = {
-    "identity": (2, lambda a, labels, anti: cons.identity(a[0], a[1], anti)),
-    "g": (1, lambda a, labels, anti: cons.g_array(a[0], labels)),
-    "h": (1, lambda a, labels, anti: cons.h_array(a[0], labels)),
-    "j": (2, lambda a, labels, anti: cons.filled(a[0], a[1], labels)),
-    "star": (2, lambda a, labels, anti: cons.all_star(a[0], a[1])),
-    "mn": (2, lambda a, labels, anti: cons.mn(a[0], a[1], labels)),
-    "mnrev": (2, lambda a, labels, anti: cons.mn_reverse(a[0], a[1], labels)),
-    "shangguan": (3, lambda a, labels, anti: cons.shangguan_direct(a[0], a[1], a[2], labels)),
-    "yan-half": (1, lambda a, labels, anti: cons.yan_half_memory(a[0])),
-    "mn-recursive": (2, lambda a, labels, anti: lifting.mn_recursive(a[0], a[1])),
-    "shangguan-recursive": (3, lambda a, labels, anti: lifting.shangguan_recursive(a[0], a[1], a[2])),
-    "corollary-odd": (2, lambda a, labels, anti: lifting.odd_tiling_lift(a[0], a[1])),
+    "identity": (2, "anti", cons.identity),
+    "g": (1, "labels", cons.g_array),
+    "h": (1, "labels", cons.h_array),
+    "j": (2, "labels", cons.filled),
+    "star": (2, None, cons.all_star),
+    "mn": (2, "labels", cons.mn),
+    "mnrev": (2, "labels", cons.mn_reverse),
+    "shangguan": (3, "labels", cons.shangguan_direct),
+    "yan-half": (1, None, cons.yan_half_memory),
+    "mn-recursive": (2, None, lifting.mn_recursive),
+    "shangguan-recursive": (3, None, lifting.shangguan_recursive),
+    "corollary-odd": (2, None, lifting.odd_tiling_lift),
 }
 
 
@@ -78,12 +77,13 @@ def _cmd_gen(args) -> int:
     if name not in _GENERATORS:
         print(f"unknown generator {name!r}", file=sys.stderr)
         return 2
-    arity, fn = _GENERATORS[name]
+    arity, option, fn = _GENERATORS[name]
     if len(args.params) != arity:
         print(f"gen {name} takes {arity} parameter(s)", file=sys.stderr)
         return 2
+    extra = {"labels": [labels], "anti": [args.anti]}.get(option, [])
     try:
-        p = fn(args.params, labels, args.anti)
+        p = fn(*args.params, *extra)
     except (ValueError, PdaError) as exc:
         print(f"bad parameters: {exc}", file=sys.stderr)
         return 2
@@ -121,6 +121,20 @@ def _cmd_verify(args) -> int:
 
 # ----------------------------------------------------------------- compat
 
+def _pair_refs(mode: str, members: list, refs: list) -> "dict | None":
+    """The --ref arrays keyed by ordered member pair (0,1),(0,2),...,(1,0),...;
+    None, after a usage message, when their count is not g(g-1)."""
+    g = len(members)
+    if len(refs) != g * (g - 1):
+        print(
+            f"--mode {mode} with {g} members takes {g * (g - 1)} --ref "
+            "(ordered pairs (0,1),(0,2),...,(1,0),...)",
+            file=sys.stderr,
+        )
+        return None
+    return dict(zip(permutations(range(g), 2), refs))
+
+
 def _cmd_compat(args) -> int:
     from . import compatibility as compat
 
@@ -143,17 +157,10 @@ def _cmd_compat(args) -> int:
             return 2
         report = compat.check_condition_cstar(members, refs[0])
     else:
-        g = len(members)
-        if len(refs) != g * (g - 1):
-            print(
-                f"--mode family with {g} members takes {g * (g - 1)} --ref "
-                "(ordered pairs (0,1),(0,2),...,(1,0),...)",
-                file=sys.stderr,
-            )
+        pair_refs = _pair_refs("family", members, refs)
+        if pair_refs is None:
             return 2
-        pairs = [(i, j) for i in range(g) for j in range(g) if i != j]
-        fam = compat.GenFamily.of(members, dict(zip(pairs, refs)))
-        report = compat.is_generalized_family(fam)
+        report = compat.is_generalized_family(compat.GenFamily.of(members, pair_refs))
     for w in report.witnesses:
         print(_witness_line(w))
     return 0 if report.ok else 1
@@ -208,20 +215,14 @@ def _cmd_lift(args) -> int:
         print(f"wrote {prefix}.r0..r{len(lifted) - 1} and {prefix}.rstar", file=sys.stderr)
         return 0
     # nonuniform
-    g = len(members)
-    if len(refs) != g * (g - 1):
-        print(
-            f"--mode nonuniform with {g} members takes {g * (g - 1)} --ref "
-            "(ordered pairs (0,1),(0,2),...,(1,0),...)",
-            file=sys.stderr,
-        )
+    pair_refs = _pair_refs("nonuniform", members, refs)
+    if pair_refs is None:
         return 2
-    pairs = [(i, j) for i in range(g) for j in range(g) if i != j]
-    result = lifting.nonuniform_lift(members, dict(zip(pairs, refs)), args.orientation)
+    result = lifting.nonuniform_lift(members, pair_refs, args.orientation)
     _emit_pda(result, args.out, args.format)
     if args.out:
         _write_text(
-            json.dumps({"orientation": args.orientation, "members": g}) + "\n",
+            json.dumps({"orientation": args.orientation, "members": len(members)}) + "\n",
             args.out + ".ledger.json",
         )
     return 0
@@ -264,22 +265,19 @@ def _cmd_params(args) -> int:
             member_labels=args.member_labels,
             ref_labels=args.ref_labels,
         )
+    # Each composed tuple is printed as it is made; a lone family without a
+    # base prints itself.
     combined = families[0]
-    for nxt in families[1:]:
-        combined = lifting.lift_family_params(combined, nxt)
-        print(
-            f"{combined.notation()} member_labels={combined.member_labels} "
-            f"ref_labels={combined.ref_labels}"
-        )
-    if base is None:
-        if len(families) == 1:
+    for i, nxt in enumerate(families):
+        if i:
+            combined = lifting.lift_family_params(combined, nxt)
+        if i or (base is None and len(families) == 1):
             print(
                 f"{combined.notation()} member_labels={combined.member_labels} "
                 f"ref_labels={combined.ref_labels}"
             )
-        return 0
-    out = lifting.lifted_params(base, combined)
-    print(_params_line(out))
+    if base is not None:
+        print(_params_line(lifting.lifted_params(base, combined)))
     return 0
 
 

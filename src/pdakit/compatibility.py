@@ -15,6 +15,7 @@ compatibility is both at once with a single same-shape reference.
 from __future__ import annotations
 
 from dataclasses import dataclass, field
+from itertools import permutations
 from typing import Mapping, Sequence
 
 from .core import Pda
@@ -64,13 +65,18 @@ def _check_shape(ref: Pda, rows: int, cols: int, what: str) -> None:
         )
 
 
-def _right_witnesses(p0: Pda, p1: Pda, pstar: Pda, pair=None):
+def _right_witnesses(p0: Pda, p1: Pda, pstar: Pda, pair=None, both=False):
+    """Witnesses per shared label, then row-major cell pairs; with ``both``
+    the (i1, j0) mirror is checked after (i0, j1), which is full
+    compatibility."""
     for s in sorted(p0._label_index.keys() & p1._label_index.keys()):
         cells1 = p1._cells_of(s)
         for i0, j0 in p0._cells_of(s):
             for i1, j1 in cells1:
                 if pstar.cell(i0, j1) is not None:
                     yield CompatWitness(s, (i0, j0), (i1, j1), (i0, j1), pair)
+                if both and pstar.cell(i1, j0) is not None:
+                    yield CompatWitness(s, (i0, j0), (i1, j1), (i1, j0), pair)
 
 
 def is_right_compatible(p0: Pda, p1: Pda, pstar: Pda) -> CompatReport:
@@ -94,17 +100,7 @@ def is_blackburn_compatible(p0: Pda, p1: Pda, pstar: Pda) -> CompatReport:
             f"full compatibility needs equal shapes, got {p0.shape}, "
             f"{p1.shape}, {pstar.shape}"
         )
-
-    def witnesses():
-        for s in sorted(p0._label_index.keys() & p1._label_index.keys()):
-            cells1 = p1._cells_of(s)
-            for c0 in p0._cells_of(s):
-                for c1 in cells1:
-                    for mirror in ((c0[0], c1[1]), (c1[0], c0[1])):
-                        if pstar.cell(*mirror) is not None:
-                            yield CompatWitness(s, c0, c1, mirror)
-
-    return CompatReport.from_witnesses(witnesses())
+    return CompatReport.from_witnesses(_right_witnesses(p0, p1, pstar, both=True))
 
 
 @dataclass(frozen=True)
@@ -127,22 +123,15 @@ class GenFamily:
 
 def is_generalized_family(fam: GenFamily) -> CompatReport:
     """Every ordered pair (i, j) must be right compatible w.r.t. refs[(i, j)]."""
-    g = len(fam.members)
+    members = fam.members
 
     def witnesses():
-        for i in range(g):
-            for j in range(g):
-                if i == j:
-                    continue
-                ref = fam.refs.get((i, j))
-                if ref is None:
-                    raise ValueError(f"missing reference for pair ({i},{j})")
-                _check_shape(
-                    ref, fam.members[i].rows, fam.members[j].cols, f"reference ({i},{j})"
-                )
-                yield from _right_witnesses(
-                    fam.members[i], fam.members[j], ref, pair=(i, j)
-                )
+        for i, j in permutations(range(len(members)), 2):
+            ref = fam.refs.get((i, j))
+            if ref is None:
+                raise ValueError(f"missing reference for pair ({i},{j})")
+            _check_shape(ref, members[i].rows, members[j].cols, f"reference ({i},{j})")
+            yield from _right_witnesses(members[i], members[j], ref, pair=(i, j))
 
     return CompatReport.from_witnesses(witnesses())
 

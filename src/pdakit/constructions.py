@@ -6,6 +6,12 @@ tuples element-wise, so for K=4, t=2 the order is 01, 02, 03, 12, 13, 23.
 Reverse lexicographic order is the exact reversal of that enumeration.
 itertools.combinations(range(n), t) already enumerates lexicographically.
 
+One subset construction serves three families.  shangguan_direct holds
+the body, ranking subsets as bitmasks; two identities define the others:
+mn(K, t) is shangguan_direct(K, t, 1) (t = K, one all-star row, aside),
+and mn_reverse(K, t, labels) is mn(K, t, labels reversed) with its rows
+in reverse order.
+
 Label arguments default to range(count); passing explicit labels supports
 disjoint-copy composition in block constructions.
 """
@@ -17,7 +23,7 @@ from itertools import combinations
 from math import comb
 from typing import Sequence
 
-from .core import Pda, hstack, vstack
+from .core import Pda, _assemble_blocks, hstack, vstack
 
 __all__ = [
     "identity",
@@ -34,9 +40,9 @@ __all__ = [
 ]
 
 
-def _check_labels(labels, count: int, default_start: int = 0) -> list:
+def _check_labels(labels, count: int) -> list:
     if labels is None:
-        return list(range(default_start, default_start + count))
+        return list(range(count))
     labels = list(labels)
     if len(labels) != count:
         raise ValueError(f"expected {count} labels, got {len(labels)}")
@@ -65,15 +71,8 @@ def g_array(n: int, labels: "Sequence[int] | None" = None) -> Pda:
     cell and its anti-transpose (i, j) -> (n-1-j, n-1-i); the cells strictly
     above the anti-diagonal are enumerated row-major and mirrored below.
     """
-    labels = _check_labels(labels, n * (n - 1) // 2)
-    grid = [[None] * n for _ in range(n)]
-    d = 0
-    for i in range(n):
-        for j in range(n - 1 - i):
-            grid[i][j] = labels[d]
-            grid[n - 1 - j][n - 1 - i] = labels[d]
-            d += 1
-    return Pda.from_rows(grid)
+    pairs = [(i, j, n - 1 - j, n - 1 - i) for i in range(n) for j in range(n - 1 - i)]
+    return _mirrored_square(n, labels, pairs)
 
 
 def h_array(n: int, labels: "Sequence[int] | None" = None) -> Pda:
@@ -82,14 +81,16 @@ def h_array(n: int, labels: "Sequence[int] | None" = None) -> Pda:
     Symmetric: the upper triangle is enumerated row-major and mirrored by
     transposition.
     """
-    labels = _check_labels(labels, n * (n - 1) // 2)
+    pairs = [(i, j, j, i) for i in range(n) for j in range(i + 1, n)]
+    return _mirrored_square(n, labels, pairs)
+
+
+def _mirrored_square(n: int, labels, pairs: list) -> Pda:
+    """n x n stars with labels[d] at cells (r1, c1) and (r2, c2) of the d-th
+    pair (r1, c1, r2, c2)."""
     grid = [[None] * n for _ in range(n)]
-    d = 0
-    for i in range(n):
-        for j in range(i + 1, n):
-            grid[i][j] = labels[d]
-            grid[j][i] = labels[d]
-            d += 1
+    for s, (r1, c1, r2, c2) in zip(_check_labels(labels, n * (n - 1) // 2), pairs):
+        grid[r1][c1] = grid[r2][c2] = s
     return Pda.from_rows(grid)
 
 
@@ -104,6 +105,11 @@ def all_star(rows: int, cols: int) -> Pda:
     return Pda(rows, cols, (None,) * (rows * cols))
 
 
+def _check_memory_point(k: int, t: int) -> None:
+    if not 0 <= t <= k:
+        raise ValueError(f"need 0 <= t <= K, got t={t}, K={k}")
+
+
 def mn(k: int, t: int, labels: "Sequence[int] | None" = None) -> Pda:
     """The Maddah-Ali-Niesen PDA for K users and memory point t/K.
 
@@ -112,41 +118,23 @@ def mn(k: int, t: int, labels: "Sequence[int] | None" = None) -> Pda:
     lexicographic rank of T union {u} among (t+1)-subsets.  Edge cases:
     t=0 is a filled single row, t=K a single all-star row.
     """
-    if not 0 <= t <= k:
-        raise ValueError(f"need 0 <= t <= K, got t={t}, K={k}")
-    labels = _check_labels(labels, comb(k, t + 1))
-    rank = {u: i for i, u in enumerate(combinations(range(k), t + 1))}
-    grid = []
-    for row_set in combinations(range(k), t):
-        members = set(row_set)
-        row = []
-        for u in range(k):
-            if u in members:
-                row.append(None)
-            else:
-                row.append(labels[rank[tuple(sorted(members | {u}))]])
-        grid.append(row)
-    return Pda.from_rows(grid)
+    _check_memory_point(k, t)
+    if t == k:
+        _check_labels(labels, 0)
+        return all_star(1, k)
+    return shangguan_direct(k, t, 1, labels)
 
 
 def mn_reverse(k: int, t: int, labels: "Sequence[int] | None" = None) -> Pda:
     """The MN PDA variant with rows and labels in reverse lexicographic order."""
-    if not 0 <= t <= k:
-        raise ValueError(f"need 0 <= t <= K, got t={t}, K={k}")
-    labels = _check_labels(labels, comb(k, t + 1))
-    uplus = list(combinations(range(k), t + 1))
-    rank = {u: i for i, u in enumerate(reversed(uplus))}
-    grid = []
-    for row_set in reversed(list(combinations(range(k), t))):
-        members = set(row_set)
-        row = []
-        for u in range(k):
-            if u in members:
-                row.append(None)
-            else:
-                row.append(labels[rank[tuple(sorted(members | {u}))]])
-        grid.append(row)
-    return Pda.from_rows(grid)
+    _check_memory_point(k, t)
+    p = mn(k, t, _check_labels(labels, comb(k, t + 1))[::-1])
+    return Pda.from_rows(p.to_rows()[::-1])
+
+
+def _subset_masks(n: int, t: int) -> list:
+    """The t-subsets of [n] in lexicographic order, as bitmasks."""
+    return [sum(s) for s in combinations([1 << i for i in range(n)], t)]
 
 
 def shangguan_direct(n: int, a: int, b: int, labels: "Sequence[int] | None" = None) -> Pda:
@@ -159,20 +147,10 @@ def shangguan_direct(n: int, a: int, b: int, labels: "Sequence[int] | None" = No
     """
     if a < 0 or b < 0 or a + b > n:
         raise ValueError(f"need 0 <= a, b and a+b <= n, got a={a}, b={b}, n={n}")
-    labels = _check_labels(labels, comb(n, a + b))
-    rank = {u: i for i, u in enumerate(combinations(range(n), a + b))}
-    col_sets = list(combinations(range(n), b))
-    grid = []
-    for row_set in combinations(range(n), a):
-        members = set(row_set)
-        row = []
-        for col_set in col_sets:
-            if members & set(col_set):
-                row.append(None)
-            else:
-                row.append(labels[rank[tuple(sorted(members | set(col_set)))]])
-        grid.append(row)
-    return Pda.from_rows(grid)
+    label_of = dict(zip(_subset_masks(n, a + b), _check_labels(labels, comb(n, a + b))))
+    rows, cols = _subset_masks(n, a), _subset_masks(n, b)
+    cells = [None if r & c else label_of[r | c] for r in rows for c in cols]
+    return Pda(len(rows), len(cols), cells)
 
 
 @dataclass(frozen=True)
@@ -236,17 +214,11 @@ def yan_half_memory(g: int) -> Pda:
     """
     if g < 2:
         raise ValueError(f"g must be at least 2, got {g}")
-    starts = []
-    acc = 0
-    for i in range(g // 2 + 2):
-        starts.append(acc)
-        acc += comb(g, 2 * i)
-    block_rows = []
-    i = 0
-    while 2 * i + 1 <= g:
-        t = 2 * i + 1
-        left = mn_reverse(g, t, range(starts[i + 1], starts[i + 1] + comb(g, t + 1)))
-        right = mn(g, g - t, range(starts[i], starts[i] + comb(g, 2 * i)))
-        block_rows.append(hstack([left, right]))
-        i += 1
-    return vstack(block_rows)
+    blocks = []
+    start = 0  # where S_i begins
+    for t in range(1, g + 1, 2):
+        shared = start + comb(g, t - 1)  # where S_{i+1} begins
+        left = mn_reverse(g, t, range(shared, shared + comb(g, t + 1)))
+        blocks.append([left, mn(g, g - t, range(start, shared))])
+        start = shared
+    return _assemble_blocks(blocks)

@@ -28,8 +28,6 @@ from typing import Iterable, Mapping, Sequence
 from .errors import InvalidPdaError
 
 __all__ = [
-    "Cell",
-    "STAR",
     "Pda",
     "Violation",
     "ValidationReport",
@@ -42,11 +40,6 @@ __all__ = [
     "hstack",
     "vstack",
 ]
-
-# A cell is a non-negative integer label or None for a star.
-Cell = "int | None"
-STAR = None
-
 
 class _cached:
     """Compute an attribute on first access and keep it in the instance
@@ -357,26 +350,37 @@ def disjoint_copy(p: Pda, offset: int) -> Pda:
     return relabel(p, {s: s + offset for s in present})
 
 
+def _assemble_blocks(
+    blocks: Sequence[Sequence[Pda]], mismatch: str = "blocks do not tile"
+) -> Pda:
+    """The one block layout every composite grid is built with.
+
+    ``blocks[r][c]`` lands at block row r and block column c; the blocks of
+    a block row share its first block's row count and the blocks of a block
+    column its top block's column count, else ValueError(mismatch).  The
+    result's cells are emitted row-major into one flat tuple.
+    """
+    widths = [q.cols for q in blocks[0]]
+    for block_row in blocks:
+        if [q.shape for q in block_row] != [(block_row[0].rows, w) for w in widths]:
+            raise ValueError(mismatch)
+    cells = []
+    for block_row in blocks:
+        for j in range(block_row[0].rows):
+            for q in block_row:
+                cells += q.cells[j * q.cols : (j + 1) * q.cols]
+    return Pda(sum(r[0].rows for r in blocks), sum(widths), cells)
+
+
 def hstack(parts: Sequence[Pda]) -> Pda:
     """Concatenate grids left to right; all parts need equal row counts."""
     if not parts:
         raise ValueError("nothing to stack")
-    rows = parts[0].rows
-    for q in parts:
-        if q.rows != rows:
-            raise ValueError("hstack needs equal row counts")
-    return Pda.from_rows(
-        [sum((list(q.row(j)) for q in parts), []) for j in range(rows)]
-    )
+    return _assemble_blocks([parts], "hstack needs equal row counts")
 
 
 def vstack(parts: Sequence[Pda]) -> Pda:
     """Concatenate grids top to bottom; all parts need equal column counts."""
     if not parts:
         raise ValueError("nothing to stack")
-    cols = parts[0].cols
-    for q in parts:
-        if q.cols != cols:
-            raise ValueError("vstack needs equal column counts")
-    cells = tuple(c for q in parts for c in q.cells)
-    return Pda(sum(q.rows for q in parts), cols, cells)
+    return _assemble_blocks([[q] for q in parts], "vstack needs equal column counts")

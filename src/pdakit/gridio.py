@@ -12,6 +12,7 @@ from __future__ import annotations
 
 import json
 import re
+import sys
 
 from .core import Pda
 from .errors import GridParseError
@@ -45,7 +46,10 @@ def parse_grid(text: str) -> Pda:
             m = _HEADER_RE.match(line)
             if not m:
                 raise GridParseError("malformed header", lineno, 1)
-            header = (int(m.group(1)), int(m.group(2)))
+            try:
+                header = (int(m.group(1)), int(m.group(2)))
+            except ValueError:  # more digits than int() converts
+                raise GridParseError("malformed header", lineno, 1) from None
             continue
         body.append((lineno, line))
 
@@ -69,7 +73,12 @@ def parse_grid(text: str) -> Pda:
                 if tok != "*" and not (tok.isascii() and tok.isdigit())
             )
             raise GridParseError(f"invalid token {tok!r}", lineno, col)
-        cells += [None if tok == "*" else int(tok) for tok in tokens]
+        try:
+            cells += [None if tok == "*" else int(tok) for tok in tokens]
+        except ValueError:  # a label with more digits than int() converts
+            limit = sys.get_int_max_str_digits()
+            col = next(col for col, tok in enumerate(tokens, start=1) if len(tok) > limit)
+            raise GridParseError(f"label longer than {limit} digits", lineno, col) from None
 
     if header is not None and header != (len(body), width):
         raise GridParseError(
@@ -97,7 +106,7 @@ def pda_from_json(text: str) -> Pda:
     try:
         obj = json.loads(text)
         rows, cols, cells = obj["rows"], obj["cols"], obj["cells"]
-    except (json.JSONDecodeError, KeyError, TypeError) as exc:
+    except (ValueError, KeyError, TypeError) as exc:
         raise GridParseError(f"malformed PDA JSON: {exc}", 1, 1) from exc
     try:
         return Pda(rows, cols, tuple(cells))

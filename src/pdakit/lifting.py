@@ -25,9 +25,10 @@ published example arrays digit for digit.
 
 from __future__ import annotations
 
+from bisect import bisect_right
 from dataclasses import dataclass
 from fractions import Fraction
-from itertools import combinations
+from itertools import accumulate, combinations, permutations
 from math import comb
 from typing import Mapping, Sequence
 
@@ -35,8 +36,8 @@ from .compatibility import (
     check_condition_cstar,
     is_blackburn_compatible,
 )
-from .constructions import all_star, filled, h_array, odd_tiling
-from .core import Pda, PdaParams, disjoint_copy, params, validate
+from .constructions import _check_memory_point, all_star, filled, h_array, odd_tiling
+from .core import Pda, PdaParams, _assemble_blocks, disjoint_copy, params, validate
 from .errors import CompatibilityError, InvalidPdaError, LiftError
 
 __all__ = [
@@ -88,6 +89,10 @@ def _validated(p: Pda, what: str) -> Pda:
     return p
 
 
+def _max_occurrences(p: Pda) -> int:
+    return max(map(len, p._label_index.values()), default=0)
+
+
 def _relabel_block(p: Pda, source_labels: Sequence[int], start: int) -> Pda:
     mapping = {s: start + i for i, s in enumerate(source_labels)}
     cells = tuple(None if c is None else mapping[c] for c in p.cells)
@@ -97,12 +102,12 @@ def _relabel_block(p: Pda, source_labels: Sequence[int], start: int) -> Pda:
 def _assemble_uniform(base, members, pstar, star_ranges, label_ranges):
     """Place one block per base cell; star_ranges is keyed by base star
     position, label_ranges by base label."""
-    m, n = pstar.rows, pstar.cols
     member_labels = sorted(members[0].labels()) if members else []
     pstar_labels = sorted(pstar.labels())
-    grid = [[None] * (base.cols * n) for _ in range(base.rows * m)]
     occurrence: dict = {}
+    blocks = []
     for r in range(base.rows):
+        block_row = []
         for c in range(base.cols):
             s = base.cell(r, c)
             if s is None:
@@ -111,10 +116,9 @@ def _assemble_uniform(base, members, pstar, star_ranges, label_ranges):
                 t = occurrence.get(s, 0)
                 occurrence[s] = t + 1
                 block = _relabel_block(members[t], member_labels, label_ranges[s])
-            for br in range(m):
-                row = grid[r * m + br]
-                row[c * n : (c + 1) * n] = block.row(br)
-    return Pda.from_rows(grid)
+            block_row.append(block)
+        blocks.append(block_row)
+    return _assemble_blocks(blocks)
 
 
 def _lift_preconditions(base, members, pstar, what="member"):
@@ -167,8 +171,7 @@ def uniform_lift(base: Pda, members: Sequence[Pda], pstar: Pda) -> LiftOutcome:
     compatible with respect to it (checked, witnesses reported).
     """
     members = list(members)
-    base_index = base.label_positions()
-    need = max((len(v) for v in base_index.values()), default=0)
+    need = _max_occurrences(base)
     if len(members) < need:
         raise LiftError(
             f"base needs {need} family members (max label occurrences), "
@@ -186,9 +189,7 @@ def uniform_lift(base: Pda, members: Sequence[Pda], pstar: Pda) -> LiftOutcome:
 def basic_lift(base: Pda, p: Pda) -> LiftOutcome:
     """Lift with one PDA: all star cells become all-star blocks and every
     occurrence of a base label gets the same shared relabeled copy of p."""
-    base_index = base.label_positions()
-    need = max((len(v) for v in base_index.values()), default=0)
-    return uniform_lift(base, [p] * need, all_star(p.rows, p.cols))
+    return uniform_lift(base, [p] * _max_occurrences(base), all_star(p.rows, p.cols))
 
 
 def lift_family(
@@ -228,9 +229,7 @@ def lift_family(
     _lift_preconditions(members[0], members, pstar)
 
     q_members = list(q_members)
-    need = max(
-        (len(v) for m in members for v in m.label_positions().values()), default=0
-    )
+    need = max(map(_max_occurrences, members))
     if len(q_members) < need:
         raise LiftError(
             f"family members need {need} q-members (max label occurrences), "
@@ -284,44 +283,30 @@ def assemble_identity_lift(
         if refs:
             raise ValueError("a single member takes no references")
         return members[0]
-    blocks = {}
-    for i in range(g):
-        pos = (i, i) if orientation == "main" else (g - 1 - i, i)
-        blocks[pos] = members[i]
-    for i in range(g):
-        for j in range(g):
-            if i == j:
-                continue
-            ref = refs.get((i, j))
-            if ref is None:
-                raise ValueError(f"missing reference for pair ({i},{j})")
-            if ref.rows != members[i].rows or ref.cols != members[j].cols:
-                raise ValueError(
-                    f"reference ({i},{j}) must be "
-                    f"{members[i].rows}x{members[j].cols}, got {ref.rows}x{ref.cols}"
-                )
-            blocks[_block_position(g, i, j, orientation)] = ref
-
-    heights = [blocks[(r, 0)].rows for r in range(g)]
-    widths = [blocks[(0, c)].cols for c in range(g)]
-    grid = []
-    for r in range(g):
-        for br in range(heights[r]):
-            row = []
-            for c in range(g):
-                row.extend(blocks[(r, c)].row(br))
-            grid.append(row)
-    return Pda.from_rows(grid)
+    blocks = {_block_position(g, i, i, orientation): members[i] for i in range(g)}
+    for i, j in permutations(range(g), 2):
+        ref = refs.get((i, j))
+        if ref is None:
+            raise ValueError(f"missing reference for pair ({i},{j})")
+        if ref.rows != members[i].rows or ref.cols != members[j].cols:
+            raise ValueError(
+                f"reference ({i},{j}) must be "
+                f"{members[i].rows}x{members[j].cols}, got {ref.rows}x{ref.cols}"
+            )
+        blocks[_block_position(g, i, j, orientation)] = ref
+    return _assemble_blocks([[blocks[(r, c)] for c in range(g)] for r in range(g)])
 
 
-def _owning_member(g, offsets, cell, orientation):
+def _owning_member(members, cell, orientation):
     """Member index owning the block that contains the assembled cell, or
     None when the cell lies in a reference block."""
-    row_offsets, col_offsets = offsets
-    br = next(i for i in range(g) if cell[0] < row_offsets[i + 1])
-    bc = next(i for i in range(g) if cell[1] < col_offsets[i + 1])
-    member_row = bc if orientation == "main" else g - 1 - bc
-    return bc if member_row == br else None
+    g = len(members)
+    heights = [0] * g
+    for i, m in enumerate(members):
+        heights[_block_position(g, i, i, orientation)[0]] = m.rows
+    br = bisect_right(list(accumulate(heights)), cell[0])
+    bc = bisect_right(list(accumulate(m.cols for m in members)), cell[1])
+    return bc if _block_position(g, bc, bc, orientation)[0] == br else None
 
 
 def nonuniform_lift(
@@ -341,8 +326,7 @@ def nonuniform_lift(
     for key, ref in refs.items():
         _validated(ref, f"reference {key}")
 
-    member_labels = frozenset().union(*(m.labels() for m in members)) if members else frozenset()
-    taken = set(member_labels)
+    taken = set().union(*(m.labels() for m in members))
     for key in sorted(refs):
         ref_labels = refs[key].labels()
         overlap = ref_labels & taken
@@ -371,16 +355,8 @@ def nonuniform_lift(
 
     c3 = next((v for v in report.violations if v.condition == "C3"), None)
     if c3 is not None:
-        row_offsets = [0]
-        col_offsets = [0]
-        for r in range(g):
-            owner = r if orientation == "main" else g - 1 - r
-            row_offsets.append(row_offsets[-1] + members[owner].rows)
-        for j in range(g):
-            col_offsets.append(col_offsets[-1] + members[j].cols)
-        offsets = (row_offsets, col_offsets)
-        a = _owning_member(g, offsets, c3.witness[0], orientation)
-        b = _owning_member(g, offsets, c3.witness[1], orientation)
+        a = _owning_member(members, c3.witness[0], orientation)
+        b = _owning_member(members, c3.witness[1], orientation)
         raise LiftError(
             f"assembly violates the Blackburn property between members "
             f"{a} and {b}: cells {c3.witness[0]} and {c3.witness[1]} share a "
@@ -396,8 +372,7 @@ def mn_recursive(k: int, t: int) -> Pda:
     set [C(K-1, t)]; references are the (K-1, t) array on fresh labels and
     an all-star column.  Reproduces mn(K, t) cell for cell.
     """
-    if not 0 <= t <= k:
-        raise ValueError(f"need 0 <= t <= K, got t={t}, K={k}")
+    _check_memory_point(k, t)
     if t == 0:
         return filled(1, k, range(k))
     if t == k:
@@ -538,27 +513,21 @@ def lifted_params(
     z2 = base.z * fam.z_ref + (base.f - base.z) * fam.z_member
     s2 = base.k * base.z * lr + base.s * lm
 
-    has_member_labels = base.s > 0 and lm > 0
-    has_ref_labels = base.z > 0 and lr > 0
-    g_member = (
-        _exact_div(base.g * fam.k * (fam.f - fam.z_member), lm, "member regularity")
-        if has_member_labels
-        else None
-    )
-    if not (has_member_labels or has_ref_labels):
-        g2 = None
-    elif not has_ref_labels:
-        g2 = g_member
-    elif not has_member_labels:
-        g2 = fam.ref_regularity
-    else:
-        g2 = g_member if g_member == fam.ref_regularity else None
+    # Regular when the member-derived and the reference-derived labels that
+    # occur share one multiplicity.
+    regularities = set()
+    if base.s > 0 and lm > 0:
+        regularities.add(
+            _exact_div(base.g * fam.k * (fam.f - fam.z_member), lm, "member regularity")
+        )
+    if base.z > 0 and lr > 0:
+        regularities.add(fam.ref_regularity)
     return PdaParams(
         k=k2,
         f=f2,
         z=z2,
         s=s2,
-        g=g2,
+        g=regularities.pop() if len(regularities) == 1 else None,
         memory_ratio=Fraction(z2, f2),
         rate=Fraction(s2, f2),
     )

@@ -56,9 +56,9 @@ class Library:
         return -(-self.file_size // self.f)
 
     def subfile(self, i: int, j: int) -> bytes:
+        """Subfile j of file i, zero padded to the subfile size."""
         size = self.subfile_size
-        padded = self.files[i].ljust(self.f * size, b"\x00")
-        return padded[j * size : (j + 1) * size]
+        return self.files[i][j * size : (j + 1) * size].ljust(size, b"\x00")
 
 
 def make_library(n_files: int, file_size: int, f: int, seed: int = 0) -> Library:
@@ -140,11 +140,17 @@ def decode(
     """Reconstruct the file user ``user`` demanded, using only its cache and
     the broadcast (transmissions plus the announced demand vector).
 
-    Raises :class:`DecodeError` when a subfile or transmission it needs is
-    missing: a peer subfile that the Blackburn property promises (the
-    signature of an invalid array reaching the simulator), a cached subfile
-    of its own, or the transmission for one of its labels.
+    Raises :class:`DecodeError` when ``user`` is not a column of ``p``, when
+    ``demands`` does not name one file per column, or when a subfile or
+    transmission it needs is missing: a peer subfile that the Blackburn
+    property promises (the signature of an invalid array reaching the
+    simulator), a cached subfile of its own, or the transmission for one of
+    its labels.
     """
+    if not 0 <= user < p.cols:
+        raise DecodeError(f"user {user} out of range [0,{p.cols})")
+    if len(demands) != p.cols:
+        raise DecodeError(f"need {p.cols} demands, got {len(demands)}")
     d = demands[user]
     by_label = {t.label: t.payload for t in transmissions}
     own = cache[user]

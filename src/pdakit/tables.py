@@ -84,28 +84,17 @@ def odd_family_tuple(g: int) -> ParamTuple:
 def new_scheme_rows() -> list:
     """The six computed rows: one odd-tiling lift and five family-lift chains."""
     pf = PRIOR_FAMILIES
-    return [
-        _row("odd-tiling-lift", lifted_params(params(h_array(2)), odd_family_tuple(11))),
-        _row(
-            "family-lift",
-            lifted_params(params(mn(4, 2)), lift_family_params(pf["b6_3"], pf["b10_2"])),
-        ),
-        _row(
-            "family-lift",
-            lifted_params(params(mn(5, 2)), lift_family_params(pf["b6_3"], pf["b8_2"])),
-        ),
-        _row(
-            "family-lift",
-            lifted_params(params(h_array(5)), lift_family_params(pf["b6_2"], pf["b8_2"])),
-        ),
-        _row(
-            "family-lift",
-            lifted_params(params(h_array(4)), lift_family_params(pf["b8_2"], pf["b8_2"])),
-        ),
-        _row(
-            "family-lift",
-            lifted_params(params(h_array(4)), lift_family_params(pf["f4"], pf["t16"])),
-        ),
+    chains = [
+        (mn(4, 2), "b6_3", "b10_2"),
+        (mn(5, 2), "b6_3", "b8_2"),
+        (h_array(5), "b6_2", "b8_2"),
+        (h_array(4), "b8_2", "b8_2"),
+        (h_array(4), "f4", "t16"),
+    ]
+    odd = lifted_params(params(h_array(2)), odd_family_tuple(11))
+    return [_row("odd-tiling-lift", odd)] + [
+        _row("family-lift", lifted_params(params(base), lift_family_params(pf[p], pf[q])))
+        for base, p, q in chains
     ]
 
 

@@ -1,8 +1,12 @@
 """Independent brute-force oracles for the production checks.
 
 All scans iterate over every cell pair, quadratic in the cell count, and
-never reuse the label-position indexes the production code builds.
+never reuse the label-position indexes the production code builds.  The
+subset constructions rank sets as sorted tuples, independently of the
+bitmask construction the package uses.
 """
+
+from itertools import combinations
 
 from pdakit.core import Pda
 
@@ -74,3 +78,69 @@ def brute_force_first_c3(p: Pda):
                 if p.cell(*mirror) is not None:
                     return ((j1, k1), (j2, k2), mirror)
     return None
+
+
+def brute_force_full_witnesses(p0: Pda, p1: Pda, pstar: Pda) -> list:
+    """Every full-compatibility witness as (label, cell0, cell1, mirror):
+    labels ascending, then p0 and p1 cells row-major, then the (i0, j1)
+    mirror before (i1, j0)."""
+    out = []
+    for c0 in _coords(p0):
+        s = p0.cell(*c0)
+        if s is None:
+            continue
+        for c1 in _coords(p1):
+            if p1.cell(*c1) != s:
+                continue
+            for mirror in ((c0[0], c1[1]), (c1[0], c0[1])):
+                if pstar.cell(*mirror) is not None:
+                    out.append((s, c0, c1, mirror))
+    # A stable sort keeps the row-major order within each label.
+    return sorted(out, key=lambda w: w[0])
+
+
+# Set-based subset constructions, written from their definitions: rows and
+# columns are subsets in lexicographic (or reverse) order, a cell is a star
+# when they intersect, else the label ranked by their union.
+
+
+def _subset_grid(row_sets, col_sets, union_order, labels) -> Pda:
+    rank = {u: i for i, u in enumerate(union_order)}
+    labels = list(range(len(rank))) if labels is None else list(labels)
+    grid = []
+    for row_set in row_sets:
+        members = set(row_set)
+        grid.append(
+            [
+                None if members & set(col_set)
+                else labels[rank[tuple(sorted(members | set(col_set)))]]
+                for col_set in col_sets
+            ]
+        )
+    return Pda.from_rows(grid)
+
+
+def oracle_mn(k: int, t: int, labels=None) -> Pda:
+    users = [(u,) for u in range(k)]
+    return _subset_grid(
+        combinations(range(k), t), users, combinations(range(k), t + 1), labels
+    )
+
+
+def oracle_mn_reverse(k: int, t: int, labels=None) -> Pda:
+    users = [(u,) for u in range(k)]
+    return _subset_grid(
+        reversed(list(combinations(range(k), t))),
+        users,
+        reversed(list(combinations(range(k), t + 1))),
+        labels,
+    )
+
+
+def oracle_shangguan(n: int, a: int, b: int, labels=None) -> Pda:
+    return _subset_grid(
+        combinations(range(n), a),
+        list(combinations(range(n), b)),
+        combinations(range(n), a + b),
+        labels,
+    )

@@ -63,6 +63,29 @@ def random_valid_pda(rng: random.Random, max_cells: int = 250) -> Pda:
         return p
 
 
+def random_full_triple(rng: random.Random, max_cells: int = 60) -> tuple:
+    """(p0, p1, reference) of one shape for full compatibility: p0 a valid
+    PDA; p1 p0 with its labels permuted or a random grid over p0's labels;
+    the reference all stars (always compatible) or a random star mask on
+    fresh labels (mostly not)."""
+    p0 = random_valid_pda(rng, max_cells)
+    labels = sorted(p0.labels())
+    if labels and rng.random() < 0.5:
+        p1 = relabel(p0, dict(zip(labels, rng.sample(labels, len(labels)))))
+    else:
+        pool = labels or [0]
+        p1 = Pda(
+            p0.rows,
+            p0.cols,
+            tuple(rng.choice(pool) if rng.random() < 0.4 else None for _ in p0.cells),
+        )
+    if rng.random() < 0.3:
+        return p0, p1, all_star(p0.rows, p0.cols)
+    density = rng.uniform(0.5, 1.0)
+    mask = (None if rng.random() < density else 10_000 + i for i in range(len(p0.cells)))
+    return p0, p1, Pda(p0.rows, p0.cols, tuple(mask))
+
+
 def random_grid(rng: random.Random, max_side: int = 6, n_labels: int = 5) -> Pda:
     """Any grid of stars and a few labels, mostly not a PDA: star columns
     unbalanced, labels repeated in a row or column, mirrors not stars."""

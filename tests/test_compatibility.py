@@ -4,6 +4,7 @@ from math import comb
 import pytest
 
 from pdakit.compatibility import (
+    CompatWitness,
     GenFamily,
     check_condition_cstar,
     is_blackburn_compatible,
@@ -23,8 +24,8 @@ from pdakit.constructions import (
 )
 from pdakit.core import Pda, hstack, vstack
 
-from oracles import brute_force_full_ok, brute_force_right_ok
-from randgen import random_valid_pda
+from oracles import brute_force_full_ok, brute_force_full_witnesses, brute_force_right_ok
+from randgen import random_full_triple, random_valid_pda
 
 
 def test_odd_pair_compatible_with_identity():
@@ -65,6 +66,19 @@ def test_full_equals_right_and_left_on_random_triples():
             is_right_compatible(p0, p1, q).ok and is_left_compatible(p0, p1, q).ok
         )
         assert full.ok == brute_force_full_ok(p0, p1, q)
+
+
+def test_full_witness_sequence_matches_oracle_on_randgen_triples():
+    rng = random.Random(41)
+    verdicts = {True: 0, False: 0}
+    for _ in range(150):
+        p0, p1, pstar = random_full_triple(rng)
+        report = is_blackburn_compatible(p0, p1, pstar)
+        expected = brute_force_full_witnesses(p0, p1, pstar)
+        assert report.witnesses == tuple(CompatWitness(*w) for w in expected)
+        assert report.ok == (not expected)
+        verdicts[report.ok] += 1
+    assert min(verdicts.values()) >= 20
 
 
 def _random_labeled(rng, rows, cols, pool):

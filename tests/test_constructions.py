@@ -18,7 +18,7 @@ from pdakit.core import Pda, params, relabel, validate
 from pdakit.gridio import parse_grid
 
 import printed
-from oracles import brute_force_full_ok
+from oracles import brute_force_full_ok, oracle_mn, oracle_mn_reverse, oracle_shangguan
 
 
 def test_identity_printed_forms():
@@ -137,6 +137,40 @@ def test_shangguan_b1_equals_mn():
 def test_shangguan_rejects_overfull():
     with pytest.raises(ValueError):
         shangguan_direct(4, 3, 2)
+
+
+def _default_and_reversed_labels(count):
+    return (None, [100 + s for s in reversed(range(count))])
+
+
+@pytest.mark.parametrize("k", range(1, 9))
+def test_subset_constructions_match_set_based_oracle(k):
+    for t in range(k + 1):
+        for labels in _default_and_reversed_labels(comb(k, t + 1)):
+            assert mn(k, t, labels) == oracle_mn(k, t, labels)
+            assert mn_reverse(k, t, labels) == oracle_mn_reverse(k, t, labels)
+    for a in range(k + 1):
+        for b in range(k - a + 1):
+            for labels in _default_and_reversed_labels(comb(k, a + b)):
+                assert shangguan_direct(k, a, b, labels) == oracle_shangguan(k, a, b, labels)
+
+
+def test_subset_constructions_keep_their_error_messages():
+    for call, message in (
+        (lambda: mn(4, 5), "need 0 <= t <= K, got t=5, K=4"),
+        (lambda: mn(4, -1), "need 0 <= t <= K, got t=-1, K=4"),
+        (lambda: mn_reverse(3, 4), "need 0 <= t <= K, got t=4, K=3"),
+        (lambda: mn_reverse(3, -2), "need 0 <= t <= K, got t=-2, K=3"),
+        (lambda: shangguan_direct(4, 3, 2), "need 0 <= a, b and a+b <= n, got a=3, b=2, n=4"),
+        (lambda: shangguan_direct(4, -1, 2), "need 0 <= a, b and a+b <= n, got a=-1, b=2, n=4"),
+        (lambda: shangguan_direct(4, 1, -1), "need 0 <= a, b and a+b <= n, got a=1, b=-1, n=4"),
+        (lambda: mn(4, 2, [0, 1]), "expected 4 labels, got 2"),
+        (lambda: mn(4, 4, [0]), "expected 0 labels, got 1"),
+        (lambda: mn_reverse(4, 1, [0] * 6), "labels must be distinct"),
+    ):
+        with pytest.raises(ValueError) as err:
+            call()
+        assert str(err.value) == message
 
 
 def test_odd_tiling_matches_ten_by_ten_blocks():

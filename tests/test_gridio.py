@@ -1,4 +1,5 @@
 import random
+import sys
 
 import pytest
 
@@ -78,3 +79,21 @@ def test_json_star_encoding_and_errors():
         pda_from_json('{"rows": 2, "cols": 2}')
     with pytest.raises(GridParseError):
         pda_from_json('{"rows": 2, "cols": 2, "cells": [null, 0, 0]}')
+
+
+def test_overlong_label_reports_its_position():
+    limit = getattr(sys, "get_int_max_str_digits", lambda: 0)()
+    if not limit:
+        pytest.skip("int() has no digit limit here")
+    long = "1" * (limit + 700)
+    for text, where in (
+        (long, (1, 1)),
+        ("* 0\n0 " + long, (2, 2)),
+        ("3 * " + long + "\n* 0 1", (1, 3)),
+        ("# pda f=" + long + " K=1\n*", (1, 1)),
+    ):
+        with pytest.raises(GridParseError) as err:
+            parse_grid(text)
+        assert (err.value.line, err.value.column) == where
+    with pytest.raises(GridParseError):
+        pda_from_json('{"rows": 1, "cols": 1, "cells": [' + long + "]}")

@@ -219,3 +219,35 @@ def test_mutation_fuzz_invalid_or_undecodable():
                         failed = True
             assert failed
     assert broken_runs > 5
+
+
+def test_decode_user_outside_the_columns_raises_decode_error():
+    p = mn(4, 2)
+    demands = [2, 1, 0, 3]
+    lib = make_library(4, 60, p.rows, seed=3)
+    caches, sent = place(p, lib), deliver(p, demands, lib)
+    for user in (4, 7, -1):
+        with pytest.raises(DecodeError, match=rf"user {user} out of range \[0,4\)"):
+            decode(p, user, demands, caches, sent)
+
+
+def test_decode_demand_vector_of_wrong_length_raises_decode_error():
+    p = mn(4, 2)
+    demands = [2, 1, 0, 3]
+    lib = make_library(4, 60, p.rows, seed=3)
+    caches, sent = place(p, lib), deliver(p, demands, lib)
+    for wrong in (demands[:3], demands + [0]):
+        with pytest.raises(DecodeError, match=rf"need 4 demands, got {len(wrong)}"):
+            decode(p, 0, wrong, caches, sent)
+
+
+def test_subfiles_equal_slices_of_the_padded_file():
+    rng = random.Random(23)
+    for file_size in (1, 5, 6, 7, 97, 1000, 1001):
+        for f in (1, 2, 3, 6, 7, 10):
+            lib = make_library(2, file_size, f, seed=rng.randrange(10**6))
+            size = lib.subfile_size
+            for i in range(lib.n_files):
+                padded = lib.files[i].ljust(f * size, b"\x00")
+                for j in range(f):
+                    assert lib.subfile(i, j) == padded[j * size : (j + 1) * size]
