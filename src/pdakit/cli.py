@@ -291,8 +291,14 @@ def _cmd_table(args) -> int:
 
 def _cmd_sim(args) -> int:
     p = load_pda(args.pda)
-    demands = [int(x) for x in args.demands.split(",")] if args.demands else None
-    report = run(p, args.files, args.size, demands=demands, seed=args.seed)
+    # run raises ValueError only for its arguments: an invalid array is an
+    # InvalidPdaError, a failed decode a DecodeError.
+    try:
+        demands = [int(x) for x in args.demands.split(",")] if args.demands else None
+        report = run(p, args.files, args.size, demands=demands, seed=args.seed)
+    except ValueError as exc:
+        print(f"bad parameters: {exc}", file=sys.stderr)
+        return 2
     print(
         json.dumps(
             {

@@ -77,6 +77,10 @@ class Pda:
     cells: tuple
 
     def __post_init__(self):
+        if type(self.rows) is not int or type(self.cols) is not int:
+            raise ValueError(
+                f"rows and cols must be int, got {self.rows!r} and {self.cols!r}"
+            )
         if self.rows < 1 or self.cols < 1:
             raise ValueError(f"grid must be at least 1x1, got {self.rows}x{self.cols}")
         if type(self.cells) is not tuple:

@@ -8,6 +8,13 @@ is |S| transmissions for a rate of |S|/f.  A user recovers a missing
 subfile by XOR-ing its transmission with the peer subfiles, all of which
 the Blackburn property guarantees are in its cache.
 
+Each cached subfile is sliced from the library once per round, and every
+user that caches it holds that one read-only ``bytes`` object, so the
+caches take Z/f of the library once rather than once per user.  An XOR is
+one integer fold per transmission: each subfile is read as one big-endian
+integer, and the fold is written back as bytes once per transmission or
+recovered subfile.
+
 Decoding deliberately uses only the cache and the transmissions (plus the
 announced demand vector), never the library, so a byte-for-byte match is an
 end-to-end correctness check of the scheme.
@@ -35,10 +42,6 @@ __all__ = [
 ]
 
 
-def _xor(a: bytes, b: bytes) -> bytes:
-    return (int.from_bytes(a, "big") ^ int.from_bytes(b, "big")).to_bytes(len(a), "big")
-
-
 @dataclass(frozen=True)
 class Library:
     """N files of ``file_size`` bytes, each split into f equal subfiles."""
@@ -62,6 +65,14 @@ class Library:
 
 
 def make_library(n_files: int, file_size: int, f: int, seed: int = 0) -> Library:
+    """``n_files`` seeded random files of ``file_size`` bytes split into f
+    subfiles; ValueError unless n_files >= 1, file_size >= 0 and f >= 1."""
+    if n_files < 1:
+        raise ValueError(f"need at least one file, got {n_files}")
+    if file_size < 0:
+        raise ValueError(f"file size must be non-negative, got {file_size}")
+    if f < 1:
+        raise ValueError(f"subpacketization must be positive, got {f}")
     rng = random.Random(seed)
     return Library(
         files=tuple(rng.randbytes(file_size) for _ in range(n_files)),
@@ -90,35 +101,42 @@ class RunReport:
 
 
 def place(p: Pda, lib: Library) -> tuple:
-    """Per-user cache contents: subfile (i, j) for every file i and star row j."""
+    """Per-user cache contents: subfile (i, j) for every file i and star row j.
+
+    Each subfile is sliced once, and every user caching (i, j) maps it to
+    that same ``bytes`` object; callers must treat the caches as read-only.
+    """
     if lib.f != p.rows:
         raise ValueError(
             f"library is split into {lib.f} subfiles but the PDA has {p.rows} rows"
         )
-    caches = []
-    for k in range(p.cols):
-        star_rows = [j for j in range(p.rows) if p.cell(j, k) is None]
-        caches.append(
-            {
-                (i, j): lib.subfile(i, j)
-                for i in range(lib.n_files)
-                for j in star_rows
-            }
-        )
-    return tuple(caches)
+    star_users = []
+    for j in range(p.rows):
+        users = [k for k, c in enumerate(p.row(j)) if c is None]
+        if users:
+            star_users.append((j, users))
+    caches = tuple({} for _ in range(p.cols))
+    for i in range(lib.n_files):
+        for j, users in star_users:
+            key, sub = (i, j), lib.subfile(i, j)
+            for k in users:
+                caches[k][key] = sub
+    return caches
 
 
 def deliver(p: Pda, demands: Sequence[int], lib: Library) -> list:
     """One transmission per label in ascending order: the XOR over the
-    label's cells of the subfile each cell's user demanded."""
+    label's cells of the subfile each cell's user demanded, folded as one
+    integer."""
     _check_demands(p, demands, lib.n_files)
+    w, size, index = p.cols, lib.subfile_size, p._label_index
     out = []
-    for s in sorted(p._label_index):
-        payload = None
-        for j, k in p._cells_of(s):
-            sub = lib.subfile(demands[k], j)
-            payload = sub if payload is None else _xor(payload, sub)
-        out.append(Transmission(s, payload))
+    for s in sorted(index):
+        acc = 0
+        for pos in index[s]:
+            j, k = divmod(pos, w)
+            acc ^= int.from_bytes(lib.subfile(demands[k], j), "big")
+        out.append(Transmission(s, acc.to_bytes(size, "big")))
     return out
 
 
@@ -154,9 +172,9 @@ def decode(
     d = demands[user]
     by_label = {t.label: t.payload for t in transmissions}
     own = cache[user]
+    w, index = p.cols, p._label_index
     parts = []
-    for j in range(p.rows):
-        s = p.cell(j, user)
+    for j, s in enumerate(p.column(user)):
         if s is None:
             sub = own.get((d, j))
             if sub is None:
@@ -168,7 +186,9 @@ def decode(
         piece = by_label.get(s)
         if piece is None:
             raise DecodeError(f"user {user} received no transmission for label {s}")
-        for j2, k2 in p._cells_of(s):
+        acc = int.from_bytes(piece, "big")
+        for pos in index[s]:
+            j2, k2 = divmod(pos, w)
             if k2 == user:
                 continue
             peer = own.get((demands[k2], j2))
@@ -177,8 +197,8 @@ def decode(
                     f"user {user} misses peer subfile (file {demands[k2]}, "
                     f"subfile {j2}) needed to decode label {s}"
                 )
-            piece = _xor(piece, peer)
-        parts.append(piece)
+            acc ^= int.from_bytes(peer, "big")
+        parts.append(acc.to_bytes(len(piece), "big"))
     return b"".join(parts)
 
 
@@ -189,7 +209,11 @@ def run(
     demands: "Sequence[int] | None" = None,
     seed: int = 0,
 ) -> RunReport:
-    """Full round over a fresh library; demands drawn from ``seed`` when not given."""
+    """Full round over a fresh library; demands drawn from ``seed`` when not given.
+
+    Raises :class:`InvalidPdaError` for an invalid ``p`` and ValueError for
+    a file count, file size or demand vector the round cannot use.
+    """
     info = params(p)
     rng = random.Random(seed)
     lib = make_library(n_files, file_size, p.rows, seed=rng.randrange(2**32))

@@ -144,3 +144,52 @@ def oracle_shangguan(n: int, a: int, b: int, labels=None) -> Pda:
         combinations(range(n), a + b),
         labels,
     )
+
+
+# The pairwise byte path the simulator used before it sliced each subfile
+# once and folded each XOR into one integer: a fresh subfile copy per user
+# and cell, and one bytes -> int -> bytes round trip per XOR-ed pair.
+
+
+def _xor(a: bytes, b: bytes) -> bytes:
+    return (int.from_bytes(a, "big") ^ int.from_bytes(b, "big")).to_bytes(len(a), "big")
+
+
+def oracle_place(p: Pda, lib) -> tuple:
+    caches = []
+    for k in range(p.cols):
+        star_rows = [j for j in range(p.rows) if p.cell(j, k) is None]
+        caches.append(
+            {(i, j): lib.subfile(i, j) for i in range(lib.n_files) for j in star_rows}
+        )
+    return tuple(caches)
+
+
+def oracle_deliver(p: Pda, demands, lib) -> list:
+    """(label, payload) pairs in ascending label order."""
+    out = []
+    for s, cells in sorted(p.label_positions().items()):
+        payload = None
+        for j, k in cells:
+            sub = lib.subfile(demands[k], j)
+            payload = sub if payload is None else _xor(payload, sub)
+        out.append((s, payload))
+    return out
+
+
+def oracle_decode(p: Pda, user: int, demands, caches, transmissions) -> bytes:
+    by_label = {t.label: t.payload for t in transmissions}
+    own = caches[user]
+    positions = p.label_positions()
+    parts = []
+    for j in range(p.rows):
+        s = p.cell(j, user)
+        if s is None:
+            parts.append(own[(demands[user], j)])
+            continue
+        piece = by_label[s]
+        for j2, k2 in positions[s]:
+            if k2 != user:
+                piece = _xor(piece, own[(demands[k2], j2)])
+        parts.append(piece)
+    return b"".join(parts)

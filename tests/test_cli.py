@@ -224,6 +224,36 @@ def test_sim_seeded_is_deterministic(tmp_path, capsys):
     assert out1 == out2
 
 
+def test_sim_bad_parameters_are_usage_errors(tmp_path, capsys):
+    path = tmp_path / "m42.grid"
+    save_pda(mn(4, 2), path)
+    sim = ["sim", "--pda", str(path)]
+    for argv, message in (
+        (["--files", "4", "--size", "64", "--demands", "1,x"], "invalid literal"),
+        (["--files", "4", "--size", "64", "--demands", "0,1"], "need 4 demands, got 2"),
+        (["--files", "4", "--size", "64", "--demands", "0,1,2,4"], "demand 4 out of range"),
+        (["--files", "4", "--size", "64", "--demands", "0,-1,2,3"], "demand -1 out of range"),
+        (["--files", "0", "--size", "64"], "need at least one file, got 0"),
+        (["--files", "0", "--size", "64", "--demands", "0,0,0,0"], "need at least one file"),
+        (["--files", "4", "--size", "-5"], "file size must be non-negative, got -5"),
+    ):
+        code, out, err = run_cli(capsys, *sim, *argv)
+        assert (code, out) == (2, "")
+        assert err.startswith("bad parameters: ") and message in err
+    code, out, _ = run_cli(capsys, *sim, "--files", "2", "--size", "0")
+    assert code == 0
+    assert json.loads(out)["bytes_sent"] == 0
+
+
+def test_verify_non_integer_json_shape_is_an_error(tmp_path, capsys):
+    for shape in ('"rows": 1.5, "cols": 2', '"rows": 2, "cols": 1.5'):
+        path = tmp_path / "shape.json"
+        path.write_text("{" + shape + ', "cells": [null, 0, 0]}')
+        code, out, err = run_cli(capsys, "verify", str(path))
+        assert (code, out) == (1, "")
+        assert err.startswith("error: ") and "Traceback" not in err
+
+
 def test_missing_file_is_an_error(capsys):
     code, _, err = run_cli(capsys, "verify", "/nonexistent/x.grid")
     assert code == 1

@@ -171,6 +171,12 @@ def test_list_cells_are_coerced_to_a_tuple():
     assert params(p).s == 2
 
 
+def test_rows_and_cols_must_be_plain_ints():
+    for rows, cols in ((1.5, 2), (2, 1.5), (1.0, 3), (3, 1.0), (True, 3), (3, True), ("3", 1)):
+        with pytest.raises(ValueError, match="rows and cols must be int"):
+            Pda(rows, cols, (None, 0, 0))
+
+
 def test_cell_type_check_keeps_its_message():
     for bad in (True, -1, 1.0, "1"):
         with pytest.raises(ValueError, match="cells must be None or non-negative int"):

@@ -81,6 +81,12 @@ def test_json_star_encoding_and_errors():
         pda_from_json('{"rows": 2, "cols": 2, "cells": [null, 0, 0]}')
 
 
+def test_json_non_integer_shape_rejected():
+    for shape in ('"rows": 1.5, "cols": 2', '"rows": 2, "cols": 1.5', '"rows": true, "cols": 3'):
+        with pytest.raises(GridParseError, match="rows and cols must be int"):
+            pda_from_json("{" + shape + ', "cells": [null, 0, 0]}')
+
+
 def test_overlong_label_reports_its_position():
     limit = getattr(sys, "get_int_max_str_digits", lambda: 0)()
     if not limit:

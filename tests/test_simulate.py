@@ -8,9 +8,18 @@ from pdakit.core import Pda, params, validate
 from pdakit.errors import DecodeError, InvalidPdaError
 from pdakit.gridio import parse_grid
 from pdakit.lifting import odd_tiling_lift
-from pdakit.simulate import Library, decode, deliver, make_library, place, run
+from pdakit.simulate import (
+    Library,
+    Transmission,
+    decode,
+    deliver,
+    make_library,
+    place,
+    run,
+)
 
 import printed
+from oracles import oracle_decode, oracle_deliver, oracle_place
 from randgen import random_valid_pda
 
 
@@ -251,3 +260,114 @@ def test_subfiles_equal_slices_of_the_padded_file():
                 padded = lib.files[i].ljust(f * size, b"\x00")
                 for j in range(f):
                     assert lib.subfile(i, j) == padded[j * size : (j + 1) * size]
+
+
+def test_make_library_rejects_unusable_sizes():
+    for args, message in (
+        ((0, 8, 2), "need at least one file, got 0"),
+        ((2, -5, 2), "file size must be non-negative, got -5"),
+        ((2, 8, 0), "subpacketization must be positive, got 0"),
+    ):
+        with pytest.raises(ValueError, match=message):
+            make_library(*args)
+    assert make_library(2, 0, 3).files == (b"", b"")
+
+
+def test_byte_path_matches_pairwise_oracle():
+    rng = random.Random(29)
+    for _ in range(40):
+        p = random_valid_pda(rng, max_cells=120)
+        f = p.rows
+        for file_size in sorted({0, 1, f, 3 * f, 3 * f + 1 + rng.randrange(max(f - 1, 1))}):
+            n_files = rng.randint(1, 3)
+            lib = make_library(n_files, file_size, f, seed=rng.randrange(10**6))
+            demands = [rng.randrange(n_files) for _ in range(p.cols)]
+            caches = place(p, lib)
+            reference = oracle_place(p, lib)
+            assert caches == reference
+            assert [list(c) for c in caches] == [list(c) for c in reference]
+            shared: dict = {}
+            for cache in caches:
+                for key, sub in cache.items():
+                    assert type(sub) is bytes
+                    assert shared.setdefault(key, sub) is sub
+            sent = deliver(p, demands, lib)
+            assert [(t.label, t.payload) for t in sent] == oracle_deliver(p, demands, lib)
+            for k in range(p.cols):
+                decoded = decode(p, k, demands, caches, sent)
+                assert decoded == oracle_decode(p, k, demands, reference, sent)
+                assert decoded[:file_size] == lib.files[demands[k]]
+
+
+def _round_with_labels(rng):
+    """A valid PDA with at least one label and one caching round over
+    non-empty subfiles: (p, lib, demands, caches, transmissions)."""
+    while True:
+        p = random_valid_pda(rng, max_cells=120)
+        if p.labels():
+            break
+    n_files = rng.randint(1, 4)
+    lib = make_library(n_files, rng.randint(1, 5 * p.rows), p.rows, seed=rng.randrange(10**6))
+    demands = [rng.randrange(n_files) for _ in range(p.cols)]
+    return p, lib, demands, place(p, lib), deliver(p, demands, lib)
+
+
+def test_dropped_transmission_fails_exactly_the_users_holding_its_label():
+    rng = random.Random(31)
+    for _ in range(40):
+        p, lib, demands, caches, sent = _round_with_labels(rng)
+        drop = rng.randrange(len(sent))
+        s = sent[drop].label
+        kept = sent[:drop] + sent[drop + 1 :]
+        for k in range(p.cols):
+            if s in p.column(k):
+                with pytest.raises(
+                    DecodeError, match=rf"^user {k} received no transmission for label {s}$"
+                ):
+                    decode(p, k, demands, caches, kept)
+            else:
+                decoded = decode(p, k, demands, caches, kept)
+                assert decoded[: lib.file_size] == lib.files[demands[k]]
+
+
+def test_corrupted_payload_spoils_one_byte_of_one_subfile_per_holder():
+    rng = random.Random(37)
+    for _ in range(40):
+        p, lib, demands, caches, sent = _round_with_labels(rng)
+        hit = rng.randrange(len(sent))
+        s, payload = sent[hit].label, bytearray(sent[hit].payload)
+        offset, mask = rng.randrange(len(payload)), 1 << rng.randrange(8)
+        payload[offset] ^= mask
+        corrupted = list(sent)
+        corrupted[hit] = Transmission(s, bytes(payload))
+        size = lib.subfile_size
+        for k in range(p.cols):
+            decoded = decode(p, k, demands, caches, corrupted)
+            wanted = lib.files[demands[k]].ljust(p.rows * size, b"\x00")
+            diff = [(x, a ^ b) for x, (a, b) in enumerate(zip(decoded, wanted)) if a != b]
+            column = p.column(k)
+            if s in column:
+                assert diff == [(column.index(s) * size + offset, mask)]
+            else:
+                assert diff == []
+
+
+def test_every_valid_array_decodes_under_every_demand_vector_property():
+    hypothesis = pytest.importorskip("hypothesis")
+    st = hypothesis.strategies
+
+    @hypothesis.settings(max_examples=120, deadline=None, derandomize=True, database=None)
+    @hypothesis.given(st.randoms(use_true_random=False), st.data())
+    def check(rng, data):
+        p = random_valid_pda(rng, max_cells=60)
+        n_files = data.draw(st.integers(1, 5), label="n_files")
+        demands = data.draw(
+            st.lists(st.integers(0, n_files - 1), min_size=p.cols, max_size=p.cols),
+            label="demands",
+        )
+        file_size = data.draw(st.integers(0, 4 * p.rows), label="file_size")
+        report = run(p, n_files, file_size, demands=demands, seed=rng.randrange(10**6))
+        assert report.all_ok
+        assert report.transmissions_count == len(p.labels())
+
+    check()
