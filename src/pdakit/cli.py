@@ -62,32 +62,34 @@ _GENERATORS = {
 
 def _cmd_gen(args) -> int:
     name = args.name
-    labels = [int(x) for x in args.labels.split(",")] if args.labels else None
     if name == "odd-tiling":
         if len(args.params) != 1:
             print("gen odd-tiling takes one parameter: g", file=sys.stderr)
             return 2
-        fam = cons.odd_tiling(args.params[0])
-        prefix = args.out or f"odd_tiling_g{args.params[0]}"
-        ext = "json" if args.format == "json" else "grid"
-        for tag, p in (("p0", fam.p0), ("p1", fam.p1), ("pstar", fam.pstar)):
-            save_pda(p, f"{prefix}.{tag}.{ext}", args.format)
-        print(f"wrote {prefix}.p0/.p1/.pstar .{ext}", file=sys.stderr)
-        return 0
-    if name not in _GENERATORS:
+        option, fn = None, cons.odd_tiling
+    elif name in _GENERATORS:
+        arity, option, fn = _GENERATORS[name]
+        if len(args.params) != arity:
+            print(f"gen {name} takes {arity} parameter(s)", file=sys.stderr)
+            return 2
+    else:
         print(f"unknown generator {name!r}", file=sys.stderr)
         return 2
-    arity, option, fn = _GENERATORS[name]
-    if len(args.params) != arity:
-        print(f"gen {name} takes {arity} parameter(s)", file=sys.stderr)
-        return 2
-    extra = {"labels": [labels], "anti": [args.anti]}.get(option, [])
     try:
-        p = fn(*args.params, *extra)
+        labels = [int(x) for x in args.labels.split(",")] if args.labels else None
+        extra = {"labels": [labels], "anti": [args.anti]}.get(option, [])
+        built = fn(*args.params, *extra)
     except (ValueError, PdaError) as exc:
         print(f"bad parameters: {exc}", file=sys.stderr)
         return 2
-    _emit_pda(p, args.out, args.format)
+    if name != "odd-tiling":
+        _emit_pda(built, args.out, args.format)
+        return 0
+    prefix = args.out or f"odd_tiling_g{args.params[0]}"
+    ext = "json" if args.format == "json" else "grid"
+    for tag, p in (("p0", built.p0), ("p1", built.p1), ("pstar", built.pstar)):
+        save_pda(p, f"{prefix}.{tag}.{ext}", args.format)
+    print(f"wrote {prefix}.p0/.p1/.pstar .{ext}", file=sys.stderr)
     return 0
 
 

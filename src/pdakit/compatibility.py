@@ -65,18 +65,26 @@ def _check_shape(ref: Pda, rows: int, cols: int, what: str) -> None:
         )
 
 
-def _right_witnesses(p0: Pda, p1: Pda, pstar: Pda, pair=None, both=False):
+def _right_witnesses(p0: Pda, p1: Pda, pstar: Pda, pair=None, both=False, swapped=False):
     """Witnesses per shared label, then row-major cell pairs; with ``both``
     the (i1, j0) mirror is checked after (i0, j1), which is full
-    compatibility."""
+    compatibility.  With ``swapped`` each witness names the p1 cell first,
+    which is left compatibility of (p1, p0)."""
+    ref, w = pstar.cells, pstar.cols
     for s in sorted(p0._label_index.keys() & p1._label_index.keys()):
         cells1 = p1._cells_of(s)
-        for i0, j0 in p0._cells_of(s):
-            for i1, j1 in cells1:
-                if pstar.cell(i0, j1) is not None:
-                    yield CompatWitness(s, (i0, j0), (i1, j1), (i0, j1), pair)
-                if both and pstar.cell(i1, j0) is not None:
-                    yield CompatWitness(s, (i0, j0), (i1, j1), (i1, j0), pair)
+        for c0 in p0._cells_of(s):
+            i0, j0 = c0
+            row0 = i0 * w
+            for c1 in cells1:
+                i1, j1 = c1
+                if ref[row0 + j1] is not None:
+                    if swapped:
+                        yield CompatWitness(s, c1, c0, (i0, j1), pair)
+                    else:
+                        yield CompatWitness(s, c0, c1, (i0, j1), pair)
+                if both and ref[i1 * w + j0] is not None:
+                    yield CompatWitness(s, c0, c1, (i1, j0), pair)
 
 
 def is_right_compatible(p0: Pda, p1: Pda, pstar: Pda) -> CompatReport:
@@ -87,10 +95,7 @@ def is_right_compatible(p0: Pda, p1: Pda, pstar: Pda) -> CompatReport:
 def is_left_compatible(p0: Pda, p1: Pda, phash: Pda) -> CompatReport:
     """Left compatibility of (p0, p1) equals right compatibility of (p1, p0)."""
     _check_shape(phash, p1.rows, p0.cols, "left reference")
-    return CompatReport.from_witnesses(
-        CompatWitness(w.label, w.cell1, w.cell0, w.mirror)
-        for w in _right_witnesses(p1, p0, phash)
-    )
+    return CompatReport.from_witnesses(_right_witnesses(p1, p0, phash, swapped=True))
 
 
 def is_blackburn_compatible(p0: Pda, p1: Pda, pstar: Pda) -> CompatReport:

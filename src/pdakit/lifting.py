@@ -15,7 +15,8 @@ g_c is the per-member label multiplicity.
 Non-uniform lifting drops the equal-size requirement: members sit on the
 (anti-)diagonal of a block matrix and per-pair references fill the rest;
 validity of the assembly is equivalent to generalized compatibility of the
-family.  The MN and Shangguan constructions are recursive instances.
+family.  The MN and Shangguan constructions are recursive instances; each
+call builds every distinct sub-array of its recursion once and reuses it.
 
 Fresh labels are handed out by a single monotone allocator in emission
 order: reference copies first (star cells, row-major), then one shared set
@@ -371,18 +372,33 @@ def mn_recursive(k: int, t: int) -> Pda:
     Members are the label column J and the (K-1, t-1) array sharing label
     set [C(K-1, t)]; references are the (K-1, t) array on fresh labels and
     an all-star column.  Reproduces mn(K, t) cell for cell.
+
+    Each distinct (K', t') sub-array is built, lifted and validated once per
+    call and reused wherever the recursion meets it again; nothing is kept
+    between calls.
     """
     _check_memory_point(k, t)
-    if t == 0:
-        return filled(1, k, range(k))
-    if t == k:
-        return all_star(1, k)
-    shared = comb(k - 1, t)
-    p0 = filled(comb(k - 1, t), 1, range(shared))
-    p1 = mn_recursive(k - 1, t - 1)
-    pstar = disjoint_copy(mn_recursive(k - 1, t), shared)
-    phash = all_star(comb(k - 1, t - 1), 1)
-    return nonuniform_lift([p0, p1], {(0, 1): pstar, (1, 0): phash}, "anti")
+    built: dict = {}
+
+    def build(k: int, t: int) -> Pda:
+        p = built.get((k, t))
+        if p is not None:
+            return p
+        if t == 0:
+            p = filled(1, k, range(k))
+        elif t == k:
+            p = all_star(1, k)
+        else:
+            shared = comb(k - 1, t)
+            p0 = filled(comb(k - 1, t), 1, range(shared))
+            p1 = build(k - 1, t - 1)
+            pstar = disjoint_copy(build(k - 1, t), shared)
+            phash = all_star(comb(k - 1, t - 1), 1)
+            p = nonuniform_lift([p0, p1], {(0, 1): pstar, (1, 0): phash}, "anti")
+        built[(k, t)] = p
+        return p
+
+    return build(k, t)
 
 
 def shangguan_recursive(n: int, a: int, b: int) -> Pda:
@@ -393,19 +409,34 @@ def shangguan_recursive(n: int, a: int, b: int) -> Pda:
     with members U(n-1, a, b-1), U(n-1, a-1, b) on a shared label set and
     references U(n-1, a, b) fresh plus an all-star block.  Reproduces
     shangguan_direct(n, a, b) cell for cell.
+
+    Each distinct (n', a', b') sub-array is built, lifted and validated once
+    per call and reused wherever the recursion meets it again; nothing is
+    kept between calls.
     """
     if a < 0 or b < 0 or a + b > n + 1:
         raise ValueError(f"need 0 <= a, b and a+b <= n+1, got a={a}, b={b}, n={n}")
-    if min(a, b) == 0:
-        return filled(comb(n, a), comb(n, b), range(comb(n, a) * comb(n, b)))
-    if a + b == n + 1:
-        return all_star(comb(n, a), comb(n, b))
-    shared = comb(n - 1, a + b - 1)
-    p0 = shangguan_recursive(n - 1, a, b - 1)
-    p1 = shangguan_recursive(n - 1, a - 1, b)
-    pstar = disjoint_copy(shangguan_recursive(n - 1, a, b), shared)
-    phash = all_star(comb(n - 1, a - 1), comb(n - 1, b - 1))
-    return nonuniform_lift([p0, p1], {(0, 1): pstar, (1, 0): phash}, "anti")
+    built: dict = {}
+
+    def build(n: int, a: int, b: int) -> Pda:
+        p = built.get((n, a, b))
+        if p is not None:
+            return p
+        if min(a, b) == 0:
+            p = filled(comb(n, a), comb(n, b), range(comb(n, a) * comb(n, b)))
+        elif a + b == n + 1:
+            p = all_star(comb(n, a), comb(n, b))
+        else:
+            shared = comb(n - 1, a + b - 1)
+            p0 = build(n - 1, a, b - 1)
+            p1 = build(n - 1, a - 1, b)
+            pstar = disjoint_copy(build(n - 1, a, b), shared)
+            phash = all_star(comb(n - 1, a - 1), comb(n - 1, b - 1))
+            p = nonuniform_lift([p0, p1], {(0, 1): pstar, (1, 0): phash}, "anti")
+        built[(n, a, b)] = p
+        return p
+
+    return build(n, a, b)
 
 
 def odd_tiling_lift(g: int, n: int) -> Pda:

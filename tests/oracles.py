@@ -99,6 +99,38 @@ def brute_force_full_witnesses(p0: Pda, p1: Pda, pstar: Pda) -> list:
     return sorted(out, key=lambda w: w[0])
 
 
+def brute_force_right_witnesses(p0: Pda, p1: Pda, pstar: Pda) -> list:
+    """Every right-compatibility witness as (label, cell0, cell1, mirror)
+    with the mirror at (i0, j1): labels ascending, then p0 and p1 cells
+    row-major."""
+    out = []
+    for c0 in _coords(p0):
+        s = p0.cell(*c0)
+        if s is None:
+            continue
+        for c1 in _coords(p1):
+            mirror = (c0[0], c1[1])
+            if p1.cell(*c1) == s and pstar.cell(*mirror) is not None:
+                out.append((s, c0, c1, mirror))
+    return sorted(out, key=lambda w: w[0])
+
+
+def brute_force_left_witnesses(p0: Pda, p1: Pda, phash: Pda) -> list:
+    """Every left-compatibility witness as (label, cell0, cell1, mirror)
+    with the mirror at (i1, j0): labels ascending, then p1 and p0 cells
+    row-major, the order of right compatibility of (p1, p0)."""
+    out = []
+    for c1 in _coords(p1):
+        s = p1.cell(*c1)
+        if s is None:
+            continue
+        for c0 in _coords(p0):
+            mirror = (c1[0], c0[1])
+            if p0.cell(*c0) == s and phash.cell(*mirror) is not None:
+                out.append((s, c0, c1, mirror))
+    return sorted(out, key=lambda w: w[0])
+
+
 # Set-based subset constructions, written from their definitions: rows and
 # columns are subsets in lexicographic (or reverse) order, a cell is a star
 # when they intersect, else the label ranked by their union.

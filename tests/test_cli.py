@@ -32,6 +32,18 @@ def test_gen_unknown_name_and_bad_arity(capsys):
     assert run_cli(capsys, "gen", "mn", "4", "9")[0] == 2
 
 
+def test_gen_bad_labels_and_odd_tiling_g_are_usage_errors(tmp_path, capsys, monkeypatch):
+    monkeypatch.chdir(tmp_path)
+    for argv, message in (
+        (["mn", "4", "2", "--labels", "1,x"], "invalid literal"),
+        (["odd-tiling", "4"], "g must be odd"),
+    ):
+        code, out, err = run_cli(capsys, "gen", *argv)
+        assert (code, out) == (2, "")
+        assert err.startswith("bad parameters: ") and message in err
+    assert list(tmp_path.iterdir()) == []
+
+
 def test_gen_odd_tiling_writes_three_files(tmp_path, capsys):
     prefix = str(tmp_path / "odd")
     code, _, err = run_cli(capsys, "gen", "odd-tiling", "5", "-o", prefix)

@@ -24,7 +24,13 @@ from pdakit.constructions import (
 )
 from pdakit.core import Pda, hstack, vstack
 
-from oracles import brute_force_full_ok, brute_force_full_witnesses, brute_force_right_ok
+from oracles import (
+    brute_force_full_ok,
+    brute_force_full_witnesses,
+    brute_force_left_witnesses,
+    brute_force_right_ok,
+    brute_force_right_witnesses,
+)
 from randgen import random_full_triple, random_valid_pda
 
 
@@ -81,6 +87,23 @@ def test_full_witness_sequence_matches_oracle_on_randgen_triples():
     assert min(verdicts.values()) >= 20
 
 
+def test_right_and_left_witness_sequences_match_oracle_on_randgen_triples():
+    rng = random.Random(43)
+    verdicts = {(side, ok): 0 for side in ("right", "left") for ok in (True, False)}
+    for _ in range(150):
+        p0, p1, ref = random_full_triple(rng)
+        for side, check, oracle in (
+            ("right", is_right_compatible, brute_force_right_witnesses),
+            ("left", is_left_compatible, brute_force_left_witnesses),
+        ):
+            report = check(p0, p1, ref)
+            expected = oracle(p0, p1, ref)
+            assert report.witnesses == tuple(CompatWitness(*w) for w in expected)
+            assert report.ok == (not expected)
+            verdicts[(side, report.ok)] += 1
+    assert min(verdicts.values()) >= 20
+
+
 def _random_labeled(rng, rows, cols, pool):
     return Pda.from_rows(
         [
@@ -111,6 +134,9 @@ def test_left_is_right_with_swapped_arguments():
         right = is_right_compatible(p1, p0, q)
         assert left.ok == right.ok == brute_force_right_ok(p1, p0, q)
         assert len(left.witnesses) == len(right.witnesses)
+        assert left.witnesses == tuple(
+            CompatWitness(w.label, w.cell1, w.cell0, w.mirror) for w in right.witnesses
+        )
 
 
 def test_left_trivial_wrt_all_star():

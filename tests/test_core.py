@@ -141,6 +141,21 @@ def test_canonical_forms_agree_across_relabelings():
         assert canonicalize(relabel(p, m1)) == canonicalize(relabel(p, m2))
 
 
+def test_canonicalize_is_idempotent_property():
+    hypothesis = pytest.importorskip("hypothesis")
+    st = hypothesis.strategies
+
+    @hypothesis.settings(max_examples=150, deadline=None, derandomize=True, database=None)
+    @hypothesis.given(st.randoms(use_true_random=False), st.booleans())
+    def check(rng, valid):
+        p = random_valid_pda(rng) if valid else random_grid(rng, n_labels=rng.randint(1, 12))
+        once = canonicalize(p)
+        assert canonicalize(once) == once
+        assert once.labels() == frozenset(range(len(p.labels())))
+
+    check()
+
+
 def test_disjoint_copy():
     assert disjoint_copy(identity(3, 0), 4) == identity(3, 4)
     p = mn(4, 2)

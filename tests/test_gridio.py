@@ -7,7 +7,7 @@ from pdakit.core import Pda
 from pdakit.errors import GridParseError
 from pdakit.gridio import parse_grid, pda_from_json, pda_to_json, serialize_grid
 
-from randgen import random_valid_pda
+from randgen import random_grid, random_valid_pda
 
 
 def test_parse_two_by_two():
@@ -27,6 +27,20 @@ def test_round_trip_on_random_pdas():
         p = random_valid_pda(rng)
         assert parse_grid(serialize_grid(p)) == p
         assert pda_from_json(pda_to_json(p)) == p
+
+
+def test_grid_and_json_round_trip_property():
+    hypothesis = pytest.importorskip("hypothesis")
+    st = hypothesis.strategies
+
+    @hypothesis.settings(max_examples=150, deadline=None, derandomize=True, database=None)
+    @hypothesis.given(st.randoms(use_true_random=False), st.booleans(), st.booleans())
+    def check(rng, valid, header):
+        p = random_valid_pda(rng) if valid else random_grid(rng, n_labels=rng.randint(1, 12))
+        assert parse_grid(serialize_grid(p, header=header)) == p
+        assert pda_from_json(pda_to_json(p)) == p
+
+    check()
 
 
 def test_header_accepted_and_checked():

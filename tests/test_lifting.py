@@ -15,6 +15,7 @@ from pdakit.constructions import (
 from pdakit.core import Pda, params, validate
 from pdakit.errors import CompatibilityError, LiftError
 from pdakit.gridio import parse_grid
+import pdakit.lifting
 from pdakit.lifting import (
     ParamTuple,
     _allocate,
@@ -265,6 +266,55 @@ def test_shangguan_recursive_equals_direct():
         for a in range(n + 1):
             for b in range(n - a + 1):
                 assert shangguan_recursive(n, a, b) == shangguan_direct(n, a, b)
+
+
+def _distinct_lifts(key, children, is_base):
+    """Distinct non-base sub-problems reachable from key, the top included."""
+    seen, todo = set(), [key]
+    while todo:
+        key = todo.pop()
+        if key in seen or is_base(*key):
+            continue
+        seen.add(key)
+        todo.extend(children(*key))
+    return seen
+
+
+@pytest.mark.parametrize(
+    "build,direct,key,children,is_base",
+    [
+        (
+            mn_recursive, mn, (10, 4),
+            lambda k, t: [(k - 1, t - 1), (k - 1, t)],
+            lambda k, t: t in (0, k),
+        ),
+        (
+            shangguan_recursive, shangguan_direct, (8, 2, 2),
+            lambda n, a, b: [(n - 1, a, b - 1), (n - 1, a - 1, b), (n - 1, a, b)],
+            lambda n, a, b: min(a, b) == 0 or a + b == n + 1,
+        ),
+    ],
+    ids=["mn", "shangguan"],
+)
+def test_recursion_lifts_each_sub_problem_once_per_call(
+    monkeypatch, build, direct, key, children, is_base
+):
+    calls = []
+    lift = pdakit.lifting.nonuniform_lift
+
+    def counted(members, refs, orientation="main"):
+        calls.append((members[0].shape, members[1].shape))
+        return lift(members, refs, orientation)
+
+    monkeypatch.setattr(pdakit.lifting, "nonuniform_lift", counted)
+    want = len(_distinct_lifts(key, children, is_base))
+    first = build(*key)
+    assert len(calls) == want
+    # A second call builds everything again: no sub-array outlives a call.
+    second = build(*key)
+    assert len(calls) == 2 * want
+    assert calls[:want] == calls[want:]
+    assert first == second == direct(*key)
 
 
 def test_shangguan_recursive_all_star_case():
