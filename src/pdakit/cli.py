@@ -43,7 +43,8 @@ def _witness_line(w) -> str:
 
 # ----------------------------------------------------------------- gen
 
-# name: (parameter count, the option passed after the parameters, builder)
+# name: (parameter count, the option passed after the parameters, builder);
+# odd-tiling builds a family and writes one file per array.
 _GENERATORS = {
     "identity": (2, "anti", cons.identity),
     "g": (1, "labels", cons.g_array),
@@ -57,24 +58,23 @@ _GENERATORS = {
     "mn-recursive": (2, None, lifting.mn_recursive),
     "shangguan-recursive": (3, None, lifting.shangguan_recursive),
     "corollary-odd": (2, None, lifting.odd_tiling_lift),
+    "odd-tiling": (1, None, cons.odd_tiling),
 }
 
 
 def _cmd_gen(args) -> int:
     name = args.name
-    if name == "odd-tiling":
-        if len(args.params) != 1:
-            print("gen odd-tiling takes one parameter: g", file=sys.stderr)
-            return 2
-        option, fn = None, cons.odd_tiling
-    elif name in _GENERATORS:
-        arity, option, fn = _GENERATORS[name]
-        if len(args.params) != arity:
-            print(f"gen {name} takes {arity} parameter(s)", file=sys.stderr)
-            return 2
-    else:
+    if name not in _GENERATORS:
         print(f"unknown generator {name!r}", file=sys.stderr)
         return 2
+    arity, option, fn = _GENERATORS[name]
+    if len(args.params) != arity:
+        print(f"gen {name} takes {arity} parameter(s)", file=sys.stderr)
+        return 2
+    for flag, given in (("labels", args.labels is not None), ("anti", args.anti)):
+        if given and option != flag:
+            print(f"gen {name} takes no --{flag}", file=sys.stderr)
+            return 2
     try:
         labels = [int(x) for x in args.labels.split(",")] if args.labels else None
         extra = {"labels": [labels], "anti": [args.anti]}.get(option, [])

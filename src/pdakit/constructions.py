@@ -219,6 +219,6 @@ def yan_half_memory(g: int) -> Pda:
     for t in range(1, g + 1, 2):
         shared = start + comb(g, t - 1)  # where S_{i+1} begins
         left = mn_reverse(g, t, range(shared, shared + comb(g, t + 1)))
-        blocks.append([left, mn(g, g - t, range(start, shared))])
+        blocks.append([(left, 0), (mn(g, g - t, range(start, shared)), 0)])
         start = shared
     return _assemble_blocks(blocks)

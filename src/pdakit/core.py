@@ -355,36 +355,42 @@ def disjoint_copy(p: Pda, offset: int) -> Pda:
 
 
 def _assemble_blocks(
-    blocks: Sequence[Sequence[Pda]], mismatch: str = "blocks do not tile"
+    blocks: Sequence[Sequence[tuple]], mismatch: str = "blocks do not tile"
 ) -> Pda:
     """The one block layout every composite grid is built with.
 
-    ``blocks[r][c]`` lands at block row r and block column c; the blocks of
-    a block row share its first block's row count and the blocks of a block
+    ``blocks[r][c]`` is a ``(grid, offset)`` pair that lands at block row r
+    and block column c, with ``offset`` added to each of the grid's labels
+    as its rows are copied (0 copies them unchanged).  The blocks of a
+    block row share its first block's row count and the blocks of a block
     column its top block's column count, else ValueError(mismatch).  The
     result's cells are emitted row-major into one flat tuple.
     """
-    widths = [q.cols for q in blocks[0]]
+    widths = [q.cols for q, _ in blocks[0]]
     for block_row in blocks:
-        if [q.shape for q in block_row] != [(block_row[0].rows, w) for w in widths]:
+        height = block_row[0][0].rows
+        if [q.shape for q, _ in block_row] != [(height, w) for w in widths]:
             raise ValueError(mismatch)
     cells = []
     for block_row in blocks:
-        for j in range(block_row[0].rows):
-            for q in block_row:
-                cells += q.cells[j * q.cols : (j + 1) * q.cols]
-    return Pda(sum(r[0].rows for r in blocks), sum(widths), cells)
+        for j in range(block_row[0][0].rows):
+            for q, offset in block_row:
+                row = q.cells[j * q.cols : (j + 1) * q.cols]
+                if offset:
+                    row = [None if c is None else c + offset for c in row]
+                cells += row
+    return Pda(sum(r[0][0].rows for r in blocks), sum(widths), cells)
 
 
 def hstack(parts: Sequence[Pda]) -> Pda:
     """Concatenate grids left to right; all parts need equal row counts."""
     if not parts:
         raise ValueError("nothing to stack")
-    return _assemble_blocks([parts], "hstack needs equal row counts")
+    return _assemble_blocks([[(q, 0) for q in parts]], "hstack needs equal row counts")
 
 
 def vstack(parts: Sequence[Pda]) -> Pda:
     """Concatenate grids top to bottom; all parts need equal column counts."""
     if not parts:
         raise ValueError("nothing to stack")
-    return _assemble_blocks([[q] for q in parts], "vstack needs equal column counts")
+    return _assemble_blocks([[(q, 0)] for q in parts], "vstack needs equal column counts")

@@ -15,8 +15,10 @@ g_c is the per-member label multiplicity.
 Non-uniform lifting drops the equal-size requirement: members sit on the
 (anti-)diagonal of a block matrix and per-pair references fill the rest;
 validity of the assembly is equivalent to generalized compatibility of the
-family.  The MN and Shangguan constructions are recursive instances; each
-call builds every distinct sub-array of its recursion once and reuses it.
+family.  The Shangguan construction is a recursive instance, and the MN
+construction is its b = 1 case: mn_recursive(K, t) is
+shangguan_recursive(K, t, 1).  Each call builds every distinct sub-array
+of its recursion once and reuses it.
 
 Fresh labels are handed out by a single monotone allocator in emission
 order: reference copies first (star cells, row-major), then one shared set
@@ -38,7 +40,7 @@ from .compatibility import (
     is_blackburn_compatible,
 )
 from .constructions import _check_memory_point, all_star, filled, h_array, odd_tiling
-from .core import Pda, PdaParams, _assemble_blocks, disjoint_copy, params, validate
+from .core import Pda, PdaParams, _assemble_blocks, disjoint_copy, params, relabel, validate
 from .errors import CompatibilityError, InvalidPdaError, LiftError
 
 __all__ = [
@@ -94,17 +96,17 @@ def _max_occurrences(p: Pda) -> int:
     return max(map(len, p._label_index.values()), default=0)
 
 
-def _relabel_block(p: Pda, source_labels: Sequence[int], start: int) -> Pda:
-    mapping = {s: start + i for i, s in enumerate(source_labels)}
-    cells = tuple(None if c is None else mapping[c] for c in p.cells)
-    return Pda(p.rows, p.cols, cells)
+def _ranked(p: Pda, labels) -> Pda:
+    """p with each label replaced by its rank in ``sorted(labels)``."""
+    return relabel(p, {s: i for i, s in enumerate(sorted(labels))})
 
 
 def _assemble_uniform(base, members, pstar, star_ranges, label_ranges):
-    """Place one block per base cell; star_ranges is keyed by base star
-    position, label_ranges by base label."""
-    member_labels = sorted(members[0].labels()) if members else []
-    pstar_labels = sorted(pstar.labels())
+    """Place one block per base cell, each a source ranked onto 0, 1, ...
+    and shifted to the start of its range; star_ranges is keyed by base
+    star position, label_ranges by base label."""
+    ranked = [_ranked(m, members[0].labels()) for m in members]
+    ref = _ranked(pstar, pstar.labels())
     occurrence: dict = {}
     blocks = []
     for r in range(base.rows):
@@ -112,12 +114,11 @@ def _assemble_uniform(base, members, pstar, star_ranges, label_ranges):
         for c in range(base.cols):
             s = base.cell(r, c)
             if s is None:
-                block = _relabel_block(pstar, pstar_labels, star_ranges[(r, c)])
+                block_row.append((ref, star_ranges[(r, c)]))
             else:
                 t = occurrence.get(s, 0)
                 occurrence[s] = t + 1
-                block = _relabel_block(members[t], member_labels, label_ranges[s])
-            block_row.append(block)
+                block_row.append((ranked[t], label_ranges[s]))
         blocks.append(block_row)
     return _assemble_blocks(blocks)
 
@@ -295,7 +296,7 @@ def assemble_identity_lift(
                 f"{members[i].rows}x{members[j].cols}, got {ref.rows}x{ref.cols}"
             )
         blocks[_block_position(g, i, j, orientation)] = ref
-    return _assemble_blocks([[blocks[(r, c)] for c in range(g)] for r in range(g)])
+    return _assemble_blocks([[(blocks[(r, c)], 0) for c in range(g)] for r in range(g)])
 
 
 def _owning_member(members, cell, orientation):
@@ -369,36 +370,13 @@ def nonuniform_lift(
 def mn_recursive(k: int, t: int) -> Pda:
     """Build the MN PDA by anti-diagonal identity lifting.
 
-    Members are the label column J and the (K-1, t-1) array sharing label
-    set [C(K-1, t)]; references are the (K-1, t) array on fresh labels and
-    an all-star column.  Reproduces mn(K, t) cell for cell.
-
-    Each distinct (K', t') sub-array is built, lifted and validated once per
-    call and reused wherever the recursion meets it again; nothing is kept
-    between calls.
+    This is the Shangguan recursion at b = 1: members are the label column
+    J and the (K-1, t-1) array sharing label set [C(K-1, t)]; references
+    are the (K-1, t) array on fresh labels and an all-star column.
+    Reproduces mn(K, t) cell for cell.
     """
     _check_memory_point(k, t)
-    built: dict = {}
-
-    def build(k: int, t: int) -> Pda:
-        p = built.get((k, t))
-        if p is not None:
-            return p
-        if t == 0:
-            p = filled(1, k, range(k))
-        elif t == k:
-            p = all_star(1, k)
-        else:
-            shared = comb(k - 1, t)
-            p0 = filled(comb(k - 1, t), 1, range(shared))
-            p1 = build(k - 1, t - 1)
-            pstar = disjoint_copy(build(k - 1, t), shared)
-            phash = all_star(comb(k - 1, t - 1), 1)
-            p = nonuniform_lift([p0, p1], {(0, 1): pstar, (1, 0): phash}, "anti")
-        built[(k, t)] = p
-        return p
-
-    return build(k, t)
+    return shangguan_recursive(k, t, 1)
 
 
 def shangguan_recursive(n: int, a: int, b: int) -> Pda:

@@ -225,3 +225,51 @@ def oracle_decode(p: Pda, user: int, demands, caches, transmissions) -> bytes:
                 piece = _xor(piece, own[(demands[k2], j2)])
         parts.append(piece)
     return b"".join(parts)
+
+
+# The per-block uniform lift the package used before it assembled blocks by
+# label offset: one relabeled Pda per base cell, its rows then copied into
+# the result.  Ranges are handed out as the package documents: one reference
+# range per base star (row-major), then one shared member range per base
+# label ascending.  No preconditions are checked and nothing is validated.
+
+
+def _relabel_block(p: Pda, source_labels, start: int) -> Pda:
+    mapping = {s: start + i for i, s in enumerate(source_labels)}
+    return Pda(p.rows, p.cols, tuple(None if c is None else mapping[c] for c in p.cells))
+
+
+def oracle_uniform_lift(base: Pda, members, pstar: Pda) -> tuple:
+    """(lifted array, ledger dict shaped like LiftOutcome.ledger_dict())."""
+    member_labels = sorted(members[0].labels()) if members else []
+    pstar_labels = sorted(pstar.labels())
+    ledger = {"stars": {}, "labels": {}}
+    nxt = 0
+    star_index = {}
+    for j in range(base.rows):
+        for k in range(base.cols):
+            if base.cell(j, k) is None:
+                star_index[(j, k)] = len(star_index)
+                ledger["stars"][str(len(star_index) - 1)] = [nxt, nxt + len(pstar_labels)]
+                nxt += len(pstar_labels)
+    for s in sorted(base.labels()):
+        ledger["labels"][str(s)] = [nxt, nxt + len(member_labels)]
+        nxt += len(member_labels)
+
+    occurrence: dict = {}
+    grid = []
+    for j in range(base.rows):
+        blocks = []
+        for k in range(base.cols):
+            s = base.cell(j, k)
+            if s is None:
+                start = ledger["stars"][str(star_index[(j, k)])][0]
+                blocks.append(_relabel_block(pstar, pstar_labels, start))
+            else:
+                t = occurrence.get(s, 0)
+                occurrence[s] = t + 1
+                start = ledger["labels"][str(s)][0]
+                blocks.append(_relabel_block(members[t], member_labels, start))
+        for row in range(pstar.rows):
+            grid.append([c for q in blocks for c in q.row(row)])
+    return Pda.from_rows(grid), ledger

@@ -44,6 +44,22 @@ def test_gen_bad_labels_and_odd_tiling_g_are_usage_errors(tmp_path, capsys, monk
     assert list(tmp_path.iterdir()) == []
 
 
+def test_gen_option_the_generator_does_not_take_is_a_usage_error(tmp_path, capsys, monkeypatch):
+    monkeypatch.chdir(tmp_path)
+    for name, params, option in (
+        ("star", ["2", "2"], ["--labels", "5"]),
+        ("mn", ["3", "1"], ["--anti"]),
+        ("yan-half", ["3"], ["--labels", "1"]),
+        ("identity", ["3", "0"], ["--labels", "1"]),
+        ("odd-tiling", ["3"], ["--anti"]),
+    ):
+        code, out, err = run_cli(capsys, "gen", name, *params, *option)
+        assert (code, out, err) == (2, "", f"gen {name} takes no {option[0]}\n")
+    assert list(tmp_path.iterdir()) == []
+    code, out, _ = run_cli(capsys, "gen", "mn", "4", "2", "--labels", "3,2,1,0")
+    assert (code, parse_grid(out)) == (0, mn(4, 2, [3, 2, 1, 0]))
+
+
 def test_gen_odd_tiling_writes_three_files(tmp_path, capsys):
     prefix = str(tmp_path / "odd")
     code, _, err = run_cli(capsys, "gen", "odd-tiling", "5", "-o", prefix)

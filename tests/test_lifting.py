@@ -1,3 +1,4 @@
+import random
 from fractions import Fraction
 from math import comb
 
@@ -12,7 +13,7 @@ from pdakit.constructions import (
     odd_tiling,
     shangguan_direct,
 )
-from pdakit.core import Pda, params, validate
+from pdakit.core import Pda, params, relabel, validate
 from pdakit.errors import CompatibilityError, LiftError
 from pdakit.gridio import parse_grid
 import pdakit.lifting
@@ -34,7 +35,8 @@ from pdakit.lifting import (
 )
 
 import printed
-from oracles import brute_force_full_ok
+from oracles import brute_force_full_ok, oracle_uniform_lift
+from randgen import random_valid_pda
 
 # ----------------------------------------------------------- uniform lifting
 
@@ -107,6 +109,32 @@ def test_bypassing_the_compatibility_check_breaks_blackburn():
     assert not validate(raw).c3_ok
 
 
+def _shuffled(n, seed):
+    labels = list(range(n))
+    random.Random(seed).shuffle(labels)
+    return labels
+
+
+@pytest.mark.parametrize("g,n", [(5, 6), (7, 8), (11, 14)])
+def test_uniform_lift_matches_per_block_oracle(g, n):
+    fam = odd_tiling(g)
+    base = h_array(n, _shuffled(n * (n - 1) // 2, g * n))
+    outcome = uniform_lift(base, [fam.p0, fam.p1], fam.pstar)
+    want, ledger = oracle_uniform_lift(base, [fam.p0, fam.p1], fam.pstar)
+    assert outcome.result == want
+    assert outcome.ledger_dict() == ledger
+
+
+@pytest.mark.parametrize("k,t,m", [(5, 2, 6), (6, 2, 8), (7, 3, 8)])
+def test_basic_lift_matches_per_block_oracle(k, t, m):
+    base = mn(k, t, _shuffled(comb(k, t + 1), k * t * m))
+    p = h_array(m)
+    outcome = basic_lift(base, p)
+    want, ledger = oracle_uniform_lift(base, [p] * (t + 1), all_star(m, m))
+    assert outcome.result == want
+    assert outcome.ledger_dict() == ledger
+
+
 # ------------------------------------------------------------- basic lifting
 
 def test_basic_lift_identity_by_h_array():
@@ -157,6 +185,17 @@ def test_lift_family_transpose_pair():
     assert brute_force_full_ok(lifted[0], lifted[1], rstar)
     for r in lifted:
         assert validate(r).ok
+
+
+@pytest.mark.parametrize("n,m", [(4, 5), (6, 6)])
+def test_lift_family_matches_per_block_oracle(n, m):
+    members = _transpose_family(n)
+    pstar = h_array(n, range(n * n, n * n + n * (n - 1) // 2))
+    q = _transpose_family(m)
+    qstar = h_array(m, range(m * m, m * m + m * (m - 1) // 2))
+    lifted, rstar = lift_family(members, pstar, q, qstar)
+    assert lifted == tuple(oracle_uniform_lift(p, q, qstar)[0] for p in members)
+    assert rstar == oracle_uniform_lift(pstar, [q[0]] * 2, all_star(m, m))[0]
 
 
 def test_lift_family_rejects_differing_star_positions():
@@ -377,6 +416,46 @@ def test_lifted_params_agrees_with_constructed_lift():
     tup = measure_family([p] * 6, all_star(10, 10))
     predicted = lifted_params(params(identity(6, 0)), tup)
     assert predicted == params(basic_lift(identity(6, 0), p).result)
+
+
+def _regular(rng, max_cells, g=None):
+    """A random valid PDA with labels, each occurring g times (the same
+    number of times, any number, when g is None)."""
+    while True:
+        p = random_valid_pda(rng, max_cells)
+        got = params(p).g
+        if got is not None and g in (None, got):
+            return p
+
+
+def test_lifted_params_and_oracle_agree_with_random_lifts_property():
+    hypothesis = pytest.importorskip("hypothesis")
+    st = hypothesis.strategies
+
+    @hypothesis.settings(max_examples=100, deadline=None, derandomize=True, database=None)
+    @hypothesis.given(st.integers(0, 2**32), st.booleans())
+    def check(seed, identical):
+        rng = random.Random(seed)
+        if identical:
+            p = _regular(rng, 30)
+            base = _regular(rng, 40)
+            members = [p] * params(base).g
+            pstar = all_star(p.rows, p.cols)
+        else:
+            fam = odd_tiling(rng.choice([3, 5]))
+            labels = sorted(fam.p0.labels())
+            perm = dict(zip(labels, rng.sample(range(50), len(labels))))
+            members = [relabel(fam.p0, perm), relabel(fam.p1, perm)]
+            pstar = fam.pstar
+            base = _regular(rng, 40, g=2)
+        outcome = uniform_lift(base, members, pstar)
+        predicted = lifted_params(params(base), measure_family(members, pstar))
+        assert predicted == params(outcome.result)
+        want, ledger = oracle_uniform_lift(base, members, pstar)
+        assert outcome.result == want
+        assert outcome.ledger_dict() == ledger
+
+    check()
 
 
 def test_lifted_params_inconsistent_tuples():
