@@ -25,6 +25,10 @@ from .tables import render_fig2_csv, render_table1_csv
 __all__ = ["main"]
 
 
+class _UsageError(Exception):
+    """A usage error: main prints the message and exits 2."""
+
+
 def _write_text(text: str, out: "str | None") -> None:
     if out is None:
         sys.stdout.write(text)
@@ -65,23 +69,19 @@ _GENERATORS = {
 def _cmd_gen(args) -> int:
     name = args.name
     if name not in _GENERATORS:
-        print(f"unknown generator {name!r}", file=sys.stderr)
-        return 2
+        raise _UsageError(f"unknown generator {name!r}")
     arity, option, fn = _GENERATORS[name]
     if len(args.params) != arity:
-        print(f"gen {name} takes {arity} parameter(s)", file=sys.stderr)
-        return 2
+        raise _UsageError(f"gen {name} takes {arity} parameter(s)")
     for flag, given in (("labels", args.labels is not None), ("anti", args.anti)):
         if given and option != flag:
-            print(f"gen {name} takes no --{flag}", file=sys.stderr)
-            return 2
+            raise _UsageError(f"gen {name} takes no --{flag}")
     try:
         labels = [int(x) for x in args.labels.split(",")] if args.labels else None
         extra = {"labels": [labels], "anti": [args.anti]}.get(option, [])
         built = fn(*args.params, *extra)
     except (ValueError, PdaError) as exc:
-        print(f"bad parameters: {exc}", file=sys.stderr)
-        return 2
+        raise _UsageError(f"bad parameters: {exc}") from exc
     if name != "odd-tiling":
         _emit_pda(built, args.out, args.format)
         return 0
@@ -123,17 +123,15 @@ def _cmd_verify(args) -> int:
 
 # ----------------------------------------------------------------- compat
 
-def _pair_refs(mode: str, members: list, refs: list) -> "dict | None":
+def _pair_refs(mode: str, members: list, refs: list) -> dict:
     """The --ref arrays keyed by ordered member pair (0,1),(0,2),...,(1,0),...;
-    None, after a usage message, when their count is not g(g-1)."""
+    a usage error when their count is not g(g-1)."""
     g = len(members)
     if len(refs) != g * (g - 1):
-        print(
+        raise _UsageError(
             f"--mode {mode} with {g} members takes {g * (g - 1)} --ref "
-            "(ordered pairs (0,1),(0,2),...,(1,0),...)",
-            file=sys.stderr,
+            "(ordered pairs (0,1),(0,2),...,(1,0),...)"
         )
-        return None
     return dict(zip(permutations(range(g), 2), refs))
 
 
@@ -145,8 +143,7 @@ def _cmd_compat(args) -> int:
     mode = args.mode
     if mode in ("full", "right", "left"):
         if len(members) != 2 or len(refs) != 1:
-            print(f"--mode {mode} takes two arrays and one --ref", file=sys.stderr)
-            return 2
+            raise _UsageError(f"--mode {mode} takes two arrays and one --ref")
         check = {
             "full": compat.is_blackburn_compatible,
             "right": compat.is_right_compatible,
@@ -155,13 +152,10 @@ def _cmd_compat(args) -> int:
         report = check(members[0], members[1], refs[0])
     elif mode == "cstar":
         if len(refs) != 1:
-            print("--mode cstar takes one --ref", file=sys.stderr)
-            return 2
+            raise _UsageError("--mode cstar takes one --ref")
         report = compat.check_condition_cstar(members, refs[0])
     else:
         pair_refs = _pair_refs("family", members, refs)
-        if pair_refs is None:
-            return 2
         report = compat.is_generalized_family(compat.GenFamily.of(members, pair_refs))
     for w in report.witnesses:
         print(_witness_line(w))
@@ -176,18 +170,15 @@ def _cmd_lift(args) -> int:
     ext = "json" if args.format == "json" else "grid"
     if args.mode in ("uniform", "basic"):
         if args.base is None or len(refs) > 1:
-            print(f"--mode {args.mode} takes a base file and at most one --ref", file=sys.stderr)
-            return 2
+            raise _UsageError(f"--mode {args.mode} takes a base file and at most one --ref")
         base = load_pda(args.base)
         if args.mode == "basic":
             if len(members) != 1:
-                print("--mode basic takes exactly one --member", file=sys.stderr)
-                return 2
+                raise _UsageError("--mode basic takes exactly one --member")
             outcome = lifting.basic_lift(base, members[0])
         else:
             if not refs:
-                print("--mode uniform needs --ref", file=sys.stderr)
-                return 2
+                raise _UsageError("--mode uniform needs --ref")
             outcome = lifting.uniform_lift(base, members, refs[0])
         _emit_pda(outcome.result, args.out, args.format)
         if args.out:
@@ -198,11 +189,9 @@ def _cmd_lift(args) -> int:
         return 0
     if args.mode == "family":
         if len(refs) != 1 or len(args.q_member) < 1 or args.q_ref is None:
-            print(
-                "--mode family takes --member..., one --ref, --q-member... and --q-ref",
-                file=sys.stderr,
+            raise _UsageError(
+                "--mode family takes --member..., one --ref, --q-member... and --q-ref"
             )
-            return 2
         q_members = [load_pda(f) for f in args.q_member]
         qstar = load_pda(args.q_ref)
         lifted, rstar = lifting.lift_family(members, refs[0], q_members, qstar)
@@ -218,8 +207,6 @@ def _cmd_lift(args) -> int:
         return 0
     # nonuniform
     pair_refs = _pair_refs("nonuniform", members, refs)
-    if pair_refs is None:
-        return 2
     result = lifting.nonuniform_lift(members, pair_refs, args.orientation)
     _emit_pda(result, args.out, args.format)
     if args.out:
@@ -256,12 +243,10 @@ def _cmd_params(args) -> int:
         families = [_parse_family(text) for text in args.family]
         base = None if args.base is None else _parse_base(args.base)
     except ValueError as exc:
-        print(f"bad parameters: {exc}", file=sys.stderr)
-        return 2
+        raise _UsageError(f"bad parameters: {exc}") from exc
     if args.member_labels is not None or args.ref_labels is not None:
         if len(families) != 1:
-            print("--member-labels/--ref-labels apply to a single --family", file=sys.stderr)
-            return 2
+            raise _UsageError("--member-labels/--ref-labels apply to a single --family")
         families[0] = replace(
             families[0],
             member_labels=args.member_labels,
@@ -299,8 +284,7 @@ def _cmd_sim(args) -> int:
         demands = [int(x) for x in args.demands.split(",")] if args.demands else None
         report = run(p, args.files, args.size, demands=demands, seed=args.seed)
     except ValueError as exc:
-        print(f"bad parameters: {exc}", file=sys.stderr)
-        return 2
+        raise _UsageError(f"bad parameters: {exc}") from exc
     print(
         json.dumps(
             {
@@ -383,6 +367,9 @@ def main(argv=None) -> int:
     args = build_parser().parse_args(argv)
     try:
         return args.func(args)
+    except _UsageError as exc:
+        print(exc, file=sys.stderr)
+        return 2
     except (PdaError, ValueError, OSError) as exc:
         print(f"error: {exc}", file=sys.stderr)
         return 1

@@ -12,6 +12,10 @@ Star counts compose as Z' = Z_b * Z_ref + (f_b - Z_b) * Z_member, and with a
 g_b-regular base the member-derived labels appear g_b * g_c times, where
 g_c is the per-member label multiplicity.
 
+A lifted family is each member's uniform lift by a second (q) family,
+all members sharing one label allocation, plus the basic lift of the
+reference; the lifted members stay compatible with respect to it.
+
 Non-uniform lifting drops the equal-size requirement: members sit on the
 (anti-)diagonal of a block matrix and per-pair references fill the rest;
 validity of the assembly is equivalent to generalized compatibility of the
@@ -101,30 +105,7 @@ def _ranked(p: Pda, labels) -> Pda:
     return relabel(p, {s: i for i, s in enumerate(sorted(labels))})
 
 
-def _assemble_uniform(base, members, pstar, star_ranges, label_ranges):
-    """Place one block per base cell, each a source ranked onto 0, 1, ...
-    and shifted to the start of its range; star_ranges is keyed by base
-    star position, label_ranges by base label."""
-    ranked = [_ranked(m, members[0].labels()) for m in members]
-    ref = _ranked(pstar, pstar.labels())
-    occurrence: dict = {}
-    blocks = []
-    for r in range(base.rows):
-        block_row = []
-        for c in range(base.cols):
-            s = base.cell(r, c)
-            if s is None:
-                block_row.append((ref, star_ranges[(r, c)]))
-            else:
-                t = occurrence.get(s, 0)
-                occurrence[s] = t + 1
-                block_row.append((ranked[t], label_ranges[s]))
-        blocks.append(block_row)
-    return _assemble_blocks(blocks)
-
-
-def _lift_preconditions(base, members, pstar, what="member"):
-    _validated(base, "base")
+def _check_family(members, pstar, what="member"):
     _validated(pstar, "reference")
     for i, q in enumerate(members):
         _validated(q, f"{what} {i}")
@@ -145,9 +126,15 @@ def _lift_preconditions(base, members, pstar, what="member"):
             )
 
 
-def _allocate(base, members, pstar):
-    """Reference ranges first (stars row-major), then one shared range per
-    base label ascending."""
+def _lift(base, members, pstar) -> LiftOutcome:
+    """Uniform lift of a checked base by a checked family, validated in full.
+
+    Fresh labels go reference ranges first (base stars row-major), then
+    one shared range per base label ascending.  The allocation reads only
+    the base's star positions and sorted label set, so the members of a
+    family lift, which agree on both, share one allocation.  Each block
+    is its source ranked onto 0, 1, ... and shifted to its range's start.
+    """
     n_ref = len(pstar.labels())
     n_member = len(members[0].labels()) if members else 0
     ledger = []
@@ -162,7 +149,27 @@ def _allocate(base, members, pstar):
         label_ranges[s] = nxt
         ledger.append(LedgerEntry("label", s, nxt, nxt + n_member))
         nxt += n_member
-    return star_ranges, label_ranges, tuple(ledger)
+
+    ranked = [_ranked(m, members[0].labels()) for m in members]
+    ref = _ranked(pstar, pstar.labels())
+    occurrence: dict = {}
+    blocks = []
+    for r in range(base.rows):
+        block_row = []
+        for c in range(base.cols):
+            s = base.cell(r, c)
+            if s is None:
+                block_row.append((ref, star_ranges[(r, c)]))
+            else:
+                t = occurrence.get(s, 0)
+                occurrence[s] = t + 1
+                block_row.append((ranked[t], label_ranges[s]))
+        blocks.append(block_row)
+    result = _assemble_blocks(blocks)
+    report = validate(result)
+    if not report.ok:
+        raise LiftError(f"lifted array failed validation: {report.violations}")
+    return LiftOutcome(result, tuple(ledger))
 
 
 def uniform_lift(base: Pda, members: Sequence[Pda], pstar: Pda) -> LiftOutcome:
@@ -179,13 +186,9 @@ def uniform_lift(base: Pda, members: Sequence[Pda], pstar: Pda) -> LiftOutcome:
             f"base needs {need} family members (max label occurrences), "
             f"got {len(members)}"
         )
-    _lift_preconditions(base, members, pstar)
-    star_ranges, label_ranges, ledger = _allocate(base, members, pstar)
-    result = _assemble_uniform(base, members, pstar, star_ranges, label_ranges)
-    report = validate(result)
-    if not report.ok:
-        raise LiftError(f"lifted array failed validation: {report.violations}")
-    return LiftOutcome(result, ledger)
+    _validated(base, "base")
+    _check_family(members, pstar)
+    return _lift(base, members, pstar)
 
 
 def basic_lift(base: Pda, p: Pda) -> LiftOutcome:
@@ -202,12 +205,13 @@ def lift_family(
 ) -> tuple:
     """Lift a whole compatible family, preserving compatibility.
 
-    Every member is uniform-lifted by the q family with one coordinated
-    label allocation: the copy for base label s uses the same fresh set in
-    every member, and the reference copy at star position (r, c) likewise.
-    This requires identical star positions across members and the
-    reference-star condition on ``pstar`` (both checked).  The new
-    reference is the basic lift of ``pstar`` by ``q_members[0]``.
+    Each member's lift is its uniform lift by the q family, and the new
+    reference is the basic lift of ``pstar`` by ``q_members[0]``.  The
+    members share one label allocation: the copy for base label s uses the
+    same fresh set in every member, and the reference copy at star
+    position (r, c) likewise.  This requires identical star positions
+    across members and the reference-star condition on ``pstar`` (both
+    checked).
 
     Returns (lifted members, lifted reference); the result family is
     verified pairwise compatible with respect to the new reference.
@@ -228,7 +232,7 @@ def lift_family(
             f"reference carries a label at a member star position: "
             f"{cstar.witnesses[0].mirror}"
         )
-    _lift_preconditions(members[0], members, pstar)
+    _check_family(members, pstar)
 
     q_members = list(q_members)
     need = max(map(_max_occurrences, members))
@@ -237,16 +241,9 @@ def lift_family(
             f"family members need {need} q-members (max label occurrences), "
             f"got {len(q_members)}"
         )
-    _lift_preconditions(members[0], q_members, qstar, what="q-member")
+    _check_family(q_members, qstar, what="q-member")
 
-    star_ranges, label_ranges, _ = _allocate(members[0], q_members, qstar)
-    lifted = []
-    for i, m in enumerate(members):
-        r = _assemble_uniform(m, q_members, qstar, star_ranges, label_ranges)
-        report = validate(r)
-        if not report.ok:
-            raise LiftError(f"lifted member {i} failed validation: {report.violations}")
-        lifted.append(r)
+    lifted = [_lift(m, q_members, qstar).result for m in members]
     rstar = basic_lift(pstar, q_members[0]).result
     for i, j in combinations(range(len(lifted)), 2):
         report = is_blackburn_compatible(lifted[i], lifted[j], rstar)
@@ -479,9 +476,8 @@ def _exact_div(num: int, den: int, what: str) -> int:
     return num // den
 
 
-def _label_counts(fam: ParamTuple, member_labels, ref_labels) -> tuple:
-    lm = fam.member_labels if member_labels is None else member_labels
-    lr = fam.ref_labels if ref_labels is None else ref_labels
+def _label_counts(fam: ParamTuple) -> tuple:
+    lm, lr = fam.member_labels, fam.ref_labels
     if lm is None or lr is None:
         raise ValueError("member and reference label counts are required")
     ref_cells = fam.k * (fam.f - fam.z_ref)
@@ -496,21 +492,18 @@ def _label_counts(fam: ParamTuple, member_labels, ref_labels) -> tuple:
     return lm, lr
 
 
-def lifted_params(
-    base: PdaParams,
-    fam: ParamTuple,
-    member_label_count: "int | None" = None,
-    ref_label_count: "int | None" = None,
-) -> PdaParams:
+def lifted_params(base: PdaParams, fam: ParamTuple) -> PdaParams:
     """Parameters of the uniform lift of a regular base by a family tuple.
 
     Pure arithmetic, no arrays needed, so prior published family tuples can
-    be consumed as opaque inputs.  Member-derived labels appear
-    base.g * (family total multiplicity per label) times, computed as
-    base.g * K(f - Z_member) / member_labels, which stays exact even for
-    families whose individual members are not regular.
+    be consumed as opaque inputs.  The member and reference label counts
+    come from the tuple's ``member_labels`` and ``ref_labels``.
+    Member-derived labels appear base.g * (family total multiplicity per
+    label) times, computed as base.g * K(f - Z_member) / member_labels,
+    which stays exact even for families whose individual members are not
+    regular.
     """
-    lm, lr = _label_counts(fam, member_label_count, ref_label_count)
+    lm, lr = _label_counts(fam)
     if base.g is None:
         raise ValueError("base must be regular for the lifted-parameter calculus")
     if base.g > fam.family_size:

@@ -1,0 +1,242 @@
+"""Print one line per lifting or CLI case, for comparing two checkouts.
+
+Each line is a case name and its outcome: a digest of every array and
+ledger the case returns, or the error type and message it raises; CLI
+cases give (exit code, stdout digest, stderr).  Run it against each
+source tree and diff the two outputs:
+
+    PYTHONPATH=path/to/src python tests/sweep_lifts.py > out.txt
+
+It covers the lifts of the benchmark's compose mix, random basic and
+uniform lifts over ``randgen`` bases, ``lift_family`` with its error
+variants, the recursions, the parameter calculus over every pair of
+prior families, and CLI usage errors.
+"""
+
+import contextlib
+import hashlib
+import io
+import json
+import os
+import random
+import sys
+import tempfile
+from itertools import product
+
+from pdakit import cli
+from pdakit.constructions import h_array, identity, mn, odd_tiling
+from pdakit.core import Pda, params, relabel
+from pdakit.errors import PdaError
+from pdakit.gridio import serialize_grid
+from pdakit.lifting import (
+    basic_lift,
+    lift_family,
+    lift_family_params,
+    lifted_params,
+    measure_family,
+    mn_recursive,
+    odd_tiling_lift,
+    shangguan_recursive,
+    uniform_lift,
+)
+from pdakit.tables import PRIOR_FAMILIES
+
+from randgen import random_valid_pda
+
+
+def _digest(*parts) -> str:
+    h = hashlib.sha256()
+    for part in parts:
+        h.update((serialize_grid(part) if isinstance(part, Pda) else repr(part)).encode())
+    return h.hexdigest()[:16]
+
+
+def _outcome(fn, *args) -> str:
+    try:
+        out = fn(*args)
+    except (PdaError, ValueError) as exc:
+        return f"{type(exc).__name__}: {exc}"
+    if hasattr(out, "label_ledger"):
+        return _digest(out.result, out.ledger_dict())
+    if isinstance(out, tuple):
+        members, rstar = out
+        return _digest(*members, rstar)
+    return _digest(out)
+
+
+def _transpose_pair(n: int):
+    """n x n arrays with diagonal stars, each label once; p1 = p0^T."""
+    fresh = iter(range(n * n))
+    grid = [[None if i == j else next(fresh) for j in range(n)] for i in range(n)]
+    return Pda.from_rows(grid), Pda.from_rows([list(col) for col in zip(*grid)])
+
+
+def _with_cell(p: Pda, r: int, c: int, value) -> Pda:
+    rows = [list(p.row(i)) for i in range(p.rows)]
+    rows[r][c] = value
+    return Pda.from_rows(rows)
+
+
+def _broken(p: Pda) -> Pda:
+    """p with a label repeated in one row (C3 fails), or, when no row holds
+    two labels, with a star of row 0 filled by a fresh label."""
+    for r in range(p.rows):
+        labelled = [c for c in range(p.cols) if p.cell(r, c) is not None]
+        if len(labelled) > 1:
+            return _with_cell(p, r, labelled[1], p.cell(r, labelled[0]))
+    c = next(c for c in range(p.cols) if p.cell(0, c) is None)
+    return _with_cell(p, 0, c, max(p.labels(), default=0) + 1)
+
+
+def _family_cases(n: int, m: int):
+    p0, p1 = _transpose_pair(n)
+    q0, q1 = _transpose_pair(m)
+    pstar = h_array(n, range(n * n, n * n + n * (n - 1) // 2))
+    qstar = h_array(m, range(m * m, m * m + m * (m - 1) // 2))
+    bad0 = _broken(p0)
+    yield "ok", ([p0, p1], pstar, [q0, q1], qstar)
+    yield "ok-q-swapped", ([p0, p1], pstar, [q1, q0], qstar)
+    yield "three-members", ([p0, p1, p0], pstar, [q0, q1], qstar)
+    yield "no-members", ([], pstar, [q0, q1], qstar)
+    yield "bad-member-0", ([bad0, p1], pstar, [q0, q1], qstar)
+    yield "bad-members", ([bad0, bad0], pstar, [q0, q1], qstar)
+    yield "bad-member-1", ([p0, bad0], pstar, [q0, q1], qstar)
+    yield "bad-reference", ([p0, p1], _broken(pstar), [q0, q1], qstar)
+    yield "cstar", ([p0, p1], identity(n, 500), [q0, q1], qstar)
+    yield "star-positions", ([p0, _with_cell(p1, 0, 0, n * n + 900)], pstar, [q0, q1], qstar)
+    yield "label-sets", ([p0, relabel(p1, {s: s + 1000 for s in p1.labels()})], pstar, [q0, q1], qstar)
+    yield "incompatible", ([p0, p0], pstar, [q0, q1], qstar)
+    yield "few-q", ([p0, p1], pstar, [], qstar)
+    yield "bad-q-member-0", ([p0, p1], pstar, [_broken(q0), q1], qstar)
+    yield "bad-q-reference", ([p0, p1], pstar, [q0, q1], _broken(qstar))
+    yield "q-shape", ([p0, p1], pstar, [q0, q1], h_array(m + 1))
+    yield "q-incompatible", ([p0, p1], pstar, [q0, q0], qstar)
+
+
+def _lift_lines():
+    for g, n in [(5, 6), (7, 8), (9, 10), (11, 14), (5, 3), (3, 2)]:
+        yield f"odd_tiling_lift{(g, n)}", _outcome(odd_tiling_lift, g, n)
+    for k, t, m in [(5, 2, 6), (6, 2, 8), (7, 3, 8), (4, 2, 3)]:
+        yield f"basic_lift mn{(k, t)} h{m}", _outcome(basic_lift, mn(k, t), h_array(m))
+    for k, t in product(range(1, 9), range(-1, 10)):
+        if t <= k + 1:
+            yield f"mn_recursive{(k, t)}", _outcome(mn_recursive, k, t)
+    for n, a, b in product(range(1, 8), range(-1, 8), range(-1, 8)):
+        yield f"shangguan_recursive{(n, a, b)}", _outcome(shangguan_recursive, n, a, b)
+    for n, m in product(range(2, 8), range(2, 7)):
+        for name, args in _family_cases(n, m):
+            yield f"lift_family{(n, m)} {name}", _outcome(lift_family, *args)
+
+    rng = random.Random(20231)
+    for i in range(300):
+        base = random_valid_pda(rng, 40)
+        p = random_valid_pda(rng, 30)
+        yield f"basic_lift random {i}", _outcome(basic_lift, base, p)
+    for i in range(200):
+        fam = odd_tiling(rng.choice([3, 5, 7]))
+        labels = sorted(fam.p0.labels())
+        perm = dict(zip(labels, rng.sample(range(60), len(labels))))
+        members = [relabel(fam.p0, perm), relabel(fam.p1, perm)]
+        base = random_valid_pda(rng, 40)
+        variant = i % 5
+        if variant == 1:
+            members = members[:1]
+        elif variant == 2:
+            members = [members[0], members[0]]
+        elif variant == 3:
+            members = [members[0], relabel(fam.p1, {s: s + 100 for s in labels})]
+        pstar = fam.pstar if variant != 4 else identity(fam.pstar.rows, 99)
+        yield f"uniform_lift random {i}", _outcome(uniform_lift, base, members, pstar)
+    fam = odd_tiling(5)
+    for name, args in [
+        ("bad-base", (_broken(h_array(3)), [fam.p0, fam.p1, fam.p1], fam.pstar)),
+        ("bad-reference", (h_array(2), [fam.p0, fam.p1], _broken(fam.pstar))),
+        ("bad-member", (h_array(2), [fam.p0, _broken(fam.p1)], fam.pstar)),
+        ("shape", (h_array(2), [fam.p0, identity(3, 0)], fam.pstar)),
+        ("few", (h_array(2), [fam.p0], fam.pstar)),
+        ("incompatible", (h_array(2), [identity(2, 0)] * 2, identity(2, 7))),
+    ]:
+        yield f"uniform_lift {name}", _outcome(uniform_lift, *args)
+
+    bases = [params(mn(4, 2)), params(mn(5, 2)), params(h_array(4)), params(h_array(5)), params(identity(3, 0))]
+    for (pn, p), (qn, q) in product(PRIOR_FAMILIES.items(), repeat=2):
+        yield f"lift_family_params {pn} {qn}", _outcome(lift_family_params, p, q)
+    for (pn, p), (i, base) in product(PRIOR_FAMILIES.items(), enumerate(bases)):
+        yield f"lifted_params base{i} {pn}", _outcome(lifted_params, base, p)
+    for g in (3, 5, 7):
+        fam = odd_tiling(g)
+        tup = measure_family([fam.p0, fam.p1], fam.pstar)
+        yield f"lifted_params odd {g}", _outcome(lifted_params, params(h_array(3)), tup)
+
+
+_CLI_SETUP = [
+    ["gen", "h", "2", "-o", "h2.grid"],
+    ["gen", "h", "3", "-o", "h3.grid"],
+    ["gen", "odd-tiling", "5", "-o", "odd5"],
+    ["gen", "identity", "2", "0", "-o", "i2.grid"],
+    ["gen", "star", "2", "2", "-o", "s2.grid"],
+]
+
+_CLI_CASES = [
+    ["gen", "nope", "3"],
+    ["gen", "mn", "4"],
+    ["gen", "mn", "4", "9"],
+    ["gen", "mn", "4", "2", "--labels", "1,x"],
+    ["gen", "star", "2", "2", "--labels", "5"],
+    ["gen", "mn", "3", "1", "--anti"],
+    ["gen", "odd-tiling", "4"],
+    ["gen", "mn", "4", "2"],
+    ["compat", "--mode", "full", "h2.grid"],
+    ["compat", "--mode", "right", "h2.grid", "h2.grid"],
+    ["compat", "--mode", "left", "h2.grid", "h2.grid", "--ref", "h2.grid", "--ref", "h2.grid"],
+    ["compat", "--mode", "cstar", "h2.grid"],
+    ["compat", "--mode", "family", "h2.grid", "h2.grid"],
+    ["compat", "--mode", "family", "i2.grid", "i2.grid", "--ref", "s2.grid", "--ref", "s2.grid"],
+    ["lift", "--mode", "uniform", "--member", "odd5.p0.grid"],
+    ["lift", "--mode", "uniform", "h2.grid", "--member", "odd5.p0.grid"],
+    ["lift", "--mode", "uniform", "h2.grid", "--member", "odd5.p0.grid", "--ref", "odd5.pstar.grid", "--ref", "odd5.pstar.grid"],
+    ["lift", "--mode", "basic", "h2.grid"],
+    ["lift", "--mode", "basic", "h2.grid", "--member", "h2.grid"],
+    ["lift", "--mode", "uniform", "h2.grid", "--member", "odd5.p0.grid", "--member", "odd5.p1.grid", "--ref", "odd5.pstar.grid"],
+    ["lift", "--mode", "family", "--member", "h2.grid"],
+    ["lift", "--mode", "family", "--member", "h2.grid", "--ref", "h2.grid", "--q-member", "h2.grid"],
+    ["lift", "--mode", "nonuniform", "--member", "i2.grid", "--member", "i2.grid"],
+    ["lift", "--mode", "nonuniform", "--member", "i2.grid", "--ref", "s2.grid"],
+    ["params", "--family", "6,6,1"],
+    ["params", "--family", "6,6,1,5,3,6", "--family", "6,6,1,5,3,6", "--member-labels", "15"],
+    ["params", "--family", "6,6,1,5,3,6", "--member-labels", "15", "--ref-labels", "1"],
+    ["params", "--family", "6,6,1,5,3,6,15,1", "--base", "4,6,3"],
+    ["params", "--family", "6,6,1,5,3,6,15,1", "--base", "4,0,3,4,3"],
+    ["sim", "--pda", "h2.grid", "--files", "2", "--size", "8", "--demands", "x"],
+    ["sim", "--pda", "h2.grid", "--files", "0", "--size", "8"],
+    ["verify", "h3.grid", "--labels", "9"],
+]
+
+
+def _cli_lines():
+    cwd = os.getcwd()
+    with tempfile.TemporaryDirectory() as tmp:
+        os.chdir(tmp)
+        try:
+            for argv in _CLI_SETUP + _CLI_CASES:
+                out, err = io.StringIO(), io.StringIO()
+                with contextlib.redirect_stdout(out), contextlib.redirect_stderr(err):
+                    code = cli.main(argv)
+                yield "cli " + " ".join(argv), json.dumps(
+                    [code, hashlib.sha256(out.getvalue().encode()).hexdigest()[:16], err.getvalue()]
+                )
+        finally:
+            os.chdir(cwd)
+
+
+def main() -> int:
+    count = 0
+    for name, line in (*_lift_lines(), *_cli_lines()):
+        sys.stdout.write(f"{name}\t{line}\n")
+        count += 1
+    print(f"{count} cases", file=sys.stderr)
+    return 0
+
+
+if __name__ == "__main__":
+    sys.exit(main())

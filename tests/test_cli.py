@@ -350,3 +350,47 @@ def test_compat_cstar_mode(tmp_path, capsys):
         capsys, "compat", "--mode", "cstar", str(m0), str(m1), "--ref", str(ref)
     )
     assert code == 0 and out == ""
+
+
+_PAIRS = "(ordered pairs (0,1),(0,2),...,(1,0),...)"
+
+# (argv, exit code, stdout, stderr) over the files written in the test below.
+_CLI_BRANCHES = [
+    (["verify", "c1.grid"], 1, "C1 column=1 stars=0 expected=1\n", ""),
+    (["verify", "h2.grid", "--labels", "3"], 1, "C2 missing=1\n", ""),
+    (["compat", "--mode", "full", "h2.grid"], 2, "", "--mode full takes two arrays and one --ref\n"),
+    (["compat", "--mode", "right", "h2.grid", "h2.grid"], 2, "",
+     "--mode right takes two arrays and one --ref\n"),
+    (["compat", "--mode", "left", "h2.grid", "h2.grid", "--ref", "h2.grid", "--ref", "h2.grid"], 2, "",
+     "--mode left takes two arrays and one --ref\n"),
+    (["compat", "--mode", "cstar", "h2.grid"], 2, "", "--mode cstar takes one --ref\n"),
+    (["compat", "--mode", "family", "i2.grid", "i2.grid", "--ref", "s2.grid"], 2, "",
+     f"--mode family with 2 members takes 2 --ref {_PAIRS}\n"),
+    (["lift", "--mode", "uniform", "--member", "odd5.p0.grid"], 2, "",
+     "--mode uniform takes a base file and at most one --ref\n"),
+    (["lift", "--mode", "basic", "h2.grid", "--member", "h2.grid", "--ref", "s2.grid", "--ref", "s2.grid"], 2, "",
+     "--mode basic takes a base file and at most one --ref\n"),
+    (["lift", "--mode", "basic", "h2.grid"], 2, "", "--mode basic takes exactly one --member\n"),
+    (["lift", "--mode", "uniform", "h2.grid", "--member", "odd5.p0.grid"], 2, "",
+     "--mode uniform needs --ref\n"),
+    (["lift", "--mode", "family", "--member", "h2.grid", "--ref", "h2.grid", "--q-member", "h2.grid"], 2, "",
+     "--mode family takes --member..., one --ref, --q-member... and --q-ref\n"),
+    (["lift", "--mode", "nonuniform", "--member", "i2.grid", "--ref", "s2.grid"], 2, "",
+     f"--mode nonuniform with 1 members takes 0 --ref {_PAIRS}\n"),
+    (["lift", "--mode", "nonuniform", "--member", "i2.grid", "--member", "i2.grid",
+      "--ref", "s2.grid", "--ref", "s2.grid", "-o", "nu.grid"], 0, "", ""),
+    (["params", "--family", "6,6,1,5,3,6", "--family", "8,8,1,5,2,4", "--member-labels", "15"], 2, "",
+     "--member-labels/--ref-labels apply to a single --family\n"),
+]
+
+
+def test_cli_branches_exact_output(tmp_path, capsys, monkeypatch):
+    monkeypatch.chdir(tmp_path)
+    for argv in (["h", "2", "-o", "h2.grid"], ["odd-tiling", "5", "-o", "odd5"],
+                 ["identity", "2", "0", "-o", "i2.grid"], ["star", "2", "2", "-o", "s2.grid"]):
+        assert run_cli(capsys, "gen", *argv)[0] == 0
+    (tmp_path / "c1.grid").write_text("* 0\n1 2\n")
+    for argv, code, out, err in _CLI_BRANCHES:
+        assert run_cli(capsys, *argv) == (code, out, err), argv
+    assert (tmp_path / "nu.grid").read_text() == "0 * * *\n* 0 * *\n* * 0 *\n* * * 0\n"
+    assert (tmp_path / "nu.grid.ledger.json").read_text() == '{"orientation": "main", "members": 2}\n'

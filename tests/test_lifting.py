@@ -1,4 +1,5 @@
 import random
+from dataclasses import replace
 from fractions import Fraction
 from math import comb
 
@@ -14,13 +15,12 @@ from pdakit.constructions import (
     shangguan_direct,
 )
 from pdakit.core import Pda, params, relabel, validate
-from pdakit.errors import CompatibilityError, LiftError
+from pdakit.errors import CompatibilityError, InvalidPdaError, LiftError
 from pdakit.gridio import parse_grid
 import pdakit.lifting
 from pdakit.lifting import (
     ParamTuple,
-    _allocate,
-    _assemble_uniform,
+    _lift,
     assemble_identity_lift,
     basic_lift,
     lift_family,
@@ -104,9 +104,8 @@ def test_bypassing_the_compatibility_check_breaks_blackburn():
     base = h_array(2)
     member = identity(2, 0)
     pstar = identity(2, 7)
-    star_ranges, label_ranges, _ = _allocate(base, [member, member], pstar)
-    raw = _assemble_uniform(base, [member, member], pstar, star_ranges, label_ranges)
-    assert not validate(raw).c3_ok
+    with pytest.raises(LiftError, match="lifted array failed validation: .*'C3'"):
+        _lift(base, [member, member], pstar)
 
 
 def _shuffled(n, seed):
@@ -202,6 +201,15 @@ def test_lift_family_rejects_differing_star_positions():
     fam = odd_tiling(3)
     with pytest.raises(LiftError):
         lift_family([fam.p0, fam.p1], fam.pstar, [fam.p0, fam.p1], fam.pstar)
+
+
+def test_lift_family_names_an_invalid_first_member():
+    bad = Pda.from_rows([[None, 0, 0], [1, None, 2], [3, 4, None]])  # 0 twice in row 0
+    q0, q1 = _transpose_family(3)
+    with pytest.raises(InvalidPdaError) as err:
+        lift_family([bad, bad], h_array(3, [100, 101, 102]), [q0, q1], h_array(3))
+    assert str(err.value).startswith("member 0 is not a valid PDA: ")
+    assert not err.value.report.ok
 
 
 def test_lift_family_rejects_cstar_violation():
@@ -371,8 +379,8 @@ def test_odd_tiling_lift_parameters():
 
 def test_lifted_params_table_row_g12():
     base = params(mn(4, 2))
-    fam = ParamTuple(60, 60, 11, 51, 3, 12)
-    out = lifted_params(base, fam, member_label_count=735, ref_label_count=45)
+    fam = ParamTuple(60, 60, 11, 51, 3, 12, member_labels=735, ref_labels=45)
+    out = lifted_params(base, fam)
     assert (out.k, out.f, out.z, out.s, out.g) == (240, 360, 186, 3480, 12)
     assert out.memory_ratio == Fraction(186, 360)
     assert out.rate == Fraction(3480, 360)
@@ -461,13 +469,54 @@ def test_lifted_params_and_oracle_agree_with_random_lifts_property():
 def test_lifted_params_inconsistent_tuples():
     base = params(mn(4, 2))
     with pytest.raises(ValueError):
-        lifted_params(base, ParamTuple(60, 60, 11, 51, 3, 12), 734, 45)
+        lifted_params(base, ParamTuple(60, 60, 11, 51, 3, 12, 734, 45))
     with pytest.raises(ValueError):
-        lifted_params(base, ParamTuple(60, 60, 11, 51, 3, 12), 735, 44)
+        lifted_params(base, ParamTuple(60, 60, 11, 51, 3, 12, 735, 44))
     with pytest.raises(ValueError):
-        lifted_params(base, ParamTuple(60, 60, 11, 51, 2, 12), 735, 45)
+        lifted_params(base, ParamTuple(60, 60, 11, 51, 2, 12, 735, 45))
 
 
 def test_lift_family_params_requires_label_counts():
     with pytest.raises(ValueError):
         lift_family_params(ParamTuple(6, 6, 1, 5, 3, 6), ParamTuple(8, 8, 1, 5, 2, 4))
+
+
+def _lifting_error_cases():
+    members = list(_transpose_family(3))
+    pstar = h_array(3, [100, 101, 102])
+    lone = {(0, 1): all_star(2, 2)}
+    p = ParamTuple(6, 6, 1, 5, 3, 6, member_labels=15, ref_labels=1)
+    return [
+        (lambda: lift_family([], pstar, members, pstar), LiftError, "need at least one member"),
+        (lambda: lift_family(members, pstar, [], pstar), LiftError,
+         "family members need 1 q-members (max label occurrences), got 0"),
+        (lambda: assemble_identity_lift(members, {}, "diag"), ValueError,
+         "orientation must be 'main' or 'anti', got 'diag'"),
+        (lambda: assemble_identity_lift([], {}), ValueError, "need at least one member"),
+        (lambda: assemble_identity_lift([identity(2, 0)], lone), ValueError,
+         "a single member takes no references"),
+        (lambda: assemble_identity_lift([identity(2, 0)] * 2, lone), ValueError,
+         "missing reference for pair (1,0)"),
+        (lambda: shangguan_recursive(3, 3, 2), ValueError,
+         "need 0 <= a, b and a+b <= n+1, got a=3, b=2, n=3"),
+        (lambda: shangguan_recursive(3, 1, -1), ValueError,
+         "need 0 <= a, b and a+b <= n+1, got a=1, b=-1, n=3"),
+        (lambda: odd_tiling_lift(5, 1), ValueError, "n must be at least 2, got 1"),
+        (lambda: measure_family([h_array(3), identity(3, 0)], pstar), ValueError,
+         "members have differing star counts [1, 2]"),
+        (lambda: lifted_params(params(mn(4, 2)), ParamTuple(6, 6, 1, 5, 3, 6)), ValueError,
+         "member and reference label counts are required"),
+        (lambda: lifted_params(params(mn(4, 2)), replace(p, ref_labels=0)), ValueError,
+         "inconsistent tuple: reference has cells but no labels"),
+        (lambda: lifted_params(replace(params(mn(4, 2)), g=None), p), ValueError,
+         "base must be regular for the lifted-parameter calculus"),
+        (lambda: lift_family_params(p, ParamTuple(10, 10, 1, 6, 1, 4, 45, 10)), ValueError,
+         "p members are 2-regular but q has only 1 members"),
+    ]
+
+
+def test_lifting_errors_keep_type_and_message():
+    for call, kind, message in _lifting_error_cases():
+        with pytest.raises(kind) as err:
+            call()
+        assert (type(err.value), str(err.value)) == (kind, message)
