@@ -247,11 +247,15 @@ def _cmd_params(args) -> int:
     if args.member_labels is not None or args.ref_labels is not None:
         if len(families) != 1:
             raise _UsageError("--member-labels/--ref-labels apply to a single --family")
-        families[0] = replace(
-            families[0],
-            member_labels=args.member_labels,
-            ref_labels=args.ref_labels,
-        )
+        given = {"member_labels": args.member_labels, "ref_labels": args.ref_labels}
+        families[0] = replace(families[0], **{k: v for k, v in given.items() if v is not None})
+    if base is not None or len(families) > 1:
+        for text, fam in zip(args.family, families):
+            if fam.member_labels is None or fam.ref_labels is None:
+                raise _UsageError(
+                    f"--family {text}: --base and chaining need both label counts "
+                    "(,Lm,Lr or --member-labels/--ref-labels)"
+                )
     # Each composed tuple is printed as it is made; a lone family without a
     # base prints itself.
     combined = families[0]

@@ -10,13 +10,18 @@ Right compatibility of (p0, p1) with respect to a reference of shape
 rows(p0) x cols(p1) demands a star at (i0, j1) for every equal-label pair
 p0(i0, j0) = p1(i1, j1); left compatibility mirrors to (i1, j0).  Full
 compatibility is both at once with a single same-shape reference.
+
+Each failing pair is reported as a ``CompatWitness``, an immutable named
+tuple: it iterates and unpacks as ``(label, cell0, cell1, mirror, pair)``,
+compares equal to that plain 5-tuple and hashes like it.  A check builds
+all of its witnesses before it returns.
 """
 
 from __future__ import annotations
 
 from dataclasses import dataclass, field
 from itertools import permutations
-from typing import Mapping, Sequence
+from typing import Mapping, NamedTuple, Sequence
 
 from .core import Pda
 
@@ -32,8 +37,7 @@ __all__ = [
 ]
 
 
-@dataclass(frozen=True)
-class CompatWitness:
+class CompatWitness(NamedTuple):
     """Equal labels in two arrays whose mirrored reference cell is not a star.
 
     ``pair`` identifies the (i, j) member pair in family checks, None for
@@ -71,6 +75,9 @@ def _right_witnesses(p0: Pda, p1: Pda, pstar: Pda, pair=None, both=False, swappe
     compatibility.  With ``swapped`` each witness names the p1 cell first,
     which is left compatibility of (p1, p0)."""
     ref, w = pstar.cells, pstar.cols
+    # tuple.__new__ skips the generated __new__'s Python frame; a failing
+    # check builds one witness per equal-label pair.
+    new, cls = tuple.__new__, CompatWitness
     for s in sorted(p0._label_index.keys() & p1._label_index.keys()):
         cells1 = p1._cells_of(s)
         for c0 in p0._cells_of(s):
@@ -80,11 +87,11 @@ def _right_witnesses(p0: Pda, p1: Pda, pstar: Pda, pair=None, both=False, swappe
                 i1, j1 = c1
                 if ref[row0 + j1] is not None:
                     if swapped:
-                        yield CompatWitness(s, c1, c0, (i0, j1), pair)
+                        yield new(cls, (s, c1, c0, (i0, j1), pair))
                     else:
-                        yield CompatWitness(s, c0, c1, (i0, j1), pair)
+                        yield new(cls, (s, c0, c1, (i0, j1), pair))
                 if both and ref[i1 * w + j0] is not None:
-                    yield CompatWitness(s, c0, c1, (i1, j0), pair)
+                    yield new(cls, (s, c0, c1, (i1, j0), pair))
 
 
 def is_right_compatible(p0: Pda, p1: Pda, pstar: Pda) -> CompatReport:

@@ -6,6 +6,9 @@ ASCII decimal digits otherwise.  Output uses LF line endings.
 
 JSON format: an object with fields ``rows``, ``cols`` and ``cells``, the
 latter a flat row-major list where stars encode as null.
+
+Both readers refuse a grid of more than ``MAX_CELLS`` cells before building
+any of them, so a hostile header or shape cannot make them allocate more.
 """
 
 from __future__ import annotations
@@ -26,10 +29,21 @@ __all__ = [
     "save_pda",
 ]
 
+# About 19 times the largest array the package builds here, mn(18, 9) with
+# 875,160 cells.
+MAX_CELLS = 1 << 24
+
 _HEADER_RE = re.compile(r"#\s*pda\s+f=([0-9]+)\s+K=([0-9]+)\s*$")
 # A stripped body line: stars and ASCII decimals separated by the same
 # whitespace str.split() separates on.
 _ROW_RE = re.compile(r"(?:\*|[0-9]+)(?:\s+(?:\*|[0-9]+))*")
+
+
+def _check_size(rows: int, cols: int, line: int) -> None:
+    if rows * cols > MAX_CELLS:
+        raise GridParseError(
+            f"grid of {rows}x{cols} cells exceeds the limit of {MAX_CELLS}", line, 1
+        )
 
 
 def parse_grid(text: str) -> Pda:
@@ -50,19 +64,19 @@ def parse_grid(text: str) -> Pda:
                 header = (int(m.group(1)), int(m.group(2)))
             except ValueError:  # more digits than int() converts
                 raise GridParseError("malformed header", lineno, 1) from None
+            _check_size(*header, lineno)
             continue
         body.append((lineno, line))
 
     if not body:
         raise GridParseError("empty grid", 1, 1)
 
-    width = None
+    width = len(body[0][1].split())
+    _check_size(len(body), width, body[0][0])
     cells = []
     for lineno, line in body:
         tokens = line.split()
-        if width is None:
-            width = len(tokens)
-        elif len(tokens) != width:
+        if len(tokens) != width:
             raise GridParseError(
                 f"ragged row: {len(tokens)} tokens, expected {width}", lineno, 1
             )
@@ -108,6 +122,8 @@ def pda_from_json(text: str) -> Pda:
         rows, cols, cells = obj["rows"], obj["cols"], obj["cells"]
     except (ValueError, KeyError, TypeError) as exc:
         raise GridParseError(f"malformed PDA JSON: {exc}", 1, 1) from exc
+    if type(rows) is int and type(cols) is int:
+        _check_size(rows, cols, 1)
     try:
         return Pda(rows, cols, tuple(cells))
     except (ValueError, TypeError) as exc:

@@ -204,6 +204,26 @@ def test_params_single_family_with_label_flags(capsys):
     assert "valid (22,22,19,6) g=11" in out
 
 
+def test_params_label_flag_replaces_only_the_count_given(capsys):
+    family = ["--family", "6,6,1,5,3,6,15,1"]
+    assert run_cli(capsys, "params", *family, "--member-labels", "15") == (
+        0, "(6,6)_{1,5}^{3,6} member_labels=15 ref_labels=1\n", ""
+    )
+    assert run_cli(capsys, "params", *family, "--ref-labels", "1", "--base", "4,6,3,4,3") == (
+        0, "valid (24,36,18,72) g=6 M/N=1/2 R=2\n", ""
+    )
+
+
+def test_params_missing_label_count_is_a_usage_error(capsys):
+    need = ": --base and chaining need both label counts (,Lm,Lr or --member-labels/--ref-labels)\n"
+    for argv, named in (
+        (["--family", "6,6,1,5,3,6", "--member-labels", "15", "--base", "4,6,3,4,3"], "6,6,1,5,3,6"),
+        (["--family", "11,11,9,10,2,11", "--base", "2,2,1,1,2"], "11,11,9,10,2,11"),
+        (["--family", "6,6,1,5,3,6,15,1", "--family", "10,10,1,6,2,4"], "10,10,1,6,2,4"),
+    ):
+        assert run_cli(capsys, "params", *argv) == (2, "", f"--family {named}{need}"), argv
+
+
 def test_params_malformed_tuples_are_usage_errors(capsys):
     family = ["--family", "11,11,9,10,2,11"]
     for argv in (
@@ -280,6 +300,18 @@ def test_verify_non_integer_json_shape_is_an_error(tmp_path, capsys):
         code, out, err = run_cli(capsys, "verify", str(path))
         assert (code, out) == (1, "")
         assert err.startswith("error: ") and "Traceback" not in err
+
+
+def test_verify_grid_over_the_cell_limit_is_an_error(tmp_path, capsys):
+    for name, text, shape in (
+        ("big.grid", "# pda f=100000 K=1000\n0\n", "100000x1000"),
+        ("big.json", '{"rows": 1000, "cols": 100000, "cells": [0]}', "1000x100000"),
+    ):
+        path = tmp_path / name
+        path.write_text(text)
+        assert run_cli(capsys, "verify", str(path)) == (
+            1, "", f"error: grid of {shape} cells exceeds the limit of 16777216 at (1,1)\n"
+        )
 
 
 def test_missing_file_is_an_error(capsys):

@@ -1,4 +1,5 @@
 import random
+from itertools import permutations
 from math import comb
 
 import pytest
@@ -23,6 +24,8 @@ from pdakit.constructions import (
     shangguan_direct,
 )
 from pdakit.core import Pda, hstack, vstack
+from pdakit.errors import CompatibilityError
+from pdakit.lifting import uniform_lift
 
 from oracles import (
     brute_force_full_ok,
@@ -205,6 +208,30 @@ def test_generalized_family_flipped_star_is_witnessed():
     assert report.witnesses[0].mirror == (0, 2)
 
 
+def test_generalized_family_witnesses_match_oracle_on_random_3_member_families():
+    rng = random.Random(47)
+    verdicts = {True: 0, False: 0}
+    for _ in range(120):
+        shapes = [(rng.randint(1, 4), rng.randint(1, 4)) for _ in range(3)]
+        members = [_random_labeled(rng, rows, cols, pool=range(3)) for rows, cols in shapes]
+        density = rng.uniform(0.7, 1.0)
+        refs = {
+            (i, j): _random_starmask(rng, shapes[i][0], shapes[j][1], density)
+            for i, j in permutations(range(3), 2)
+        }
+        report = is_generalized_family(GenFamily.of(members, refs))
+        expected = tuple(
+            (*w, (i, j))
+            for i, j in permutations(range(3), 2)
+            for w in brute_force_right_witnesses(members[i], members[j], refs[(i, j)])
+        )
+        assert report.witnesses == expected
+        assert all(type(w) is CompatWitness for w in report.witnesses)
+        assert report.ok == (not expected)
+        verdicts[report.ok] += 1
+    assert min(verdicts.values()) >= 20
+
+
 def test_generalized_family_missing_ref():
     fam = GenFamily.of([identity(2, 0), identity(2, 1)], {(0, 1): all_star(2, 2)})
     with pytest.raises(ValueError):
@@ -232,3 +259,32 @@ def test_cstar_rejects_differing_star_positions():
     fam = odd_tiling(3)
     with pytest.raises(ValueError):
         check_condition_cstar([fam.p0, fam.p1], fam.pstar)
+
+
+def test_witness_is_an_immutable_named_tuple():
+    bare = CompatWitness(3, (0, 1), (1, 0), (0, 0))
+    paired = CompatWitness(3, (0, 1), (1, 0), (0, 0), (0, 2))
+    assert repr(bare) == (
+        "CompatWitness(label=3, cell0=(0, 1), cell1=(1, 0), mirror=(0, 0), pair=None)"
+    )
+    assert repr(paired) == (
+        "CompatWitness(label=3, cell0=(0, 1), cell1=(1, 0), mirror=(0, 0), pair=(0, 2))"
+    )
+    for w in (bare, paired):
+        assert hash(w) == hash((w.label, w.cell0, w.cell1, w.mirror, w.pair))
+        label, cell0, cell1, mirror, pair = w
+        assert w == (label, cell0, cell1, mirror, pair)
+        with pytest.raises(AttributeError):
+            w.label = 4
+        with pytest.raises(AttributeError):
+            w.pair = (1, 0)
+
+
+def test_lift_error_quotes_the_first_witness():
+    fam = odd_tiling(5)
+    with pytest.raises(CompatibilityError) as err:
+        uniform_lift(h_array(2), [fam.p0, fam.p1], filled(5, 5, range(100, 125)))
+    assert str(err.value) == (
+        "members 0 and 1 are not Blackburn-compatible with the reference; first witness "
+        "CompatWitness(label=0, cell0=(0, 0), cell1=(2, 4), mirror=(0, 4), pair=None)"
+    )

@@ -3,9 +3,10 @@ import sys
 
 import pytest
 
+from pdakit import gridio
 from pdakit.core import Pda
 from pdakit.errors import GridParseError
-from pdakit.gridio import parse_grid, pda_from_json, pda_to_json, serialize_grid
+from pdakit.gridio import MAX_CELLS, parse_grid, pda_from_json, pda_to_json, serialize_grid
 
 from randgen import random_grid, random_valid_pda
 
@@ -117,3 +118,27 @@ def test_overlong_label_reports_its_position():
         assert (err.value.line, err.value.column) == where
     with pytest.raises(GridParseError):
         pda_from_json('{"rows": 1, "cols": 1, "cells": [' + long + "]}")
+
+
+def test_grid_over_the_cell_limit_is_refused_before_its_cells():
+    assert MAX_CELLS == 4096 * 4096
+    # The body's bad token is never reached: the header alone is refused.
+    with pytest.raises(GridParseError, match=r"grid of 4097x4096 cells exceeds the limit of 16777216 at \(2,1\)"):
+        parse_grid("\n# pda f=4097 K=4096\nx y\n")
+    # At the limit the header passes and is then checked against the body.
+    with pytest.raises(GridParseError, match="header says f=4096 K=4096 but body is 1x1"):
+        parse_grid("# pda f=4096 K=4096\n0\n")
+
+
+def test_headerless_body_over_the_cell_limit_is_refused(monkeypatch):
+    monkeypatch.setattr(gridio, "MAX_CELLS", 5)
+    assert parse_grid("0 *\n* 0\n") == Pda(2, 2, (0, None, None, 0))
+    with pytest.raises(GridParseError, match=r"grid of 3x2 cells exceeds the limit of 5 at \(2,1\)"):
+        parse_grid("\n0 *\n* 0\n1 x y\n")
+
+
+def test_json_shape_over_the_cell_limit_is_refused_before_its_cells():
+    with pytest.raises(GridParseError, match=r"grid of 100000x1000 cells exceeds the limit of 16777216 at \(1,1\)"):
+        pda_from_json('{"rows": 100000, "cols": 1000, "cells": [0]}')
+    with pytest.raises(GridParseError, match="expected 16777216 cells"):
+        pda_from_json('{"rows": 4096, "cols": 4096, "cells": [0]}')
