@@ -223,8 +223,8 @@ def lift_family(
     for i, m in enumerate(members[1:], start=1):
         if m.shape != members[0].shape or set(m.star_positions()) != stars:
             raise LiftError(
-                f"member {i} has different star positions; coordinated "
-                "family lifting does not apply"
+                f"members 0 and {i} differ in shape or star positions; "
+                "coordinated family lifting does not apply"
             )
     cstar = check_condition_cstar(members, pstar)
     if not cstar.ok:
@@ -255,12 +255,10 @@ def lift_family(
     return tuple(lifted), rstar
 
 
-def _block_position(g: int, i: int, j: int, orientation: str) -> tuple:
-    """Grid position of the reference for ordered pair (i, j): the row block
-    of member i and the column block of member j."""
-    if orientation == "main":
-        return (i, j)
-    return (g - 1 - i, j)
+def _row_members(g: int, orientation: str) -> list:
+    """The member whose rows fill each block row, top to bottom; block
+    column j always holds member j's columns."""
+    return list(range(g)) if orientation == "main" else list(range(g - 1, -1, -1))
 
 
 def assemble_identity_lift(
@@ -270,7 +268,9 @@ def assemble_identity_lift(
 
     Members go on the main diagonal ("main") or the anti-diagonal ("anti");
     the reference for ordered pair (i, j) fills the mirrored block between
-    member i's rows and member j's columns.
+    member i's rows and member j's columns.  Every key of ``refs`` must be
+    such a pair and every pair needs a reference of its block's shape,
+    else ValueError before any block is placed.
     """
     if orientation not in ("main", "anti"):
         raise ValueError(f"orientation must be 'main' or 'anti', got {orientation!r}")
@@ -282,8 +282,14 @@ def assemble_identity_lift(
         if refs:
             raise ValueError("a single member takes no references")
         return members[0]
-    blocks = {_block_position(g, i, i, orientation): members[i] for i in range(g)}
-    for i, j in permutations(range(g), 2):
+    pairs = list(permutations(range(g), 2))
+    for key in refs:
+        if key not in pairs:
+            raise ValueError(
+                f"unexpected reference key {key!r}: keys are pairs (i,j) of distinct "
+                f"member indices below {g}"
+            )
+    for i, j in pairs:
         ref = refs.get((i, j))
         if ref is None:
             raise ValueError(f"missing reference for pair ({i},{j})")
@@ -292,20 +298,18 @@ def assemble_identity_lift(
                 f"reference ({i},{j}) must be "
                 f"{members[i].rows}x{members[j].cols}, got {ref.rows}x{ref.cols}"
             )
-        blocks[_block_position(g, i, j, orientation)] = ref
-    return _assemble_blocks([[(blocks[(r, c)], 0) for c in range(g)] for r in range(g)])
+    rows = _row_members(g, orientation)
+    blocks = [[(members[i] if i == j else refs[i, j], 0) for j in range(g)] for i in rows]
+    return _assemble_blocks(blocks)
 
 
 def _owning_member(members, cell, orientation):
     """Member index owning the block that contains the assembled cell, or
     None when the cell lies in a reference block."""
-    g = len(members)
-    heights = [0] * g
-    for i, m in enumerate(members):
-        heights[_block_position(g, i, i, orientation)[0]] = m.rows
-    br = bisect_right(list(accumulate(heights)), cell[0])
+    row_members = _row_members(len(members), orientation)
+    br = bisect_right(list(accumulate(members[i].rows for i in row_members)), cell[0])
     bc = bisect_right(list(accumulate(m.cols for m in members)), cell[1])
-    return bc if _block_position(g, bc, bc, orientation)[0] == br else None
+    return bc if row_members[br] == bc else None
 
 
 def nonuniform_lift(
@@ -313,13 +317,15 @@ def nonuniform_lift(
 ) -> Pda:
     """Lift an identity base by members of possibly different sizes.
 
-    Checks reference label disjointness and the per-column-block star
-    balance up front, then assembles and validates.  By the equivalence
-    between assembly validity and generalized compatibility, a Blackburn
-    failure here pins down the offending member pair, which is reported.
+    Checks members and references valid and reference labels disjoint,
+    then assembles (a missing, misshaped or unexpected reference is a
+    ValueError from assembly) and validates the result once.  Every block
+    is a valid PDA, so a C1 failure is reported as the column blocks' star
+    counts, read off the result.  By the equivalence between assembly
+    validity and generalized compatibility, a Blackburn failure pins down
+    the offending member pair, which is reported.
     """
     members = list(members)
-    g = len(members)
     for i, m in enumerate(members):
         _validated(m, f"member {i}")
     for key, ref in refs.items():
@@ -336,32 +342,25 @@ def nonuniform_lift(
             )
         taken |= ref_labels
 
-    if g > 1:
-        z_per_block = [
-            members[j].column_star_count(0)
-            + sum(refs[(i, j)].column_star_count(0) for i in range(g) if i != j)
-            for j in range(g)
-        ]
-        if len(set(z_per_block)) > 1:
-            raise LiftError(
-                f"per-column-block star counts differ: {z_per_block}; C1 would fail"
-            )
-
     result = assemble_identity_lift(members, refs, orientation)
     report = validate(result)
     if report.ok:
         return result
-
-    c3 = next((v for v in report.violations if v.condition == "C3"), None)
-    if c3 is not None:
-        a = _owning_member(members, c3.witness[0], orientation)
-        b = _owning_member(members, c3.witness[1], orientation)
+    if not report.c1_ok:
+        counts = result._star_counts
+        starts = accumulate((m.cols for m in members[:-1]), initial=0)
         raise LiftError(
-            f"assembly violates the Blackburn property between members "
-            f"{a} and {b}: cells {c3.witness[0]} and {c3.witness[1]} share a "
-            f"label but {c3.witness[2]} is not a star"
+            f"per-column-block star counts differ: {[counts[c] for c in starts]}; "
+            "C1 would fail"
         )
-    raise LiftError(f"assembly failed validation: {report.violations}")
+    # C2 is not checked without an expected label count, so this is C3.
+    a, b, mirror = report.violations[0].witness
+    raise LiftError(
+        f"assembly violates the Blackburn property between members "
+        f"{_owning_member(members, a, orientation)} and "
+        f"{_owning_member(members, b, orientation)}: cells {a} and {b} share a "
+        f"label but {mirror} is not a star"
+    )
 
 
 def mn_recursive(k: int, t: int) -> Pda:
@@ -543,14 +542,14 @@ def lift_family_params(p: ParamTuple, q: ParamTuple) -> ParamTuple:
     compose differently; the new reference regularity multiplies by the
     q-member regularity.
     """
-    if None in (p.member_labels, p.ref_labels, q.member_labels, q.ref_labels):
-        raise ValueError("family lifting needs label counts on both tuples")
-    gc_p = _exact_div(p.k * (p.f - p.z_member), p.member_labels, "p member regularity")
+    lm_p, lr_p = _label_counts(p)
+    lm_q, lr_q = _label_counts(q)
+    gc_p = _exact_div(p.k * (p.f - p.z_member), lm_p, "p member regularity")
     if gc_p > q.family_size:
         raise ValueError(
             f"p members are {gc_p}-regular but q has only {q.family_size} members"
         )
-    gc_q = _exact_div(q.k * (q.f - q.z_member), q.member_labels, "q member regularity")
+    gc_q = _exact_div(q.k * (q.f - q.z_member), lm_q, "q member regularity")
     return ParamTuple(
         k=p.k * q.k,
         f=p.f * q.f,
@@ -558,6 +557,6 @@ def lift_family_params(p: ParamTuple, q: ParamTuple) -> ParamTuple:
         z_ref=p.z_ref * q.f + (p.f - p.z_ref) * q.z_member,
         family_size=p.family_size,
         ref_regularity=p.ref_regularity * gc_q,
-        member_labels=p.member_labels * q.member_labels + p.k * p.z_member * q.ref_labels,
-        ref_labels=p.ref_labels * q.member_labels,
+        member_labels=lm_p * lm_q + p.k * p.z_member * lr_q,
+        ref_labels=lr_p * lm_q,
     )

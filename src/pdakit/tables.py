@@ -141,6 +141,7 @@ def render_table1_csv() -> str:
 
 
 # (M/N, R) point series for the 240-user comparison plot, as plotted.
+_FIG2_USERS = 240
 _FIG2_POINTS = {
     "prior-lifting": [
         ("0", "240"),
@@ -174,18 +175,14 @@ _FIG2_POINTS = {
 }
 
 
-def fig2_rows(k: int = 240) -> list:
-    """The MN rate curve sampled at every integer cache size plus the
-    plotted comparison points: rows of (series, M/N, R)."""
-    rows = []
-    for x in range(k + 1):
-        rows.append(
-            (
-                "mn",
-                format_decimal4(Fraction(x, k)),
-                format_decimal4(Fraction(k - x, 1 + x)),
-            )
-        )
+def fig2_rows() -> list:
+    """The 240-user MN rate curve sampled at every integer cache size plus
+    the plotted comparison points: rows of (series, M/N, R)."""
+    k = _FIG2_USERS
+    rows = [
+        ("mn", format_decimal4(Fraction(x, k)), format_decimal4(Fraction(k - x, 1 + x)))
+        for x in range(k + 1)
+    ]
     for series, points in _FIG2_POINTS.items():
         rows.extend((series, mn_val, r_val) for mn_val, r_val in points)
     return rows

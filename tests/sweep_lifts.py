@@ -9,8 +9,9 @@ source tree and diff the two outputs:
 
 It covers the lifts of the benchmark's compose mix, random basic and
 uniform lifts over ``randgen`` bases, ``lift_family`` with its error
-variants, the recursions, the parameter calculus over every pair of
-prior families, and CLI usage errors.
+variants, the recursions, identity-base lifts of random generalized
+families in both orientations with broken variants, the parameter
+calculus over every pair of prior families, and CLI usage errors.
 """
 
 import contextlib
@@ -24,9 +25,8 @@ import tempfile
 from itertools import product
 
 from pdakit import cli
-from pdakit.constructions import h_array, identity, mn, odd_tiling
+from pdakit.constructions import all_star, h_array, identity, mn, odd_tiling
 from pdakit.core import Pda, params, relabel
-from pdakit.errors import PdaError
 from pdakit.gridio import serialize_grid
 from pdakit.lifting import (
     basic_lift,
@@ -35,13 +35,14 @@ from pdakit.lifting import (
     lifted_params,
     measure_family,
     mn_recursive,
+    nonuniform_lift,
     odd_tiling_lift,
     shangguan_recursive,
     uniform_lift,
 )
 from pdakit.tables import PRIOR_FAMILIES
 
-from randgen import random_valid_pda
+from randgen import random_gen_family, random_valid_pda
 
 
 def _digest(*parts) -> str:
@@ -54,7 +55,7 @@ def _digest(*parts) -> str:
 def _outcome(fn, *args) -> str:
     try:
         out = fn(*args)
-    except (PdaError, ValueError) as exc:
+    except Exception as exc:  # a bare KeyError or TypeError is an outcome too
         return f"{type(exc).__name__}: {exc}"
     if hasattr(out, "label_ledger"):
         return _digest(out.result, out.ledger_dict())
@@ -113,6 +114,31 @@ def _family_cases(n: int, m: int):
     yield "q-incompatible", ([p0, p1], pstar, [q0, q0], qstar)
 
 
+def _nonuniform_cases(rng: random.Random, count: int):
+    """Random generalized families, alternately on the main and the anti
+    diagonal: as generated, then with one reference swapped for an
+    all-star block (column balance broken), deleted, given an extra row,
+    or joined by a reference under a key that names no member pair."""
+    variants = ["ok", "all-star-ref", "missing-ref", "misshaped-ref", "extra-ref"]
+    for i in range(count):
+        fam = random_gen_family(rng)
+        members, refs = list(fam.members), dict(fam.refs)
+        orientation = ("main", "anti")[i % 2]
+        variant = variants[i // 2 % len(variants)]
+        key = rng.choice(sorted(refs))
+        ref = refs[key]
+        if variant == "all-star-ref":
+            refs[key] = all_star(ref.rows, ref.cols)
+        elif variant == "missing-ref":
+            del refs[key]
+        elif variant == "misshaped-ref":
+            refs[key] = all_star(ref.rows + 1, ref.cols)
+        elif variant == "extra-ref":
+            g = len(members)
+            refs[rng.choice([(0, 0), (g - 1, g - 1), (g, 0), (0, g + 3)])] = all_star(1, 1)
+        yield f"nonuniform_lift random {i} {orientation} {variant}", (members, refs, orientation)
+
+
 def _lift_lines():
     for g, n in [(5, 6), (7, 8), (9, 10), (11, 14), (5, 3), (3, 2)]:
         yield f"odd_tiling_lift{(g, n)}", _outcome(odd_tiling_lift, g, n)
@@ -157,6 +183,9 @@ def _lift_lines():
         ("incompatible", (h_array(2), [identity(2, 0)] * 2, identity(2, 7))),
     ]:
         yield f"uniform_lift {name}", _outcome(uniform_lift, *args)
+
+    for name, args in _nonuniform_cases(random.Random(20232), 600):
+        yield name, _outcome(nonuniform_lift, *args)
 
     bases = [params(mn(4, 2)), params(mn(5, 2)), params(h_array(4)), params(h_array(5)), params(identity(3, 0))]
     for (pn, p), (qn, q) in product(PRIOR_FAMILIES.items(), repeat=2):

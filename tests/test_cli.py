@@ -224,6 +224,15 @@ def test_params_missing_label_count_is_a_usage_error(capsys):
         assert run_cli(capsys, "params", *argv) == (2, "", f"--family {named}{need}"), argv
 
 
+def test_params_chain_checks_every_tuple(capsys):
+    # The first tuple's 2 reference labels at regularity 6 cover 12 cells,
+    # not its 6 (= 6 x (6 - 5)): chaining refuses it as --base does.
+    argv = ["--family", "6,6,1,5,3,6,15,2", "--family", "10,10,1,6,2,4,45,10"]
+    err = "error: inconsistent tuple: 2 reference labels at regularity 6 do not cover 6 cells\n"
+    assert run_cli(capsys, "params", *argv) == (1, "", err)
+    assert run_cli(capsys, "params", *argv[:2], "--base", "4,6,3,4,3") == (1, "", err)
+
+
 def test_params_malformed_tuples_are_usage_errors(capsys):
     family = ["--family", "11,11,9,10,2,11"]
     for argv in (

@@ -486,7 +486,24 @@ def _lifting_error_cases():
     pstar = h_array(3, [100, 101, 102])
     lone = {(0, 1): all_star(2, 2)}
     p = ParamTuple(6, 6, 1, 5, 3, 6, member_labels=15, ref_labels=1)
+    odd0 = Pda(3, 3, (500, *members[0].cells[1:]))  # a label on member 0's star (0,0)
+    worked = list(_worked_members())
+    refs = {(0, 1): identity(4, 2), (1, 0): all_star(2, 2)}
+    keys = "keys are pairs (i,j) of distinct member indices below 2"
     return [
+        (lambda: lift_family([odd0, members[1], members[1]], pstar, members, pstar), LiftError,
+         "members 0 and 1 differ in shape or star positions; coordinated family "
+         "lifting does not apply"),
+        (lambda: nonuniform_lift(worked, {(0, 1): identity(4, 2)}), ValueError,
+         "missing reference for pair (1,0)"),
+        (lambda: nonuniform_lift(worked, {**refs, (1, 0): all_star(3, 2)}), ValueError,
+         "reference (1,0) must be 2x2, got 3x2"),
+        (lambda: nonuniform_lift(worked, {**refs, (0, 0): all_star(2, 2)}), ValueError,
+         f"unexpected reference key (0, 0): {keys}"),
+        (lambda: nonuniform_lift(worked, {**refs, (5, 7): identity(2, 9)}, "anti"), ValueError,
+         f"unexpected reference key (5, 7): {keys}"),
+        (lambda: lift_family_params(replace(p, ref_labels=2), p), ValueError,
+         "inconsistent tuple: 2 reference labels at regularity 6 do not cover 6 cells"),
         (lambda: lift_family([], pstar, members, pstar), LiftError, "need at least one member"),
         (lambda: lift_family(members, pstar, [], pstar), LiftError,
          "family members need 1 q-members (max label occurrences), got 0"),
