@@ -120,9 +120,12 @@ class GenFamily:
     """Members plus one reference PDA per ordered pair (i, j), i != j.
 
     The reference for (i, j) has the row count of member i and the column
-    count of member j.  Reference label sets must be pairwise disjoint and
-    disjoint from all members' labels for the identity-lift equivalence to
-    hold; that is checked by the lifting assembly, not here.
+    count of member j.  ``is_generalized_family`` and the identity-base
+    lift check this one contract alike: ValueError for a key that is no
+    such pair, then for the first pair whose reference is missing (or
+    None), not a ``Pda`` or misshaped.  Reference label sets must be
+    pairwise disjoint and disjoint from all members' labels for the
+    identity-lift equivalence to hold; ``nonuniform_lift`` checks that.
     """
 
     members: tuple
@@ -133,19 +136,36 @@ class GenFamily:
         return GenFamily(tuple(members), dict(refs))
 
 
+def _check_pair_refs(members: Sequence[Pda], refs: Mapping) -> None:
+    """Check that ``refs`` maps every ordered pair (i, j) of distinct member
+    indices, and nothing else, to a ``Pda`` of shape rows(i) x cols(j):
+    all keys first, and each value's type before any of its attributes."""
+    g = len(members)
+    pairs = list(permutations(range(g), 2))
+    for key in refs:
+        if key not in pairs:
+            raise ValueError(
+                f"unexpected reference key {key!r}: keys are pairs (i,j) of distinct "
+                f"member indices below {g}"
+            )
+    for i, j in pairs:
+        ref = refs.get((i, j))
+        if ref is None:
+            raise ValueError(f"missing reference for pair ({i},{j})")
+        if not isinstance(ref, Pda):
+            raise ValueError(f"reference ({i},{j}) must be a Pda, got {type(ref).__name__}")
+        _check_shape(ref, members[i].rows, members[j].cols, f"reference ({i},{j})")
+
+
 def is_generalized_family(fam: GenFamily) -> CompatReport:
     """Every ordered pair (i, j) must be right compatible w.r.t. refs[(i, j)]."""
-    members = fam.members
-
-    def witnesses():
-        for i, j in permutations(range(len(members)), 2):
-            ref = fam.refs.get((i, j))
-            if ref is None:
-                raise ValueError(f"missing reference for pair ({i},{j})")
-            _check_shape(ref, members[i].rows, members[j].cols, f"reference ({i},{j})")
-            yield from _right_witnesses(members[i], members[j], ref, pair=(i, j))
-
-    return CompatReport.from_witnesses(witnesses())
+    members, refs = fam.members, fam.refs
+    _check_pair_refs(members, refs)
+    return CompatReport.from_witnesses(
+        w
+        for i, j in permutations(range(len(members)), 2)
+        for w in _right_witnesses(members[i], members[j], refs[i, j], pair=(i, j))
+    )
 
 
 def check_condition_cstar(members: Sequence[Pda], pstar: Pda) -> CompatReport:

@@ -39,10 +39,7 @@ from itertools import accumulate, combinations, permutations
 from math import comb
 from typing import Mapping, Sequence
 
-from .compatibility import (
-    check_condition_cstar,
-    is_blackburn_compatible,
-)
+from .compatibility import _check_pair_refs, check_condition_cstar, is_blackburn_compatible
 from .constructions import _check_memory_point, all_star, filled, h_array, odd_tiling
 from .core import Pda, PdaParams, _assemble_blocks, disjoint_copy, params, relabel, validate
 from .errors import CompatibilityError, InvalidPdaError, LiftError
@@ -268,9 +265,10 @@ def assemble_identity_lift(
 
     Members go on the main diagonal ("main") or the anti-diagonal ("anti");
     the reference for ordered pair (i, j) fills the mirrored block between
-    member i's rows and member j's columns.  Every key of ``refs`` must be
-    such a pair and every pair needs a reference of its block's shape,
-    else ValueError before any block is placed.
+    member i's rows and member j's columns.  ``refs`` is checked against
+    the ``GenFamily`` reference-map contract before any block is placed,
+    so a key that is no such pair, or a missing (or None), non-``Pda`` or
+    misshaped reference, is a ValueError.
     """
     if orientation not in ("main", "anti"):
         raise ValueError(f"orientation must be 'main' or 'anti', got {orientation!r}")
@@ -282,22 +280,7 @@ def assemble_identity_lift(
         if refs:
             raise ValueError("a single member takes no references")
         return members[0]
-    pairs = list(permutations(range(g), 2))
-    for key in refs:
-        if key not in pairs:
-            raise ValueError(
-                f"unexpected reference key {key!r}: keys are pairs (i,j) of distinct "
-                f"member indices below {g}"
-            )
-    for i, j in pairs:
-        ref = refs.get((i, j))
-        if ref is None:
-            raise ValueError(f"missing reference for pair ({i},{j})")
-        if ref.rows != members[i].rows or ref.cols != members[j].cols:
-            raise ValueError(
-                f"reference ({i},{j}) must be "
-                f"{members[i].rows}x{members[j].cols}, got {ref.rows}x{ref.cols}"
-            )
+    _check_pair_refs(members, refs)
     rows = _row_members(g, orientation)
     blocks = [[(members[i] if i == j else refs[i, j], 0) for j in range(g)] for i in rows]
     return _assemble_blocks(blocks)
@@ -317,23 +300,22 @@ def nonuniform_lift(
 ) -> Pda:
     """Lift an identity base by members of possibly different sizes.
 
-    Checks members and references valid and reference labels disjoint,
-    then assembles (a missing, misshaped or unexpected reference is a
-    ValueError from assembly) and validates the result once.  Every block
-    is a valid PDA, so a C1 failure is reported as the column blocks' star
-    counts, read off the result.  By the equivalence between assembly
-    validity and generalized compatibility, a Blackburn failure pins down
-    the offending member pair, which is reported.
+    Assembles first, so a malformed reference map is assembly's
+    ValueError before anything else is checked.  Then checks the members
+    valid and the references, in pair order, valid and label-disjoint from
+    the members and the references before them, and validates the result
+    once.  Every block is a valid PDA, so a C1 failure is reported as the
+    column blocks' star counts, read off the result.  By the equivalence
+    between assembly validity and generalized compatibility, a Blackburn
+    failure pins down the offending member pair, which is reported.
     """
     members = list(members)
+    result = assemble_identity_lift(members, refs, orientation)
     for i, m in enumerate(members):
         _validated(m, f"member {i}")
-    for key, ref in refs.items():
-        _validated(ref, f"reference {key}")
-
     taken = set().union(*(m.labels() for m in members))
-    for key in sorted(refs):
-        ref_labels = refs[key].labels()
+    for key in permutations(range(len(members)), 2):
+        ref_labels = _validated(refs[key], f"reference {key}").labels()
         overlap = ref_labels & taken
         if overlap:
             raise LiftError(
@@ -341,8 +323,6 @@ def nonuniform_lift(
                 "label sets must be disjoint from each other and from members"
             )
         taken |= ref_labels
-
-    result = assemble_identity_lift(members, refs, orientation)
     report = validate(result)
     if report.ok:
         return result

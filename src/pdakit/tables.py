@@ -98,39 +98,26 @@ def new_scheme_rows() -> list:
     ]
 
 
-def _reference_rows() -> dict:
-    """Comparison rows as printed, keyed for interleaving.  These schemes
-    are reference data, not constructed; the cheng2020 rate is stored as
-    printed even though it differs from S/f."""
-    f = Fraction
-    return {
-        "odd11": TradeoffRow("prior-lifting", 11, 22, 22, 20, 4, f(20, 22), f(4, 22)),
-        "g12": TradeoffRow("prior-lifting", 12, 240, 960, 588, 7440, f(588, 960), f(7440, 960)),
-        "cheng": TradeoffRow("cheng2020", 12, 240, 64, 60, 80, f(60, 64), f(1)),
-        "huang": TradeoffRow("huang2021", 10, 240, 64, 48, 384, f(48, 64), f(384, 64)),
-        "g8a": TradeoffRow("prior-lifting", 8, 240, 240, 78, 4860, f(78, 240), f(4860, 240)),
-        "g8b": TradeoffRow("prior-lifting", 8, 256, 256, 80, 5632, f(80, 256), f(5632, 256)),
-        "g16": TradeoffRow("prior-lifting", 16, 256, 256, 160, 1536, f(160, 256), f(1536, 256)),
-    }
-
-
 def table1_rows() -> list:
+    """The computed rows interleaved with the comparison rows as printed.
+    The comparison schemes are reference data, not constructed; the
+    cheng2020 rate is stored as printed even though it differs from S/f."""
     new = new_scheme_rows()
-    ref = _reference_rows()
+    f = Fraction
     return [
         new[0],
-        ref["odd11"],
+        TradeoffRow("prior-lifting", 11, 22, 22, 20, 4, f(20, 22), f(4, 22)),
         new[1],
         new[2],
-        ref["g12"],
-        ref["cheng"],
-        ref["huang"],
+        TradeoffRow("prior-lifting", 12, 240, 960, 588, 7440, f(588, 960), f(7440, 960)),
+        TradeoffRow("cheng2020", 12, 240, 64, 60, 80, f(60, 64), f(1)),
+        TradeoffRow("huang2021", 10, 240, 64, 48, 384, f(48, 64), f(384, 64)),
         new[3],
-        ref["g8a"],
+        TradeoffRow("prior-lifting", 8, 240, 240, 78, 4860, f(78, 240), f(4860, 240)),
         new[4],
-        ref["g8b"],
+        TradeoffRow("prior-lifting", 8, 256, 256, 80, 5632, f(80, 256), f(5632, 256)),
         new[5],
-        ref["g16"],
+        TradeoffRow("prior-lifting", 16, 256, 256, 160, 1536, f(160, 256), f(1536, 256)),
     ]
 
 

@@ -10,8 +10,10 @@ source tree and diff the two outputs:
 It covers the lifts of the benchmark's compose mix, random basic and
 uniform lifts over ``randgen`` bases, ``lift_family`` with its error
 variants, the recursions, identity-base lifts of random generalized
-families in both orientations with broken variants, the parameter
-calculus over every pair of prior families, and CLI usage errors.
+families in both orientations with broken variants, malformed reference
+maps given to both the identity-base lift and ``is_generalized_family``,
+the parameter calculus over every pair of prior families, and CLI usage
+errors.
 """
 
 import contextlib
@@ -25,8 +27,9 @@ import tempfile
 from itertools import product
 
 from pdakit import cli
+from pdakit.compatibility import GenFamily, is_generalized_family
 from pdakit.constructions import all_star, h_array, identity, mn, odd_tiling
-from pdakit.core import Pda, params, relabel
+from pdakit.core import Pda, hstack, params, relabel, vstack
 from pdakit.gridio import serialize_grid
 from pdakit.lifting import (
     basic_lift,
@@ -139,6 +142,15 @@ def _nonuniform_cases(rng: random.Random, count: int):
         yield f"nonuniform_lift random {i} {orientation} {variant}", (members, refs, orientation)
 
 
+def _malformed_ref_maps():
+    """The worked 4x2/2x4 family's references with a key of another type,
+    a None reference, or a reference that is not a Pda."""
+    refs = {(0, 1): identity(4, 2), (1, 0): all_star(2, 2)}
+    yield "mixed-key", {**refs, "x": identity(2, 9)}
+    yield "none-ref", {**refs, (1, 0): None}
+    yield "list-ref", {**refs, (1, 0): [[None]]}
+
+
 def _lift_lines():
     for g, n in [(5, 6), (7, 8), (9, 10), (11, 14), (5, 3), (3, 2)]:
         yield f"odd_tiling_lift{(g, n)}", _outcome(odd_tiling_lift, g, n)
@@ -186,6 +198,15 @@ def _lift_lines():
 
     for name, args in _nonuniform_cases(random.Random(20232), 600):
         yield name, _outcome(nonuniform_lift, *args)
+    worked = [vstack([identity(2, 0), identity(2, 1)]), hstack([identity(2, 1), identity(2, 0)])]
+    for name, refs in _malformed_ref_maps():
+        for orientation in ("main", "anti"):
+            yield f"nonuniform_lift worked {orientation} {name}", _outcome(
+                nonuniform_lift, worked, refs, orientation
+            )
+        yield f"is_generalized_family worked {name}", _outcome(
+            is_generalized_family, GenFamily.of(worked, refs)
+        )
 
     bases = [params(mn(4, 2)), params(mn(5, 2)), params(h_array(4)), params(h_array(5)), params(identity(3, 0))]
     for (pn, p), (qn, q) in product(PRIOR_FAMILIES.items(), repeat=2):

@@ -238,6 +238,26 @@ def test_generalized_family_missing_ref():
         is_generalized_family(fam)
 
 
+@pytest.mark.parametrize(
+    "key, ref, message",
+    [
+        ("x", identity(2, 9), "unexpected reference key 'x': keys are pairs (i,j) of "
+         "distinct member indices below 2"),
+        ((1, 0), None, "missing reference for pair (1,0)"),
+        ((1, 0), [[None]], "reference (1,0) must be a Pda, got list"),
+    ],
+    ids=["mixed-key", "none-ref", "list-ref"],
+)
+def test_generalized_family_malformed_refs_are_value_errors(key, ref, message):
+    p0 = vstack([identity(2, 0), identity(2, 1)])
+    p1 = hstack([identity(2, 1), identity(2, 0)])
+    refs = {(0, 1): identity(4, 2), (1, 0): all_star(2, 2), key: ref}
+    fam = GenFamily.of([p0, p1], refs)
+    with pytest.raises(ValueError) as err:
+        is_generalized_family(fam)
+    assert (type(err.value), str(err.value)) == (ValueError, message)
+
+
 def test_cstar_diagonal_star_reference_passes():
     members = [h_array(3, [0, 1, 2]), h_array(3, [2, 0, 1])]
     assert check_condition_cstar(members, h_array(3, [7, 8, 9])).ok

@@ -502,6 +502,14 @@ def _lifting_error_cases():
          f"unexpected reference key (0, 0): {keys}"),
         (lambda: nonuniform_lift(worked, {**refs, (5, 7): identity(2, 9)}, "anti"), ValueError,
          f"unexpected reference key (5, 7): {keys}"),
+        (lambda: nonuniform_lift(worked, {**refs, "x": identity(2, 9)}), ValueError,
+         f"unexpected reference key 'x': {keys}"),
+        (lambda: nonuniform_lift(worked, {**refs, (1, 0): None}), ValueError,
+         "missing reference for pair (1,0)"),
+        (lambda: nonuniform_lift(worked, {**refs, (1, 0): [[None]]}), ValueError,
+         "reference (1,0) must be a Pda, got list"),
+        (lambda: assemble_identity_lift(worked, {**refs, (1, 0): [[None]]}), ValueError,
+         "reference (1,0) must be a Pda, got list"),
         (lambda: lift_family_params(replace(p, ref_labels=2), p), ValueError,
          "inconsistent tuple: 2 reference labels at regularity 6 do not cover 6 cells"),
         (lambda: lift_family([], pstar, members, pstar), LiftError, "need at least one member"),
