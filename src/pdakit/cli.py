@@ -2,7 +2,8 @@
 
 Subcommands: gen, verify, compat, lift, params, table, sim.  All commands
 are scriptable: data goes to stdout or --out, diagnostics to stderr, no
-prompts.  Exit codes: 0 success, 1 failed check, 2 usage error.
+prompts.  Exit codes: 0 success, 1 failed check, 2 usage error.  Every
+run is a fresh process, so each subcommand imports the modules it uses.
 """
 
 from __future__ import annotations
@@ -10,17 +11,13 @@ from __future__ import annotations
 import argparse
 import json
 import sys
-from dataclasses import replace
 from fractions import Fraction
+from importlib import import_module
 from itertools import permutations
 
-from . import constructions as cons
-from . import lifting
 from .core import Pda, PdaParams, params, validate
 from .errors import PdaError
 from .gridio import load_pda, pda_to_json, save_pda, serialize_grid
-from .simulate import run
-from .tables import render_fig2_csv, render_table1_csv
 
 __all__ = ["main"]
 
@@ -47,22 +44,23 @@ def _witness_line(w) -> str:
 
 # ----------------------------------------------------------------- gen
 
-# name: (parameter count, the option passed after the parameters, builder);
-# odd-tiling builds a family and writes one file per array.
+# name: (parameter count, the option passed after the parameters, builder's
+# module and function, imported once the usage checks pass); odd-tiling
+# builds a family and writes one file per array.
 _GENERATORS = {
-    "identity": (2, "anti", cons.identity),
-    "g": (1, "labels", cons.g_array),
-    "h": (1, "labels", cons.h_array),
-    "j": (2, "labels", cons.filled),
-    "star": (2, None, cons.all_star),
-    "mn": (2, "labels", cons.mn),
-    "mnrev": (2, "labels", cons.mn_reverse),
-    "shangguan": (3, "labels", cons.shangguan_direct),
-    "yan-half": (1, None, cons.yan_half_memory),
-    "mn-recursive": (2, None, lifting.mn_recursive),
-    "shangguan-recursive": (3, None, lifting.shangguan_recursive),
-    "corollary-odd": (2, None, lifting.odd_tiling_lift),
-    "odd-tiling": (1, None, cons.odd_tiling),
+    "identity": (2, "anti", "constructions", "identity"),
+    "g": (1, "labels", "constructions", "g_array"),
+    "h": (1, "labels", "constructions", "h_array"),
+    "j": (2, "labels", "constructions", "filled"),
+    "star": (2, None, "constructions", "all_star"),
+    "mn": (2, "labels", "constructions", "mn"),
+    "mnrev": (2, "labels", "constructions", "mn_reverse"),
+    "shangguan": (3, "labels", "constructions", "shangguan_direct"),
+    "yan-half": (1, None, "constructions", "yan_half_memory"),
+    "mn-recursive": (2, None, "lifting", "mn_recursive"),
+    "shangguan-recursive": (3, None, "lifting", "shangguan_recursive"),
+    "corollary-odd": (2, None, "lifting", "odd_tiling_lift"),
+    "odd-tiling": (1, None, "constructions", "odd_tiling"),
 }
 
 
@@ -70,12 +68,13 @@ def _cmd_gen(args) -> int:
     name = args.name
     if name not in _GENERATORS:
         raise _UsageError(f"unknown generator {name!r}")
-    arity, option, fn = _GENERATORS[name]
+    arity, option, module, builder = _GENERATORS[name]
     if len(args.params) != arity:
         raise _UsageError(f"gen {name} takes {arity} parameter(s)")
     for flag, given in (("labels", args.labels is not None), ("anti", args.anti)):
         if given and option != flag:
             raise _UsageError(f"gen {name} takes no --{flag}")
+    fn = getattr(import_module(f".{module}", __package__), builder)
     try:
         labels = [int(x) for x in args.labels.split(",")] if args.labels else None
         extra = {"labels": [labels], "anti": [args.anti]}.get(option, [])
@@ -165,6 +164,8 @@ def _cmd_compat(args) -> int:
 # ----------------------------------------------------------------- lift
 
 def _cmd_lift(args) -> int:
+    from . import lifting
+
     members = [load_pda(f) for f in args.member]
     refs = [load_pda(f) for f in args.ref]
     ext = "json" if args.format == "json" else "grid"
@@ -219,13 +220,15 @@ def _cmd_lift(args) -> int:
 
 # ----------------------------------------------------------------- params
 
-def _parse_family(text: str) -> lifting.ParamTuple:
+def _parse_family(text: str) -> "ParamTuple":
+    from .lifting import ParamTuple
+
     parts = [int(x) for x in text.split(",")]
     if len(parts) not in (6, 8):
         raise ValueError(
             "family tuple is K,f,Zm,Zr,gb,gL with optional ,member_labels,ref_labels"
         )
-    return lifting.ParamTuple(*parts)
+    return ParamTuple(*parts)
 
 
 def _parse_base(text: str) -> PdaParams:
@@ -239,6 +242,8 @@ def _parse_base(text: str) -> PdaParams:
 
 
 def _cmd_params(args) -> int:
+    from . import lifting
+
     try:
         families = [_parse_family(text) for text in args.family]
         base = None if args.base is None else _parse_base(args.base)
@@ -248,7 +253,7 @@ def _cmd_params(args) -> int:
         if len(families) != 1:
             raise _UsageError("--member-labels/--ref-labels apply to a single --family")
         given = {"member_labels": args.member_labels, "ref_labels": args.ref_labels}
-        families[0] = replace(families[0], **{k: v for k, v in given.items() if v is not None})
+        families[0] = families[0]._replace(**{k: v for k, v in given.items() if v is not None})
     if base is not None or len(families) > 1:
         for text, fam in zip(args.family, families):
             if fam.member_labels is None or fam.ref_labels is None:
@@ -275,12 +280,16 @@ def _cmd_params(args) -> int:
 # ----------------------------------------------------------------- table / sim
 
 def _cmd_table(args) -> int:
+    from .tables import render_fig2_csv, render_table1_csv
+
     csv = render_table1_csv() if args.which == "table1" else render_fig2_csv()
     _write_text(csv, args.out)
     return 0
 
 
 def _cmd_sim(args) -> int:
+    from .simulate import run
+
     p = load_pda(args.pda)
     # run raises ValueError only for its arguments: an invalid array is an
     # InvalidPdaError, a failed decode a DecodeError.

@@ -19,11 +19,10 @@ all of its witnesses before it returns.
 
 from __future__ import annotations
 
-from dataclasses import dataclass, field
 from itertools import permutations
 from typing import Mapping, NamedTuple, Sequence
 
-from .core import Pda
+from .core import Pda, _Frozen
 
 __all__ = [
     "CompatWitness",
@@ -51,8 +50,7 @@ class CompatWitness(NamedTuple):
     pair: "tuple | None" = None
 
 
-@dataclass(frozen=True)
-class CompatReport:
+class CompatReport(NamedTuple):
     ok: bool
     witnesses: tuple
 
@@ -115,21 +113,24 @@ def is_blackburn_compatible(p0: Pda, p1: Pda, pstar: Pda) -> CompatReport:
     return CompatReport.from_witnesses(_right_witnesses(p0, p1, pstar, both=True))
 
 
-@dataclass(frozen=True)
-class GenFamily:
+class GenFamily(_Frozen):
     """Members plus one reference PDA per ordered pair (i, j), i != j.
 
     The reference for (i, j) has the row count of member i and the column
     count of member j.  ``is_generalized_family`` and the identity-base
     lift check this one contract alike: ValueError for a key that is no
-    such pair, then for the first pair whose reference is missing (or
-    None), not a ``Pda`` or misshaped.  Reference label sets must be
-    pairwise disjoint and disjoint from all members' labels for the
-    identity-lift equivalence to hold; ``nonuniform_lift`` checks that.
+    such pair, then for the first member that is not a ``Pda``, then for
+    the first pair whose reference is missing (or None), not a ``Pda`` or
+    misshaped.  Reference label sets must be pairwise disjoint and disjoint
+    from all members' labels for the identity-lift equivalence to hold;
+    ``nonuniform_lift`` checks that.  The hash leaves ``refs`` out.
     """
 
-    members: tuple
-    refs: Mapping = field(hash=False)
+    _fields = ("members", "refs")
+    _hashed = 1
+
+    def __init__(self, members: tuple, refs: Mapping):
+        self.__dict__.update(members=members, refs=refs)
 
     @staticmethod
     def of(members: Sequence[Pda], refs: Mapping) -> "GenFamily":
@@ -137,9 +138,10 @@ class GenFamily:
 
 
 def _check_pair_refs(members: Sequence[Pda], refs: Mapping) -> None:
-    """Check that ``refs`` maps every ordered pair (i, j) of distinct member
-    indices, and nothing else, to a ``Pda`` of shape rows(i) x cols(j):
-    all keys first, and each value's type before any of its attributes."""
+    """Check that every member is a ``Pda`` and that ``refs`` maps every
+    ordered pair (i, j) of distinct member indices, and nothing else, to a
+    ``Pda`` of shape rows(i) x cols(j): all keys first, then the members'
+    types, and each value's type before any of its attributes."""
     g = len(members)
     pairs = list(permutations(range(g), 2))
     for key in refs:
@@ -148,6 +150,9 @@ def _check_pair_refs(members: Sequence[Pda], refs: Mapping) -> None:
                 f"unexpected reference key {key!r}: keys are pairs (i,j) of distinct "
                 f"member indices below {g}"
             )
+    for i, m in enumerate(members):
+        if not isinstance(m, Pda):
+            raise ValueError(f"member {i} must be a Pda, got {type(m).__name__}")
     for i, j in pairs:
         ref = refs.get((i, j))
         if ref is None:

@@ -18,10 +18,9 @@ disjoint-copy composition in block constructions.
 
 from __future__ import annotations
 
-from dataclasses import dataclass
 from itertools import combinations
 from math import comb
-from typing import Sequence
+from typing import NamedTuple, Sequence
 
 from .core import Pda, _assemble_blocks, hstack, vstack
 
@@ -153,8 +152,7 @@ def shangguan_direct(n: int, a: int, b: int, labels: "Sequence[int] | None" = No
     return Pda(len(rows), len(cols), cells)
 
 
-@dataclass(frozen=True)
-class OddTilingFamily:
+class OddTilingFamily(NamedTuple):
     """Two (g, g, g-2, [4]) PDAs that are Blackburn-compatible with respect
     to the diagonal identity PDA ``pstar``."""
 

@@ -20,10 +20,9 @@ function, so values can be shared freely across threads.
 
 from __future__ import annotations
 
-from dataclasses import dataclass
 from fractions import Fraction
 from operator import itemgetter
-from typing import Iterable, Mapping, Sequence
+from typing import Iterable, Mapping, NamedTuple, Sequence
 
 from .errors import InvalidPdaError
 
@@ -62,8 +61,37 @@ class _cached:
         return value
 
 
-@dataclass(frozen=True)
-class Pda:
+class _Frozen:
+    """Value semantics for the records that are not tuples: equality with
+    an instance of the same class over ``_fields``, a hash over the first
+    ``_hashed`` of them (all when None), a ``Name(field=value, ...)`` repr,
+    and no attribute assignment or deletion; ``__init__`` fills ``__dict__``."""
+
+    _hashed = None
+
+    def _values(self) -> tuple:
+        return tuple(getattr(self, name) for name in self._fields)
+
+    def __eq__(self, other):
+        if other.__class__ is self.__class__:
+            return self._values() == other._values()
+        return NotImplemented
+
+    def __hash__(self):
+        return hash(self._values()[: self._hashed])
+
+    def __repr__(self):
+        fields = ", ".join(f"{name}={getattr(self, name)!r}" for name in self._fields)
+        return f"{type(self).__qualname__}({fields})"
+
+    def __setattr__(self, name, value):
+        raise AttributeError(f"cannot assign to field {name!r}")
+
+    def __delattr__(self, name):
+        raise AttributeError(f"cannot delete field {name!r}")
+
+
+class Pda(_Frozen):
     """An f x K grid of stars and integer labels, stored row-major.
 
     Rectangularity is enforced at construction; the PDA conditions are not,
@@ -72,30 +100,27 @@ class Pda:
     :func:`params` calls on the same grid do not scan it again.
     """
 
-    rows: int
-    cols: int
-    cells: tuple
+    _fields = ("rows", "cols", "cells")
 
-    def __post_init__(self):
-        if type(self.rows) is not int or type(self.cols) is not int:
+    def __init__(self, rows: int, cols: int, cells: tuple):
+        if type(rows) is not int or type(cols) is not int:
+            raise ValueError(f"rows and cols must be int, got {rows!r} and {cols!r}")
+        if rows < 1 or cols < 1:
+            raise ValueError(f"grid must be at least 1x1, got {rows}x{cols}")
+        if type(cells) is not tuple:
+            cells = tuple(cells)
+        if len(cells) != rows * cols:
             raise ValueError(
-                f"rows and cols must be int, got {self.rows!r} and {self.cols!r}"
+                f"expected {rows * cols} cells for a {rows}x{cols} grid, got {len(cells)}"
             )
-        if self.rows < 1 or self.cols < 1:
-            raise ValueError(f"grid must be at least 1x1, got {self.rows}x{self.cols}")
-        if type(self.cells) is not tuple:
-            object.__setattr__(self, "cells", tuple(self.cells))
-        if len(self.cells) != self.rows * self.cols:
-            raise ValueError(
-                f"expected {self.rows * self.cols} cells for a "
-                f"{self.rows}x{self.cols} grid, got {len(self.cells)}"
-            )
-        for c in self.cells:
+        for c in cells:
             # A non-negative plain int passes the full check, so only other
             # cells pay for it.
             if c is not None and (type(c) is not int or c < 0):
                 if not isinstance(c, int) or isinstance(c, bool) or c < 0:
                     raise ValueError(f"cells must be None or non-negative int, got {c!r}")
+        d = self.__dict__
+        d["rows"], d["cols"], d["cells"] = rows, cols, cells
 
     @classmethod
     def from_rows(cls, rows: Iterable[Sequence]) -> "Pda":
@@ -169,8 +194,7 @@ class Pda:
         return [list(self.row(j)) for j in range(self.rows)]
 
 
-@dataclass(frozen=True)
-class Violation:
+class Violation(NamedTuple):
     """One witnessed condition failure.
 
     ``condition`` is "C1", "C2" or "C3".  The witness shape depends on the
@@ -183,8 +207,7 @@ class Violation:
     witness: tuple
 
 
-@dataclass(frozen=True)
-class ValidationReport:
+class ValidationReport(NamedTuple):
     c1_ok: bool
     c2_ok: bool
     c3_ok: bool
@@ -274,8 +297,7 @@ def _first_failing_pair(cells: tuple, w: int, flat: list) -> tuple:
     raise AssertionError("label passed C3")
 
 
-@dataclass(frozen=True)
-class PdaParams:
+class PdaParams(NamedTuple):
     """The (K, f, Z, S) tuple of a PDA plus derived exact ratios.
 
     ``g`` is the coding gain and is present only when every label occurs

@@ -33,11 +33,10 @@ published example arrays digit for digit.
 from __future__ import annotations
 
 from bisect import bisect_right
-from dataclasses import dataclass
 from fractions import Fraction
 from itertools import accumulate, combinations, permutations
 from math import comb
-from typing import Mapping, Sequence
+from typing import Mapping, NamedTuple, Sequence
 
 from .compatibility import _check_pair_refs, check_condition_cstar, is_blackburn_compatible
 from .constructions import _check_memory_point, all_star, filled, h_array, odd_tiling
@@ -62,8 +61,7 @@ __all__ = [
 ]
 
 
-@dataclass(frozen=True)
-class LedgerEntry:
+class LedgerEntry(NamedTuple):
     """One allocated label range: kind is "star" (reference copy for the
     key-th star of the base, row-major) or "label" (shared member set for
     the base label key)."""
@@ -74,8 +72,7 @@ class LedgerEntry:
     stop: int
 
 
-@dataclass(frozen=True)
-class LiftOutcome:
+class LiftOutcome(NamedTuple):
     result: Pda
     label_ledger: tuple
 
@@ -267,8 +264,8 @@ def assemble_identity_lift(
     the reference for ordered pair (i, j) fills the mirrored block between
     member i's rows and member j's columns.  ``refs`` is checked against
     the ``GenFamily`` reference-map contract before any block is placed,
-    so a key that is no such pair, or a missing (or None), non-``Pda`` or
-    misshaped reference, is a ValueError.
+    so a key that is no such pair, a member that is not a ``Pda``, or a
+    missing (or None), non-``Pda`` or misshaped reference, is a ValueError.
     """
     if orientation not in ("main", "anti"):
         raise ValueError(f"orientation must be 'main' or 'anti', got {orientation!r}")
@@ -276,11 +273,11 @@ def assemble_identity_lift(
     g = len(members)
     if g == 0:
         raise ValueError("need at least one member")
-    if g == 1:
-        if refs:
-            raise ValueError("a single member takes no references")
-        return members[0]
+    if g == 1 and refs:
+        raise ValueError("a single member takes no references")
     _check_pair_refs(members, refs)
+    if g == 1:
+        return members[0]
     rows = _row_members(g, orientation)
     blocks = [[(members[i] if i == j else refs[i, j], 0) for j in range(g)] for i in rows]
     return _assemble_blocks(blocks)
@@ -405,8 +402,7 @@ def odd_tiling_lift(g: int, n: int) -> Pda:
     return uniform_lift(h_array(n), [fam.p0, fam.p1], fam.pstar).result
 
 
-@dataclass(frozen=True)
-class ParamTuple:
+class ParamTuple(NamedTuple):
     """Shorthand for a compatible family when arrays are unavailable:
     (K, f)_{Z_member, Z_ref}^{family_size, ref_regularity}.
 

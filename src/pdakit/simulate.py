@@ -23,11 +23,10 @@ end-to-end correctness check of the scheme.
 from __future__ import annotations
 
 import random
-from dataclasses import dataclass
 from fractions import Fraction
-from typing import Sequence
+from typing import NamedTuple, Sequence
 
-from .core import Pda, params
+from .core import Pda, _Frozen, params
 from .errors import DecodeError
 
 __all__ = [
@@ -42,13 +41,13 @@ __all__ = [
 ]
 
 
-@dataclass(frozen=True)
-class Library:
+class Library(_Frozen):
     """N files of ``file_size`` bytes, each split into f equal subfiles."""
 
-    files: tuple
-    file_size: int
-    f: int
+    _fields = ("files", "file_size", "f")
+
+    def __init__(self, files: tuple, file_size: int, f: int):
+        self.__dict__.update(files=files, file_size=file_size, f=f)
 
     @property
     def n_files(self) -> int:
@@ -81,14 +80,12 @@ def make_library(n_files: int, file_size: int, f: int, seed: int = 0) -> Library
     )
 
 
-@dataclass(frozen=True)
-class Transmission:
+class Transmission(NamedTuple):
     label: int
     payload: bytes
 
 
-@dataclass(frozen=True)
-class RunReport:
+class RunReport(NamedTuple):
     decode_ok: tuple
     transmissions_count: int
     achieved_rate: Fraction

@@ -12,9 +12,9 @@ fractional digits with round-half-even.
 
 from __future__ import annotations
 
-from dataclasses import dataclass
 from decimal import ROUND_HALF_EVEN, Decimal, localcontext
 from fractions import Fraction
+from typing import NamedTuple
 
 from .constructions import h_array, mn, odd_tiling
 from .core import params
@@ -54,8 +54,7 @@ PRIOR_FAMILIES = {
 }
 
 
-@dataclass(frozen=True)
-class TradeoffRow:
+class TradeoffRow(NamedTuple):
     scheme: str
     g: int
     k: int

@@ -11,9 +11,9 @@ It covers the lifts of the benchmark's compose mix, random basic and
 uniform lifts over ``randgen`` bases, ``lift_family`` with its error
 variants, the recursions, identity-base lifts of random generalized
 families in both orientations with broken variants, malformed reference
-maps given to both the identity-base lift and ``is_generalized_family``,
-the parameter calculus over every pair of prior families, and CLI usage
-errors.
+maps and non-``Pda`` members given to both the identity-base lift and
+``is_generalized_family``, the parameter calculus over every pair of prior
+families, and CLI usage errors.
 """
 
 import contextlib
@@ -62,7 +62,7 @@ def _outcome(fn, *args) -> str:
         return f"{type(exc).__name__}: {exc}"
     if hasattr(out, "label_ledger"):
         return _digest(out.result, out.ledger_dict())
-    if isinstance(out, tuple):
+    if type(out) is tuple:  # lift_family's pair, not a named-tuple record
         members, rstar = out
         return _digest(*members, rstar)
     return _digest(out)
@@ -142,13 +142,17 @@ def _nonuniform_cases(rng: random.Random, count: int):
         yield f"nonuniform_lift random {i} {orientation} {variant}", (members, refs, orientation)
 
 
-def _malformed_ref_maps():
-    """The worked 4x2/2x4 family's references with a key of another type,
-    a None reference, or a reference that is not a Pda."""
+def _malformed_families():
+    """The worked 4x2/2x4 family with a reference key of another type, a
+    None reference, a reference that is not a Pda, or a second member that
+    is None or not a Pda."""
+    worked = [vstack([identity(2, 0), identity(2, 1)]), hstack([identity(2, 1), identity(2, 0)])]
     refs = {(0, 1): identity(4, 2), (1, 0): all_star(2, 2)}
-    yield "mixed-key", {**refs, "x": identity(2, 9)}
-    yield "none-ref", {**refs, (1, 0): None}
-    yield "list-ref", {**refs, (1, 0): [[None]]}
+    yield "mixed-key", worked, {**refs, "x": identity(2, 9)}
+    yield "none-ref", worked, {**refs, (1, 0): None}
+    yield "list-ref", worked, {**refs, (1, 0): [[None]]}
+    yield "none-member", [worked[0], None], refs
+    yield "list-member", [worked[0], [[None]]], refs
 
 
 def _lift_lines():
@@ -198,14 +202,13 @@ def _lift_lines():
 
     for name, args in _nonuniform_cases(random.Random(20232), 600):
         yield name, _outcome(nonuniform_lift, *args)
-    worked = [vstack([identity(2, 0), identity(2, 1)]), hstack([identity(2, 1), identity(2, 0)])]
-    for name, refs in _malformed_ref_maps():
+    for name, members, refs in _malformed_families():
         for orientation in ("main", "anti"):
             yield f"nonuniform_lift worked {orientation} {name}", _outcome(
-                nonuniform_lift, worked, refs, orientation
+                nonuniform_lift, members, refs, orientation
             )
         yield f"is_generalized_family worked {name}", _outcome(
-            is_generalized_family, GenFamily.of(worked, refs)
+            is_generalized_family, GenFamily.of(members, refs)
         )
 
     bases = [params(mn(4, 2)), params(mn(5, 2)), params(h_array(4)), params(h_array(5)), params(identity(3, 0))]

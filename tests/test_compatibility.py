@@ -238,19 +238,24 @@ def test_generalized_family_missing_ref():
         is_generalized_family(fam)
 
 
+_WORKED_P1 = hstack([identity(2, 1), identity(2, 0)])
+
+
 @pytest.mark.parametrize(
-    "key, ref, message",
+    "p1, key, ref, message",
     [
-        ("x", identity(2, 9), "unexpected reference key 'x': keys are pairs (i,j) of "
-         "distinct member indices below 2"),
-        ((1, 0), None, "missing reference for pair (1,0)"),
-        ((1, 0), [[None]], "reference (1,0) must be a Pda, got list"),
+        (_WORKED_P1, "x", identity(2, 9), "unexpected reference key 'x': keys are pairs (i,j) "
+         "of distinct member indices below 2"),
+        (_WORKED_P1, (1, 0), None, "missing reference for pair (1,0)"),
+        (_WORKED_P1, (1, 0), [[None]], "reference (1,0) must be a Pda, got list"),
+        (None, (1, 0), all_star(2, 2), "member 1 must be a Pda, got NoneType"),
+        ([[None]], (1, 0), all_star(2, 2), "member 1 must be a Pda, got list"),
     ],
-    ids=["mixed-key", "none-ref", "list-ref"],
+    ids=["mixed-key", "none-ref", "list-ref", "none-member", "list-member"],
 )
-def test_generalized_family_malformed_refs_are_value_errors(key, ref, message):
+def test_generalized_family_malformed_refs_are_value_errors(p1, key, ref, message):
+    """A malformed reference map, or a second member that is not a Pda."""
     p0 = vstack([identity(2, 0), identity(2, 1)])
-    p1 = hstack([identity(2, 1), identity(2, 0)])
     refs = {(0, 1): identity(4, 2), (1, 0): all_star(2, 2), key: ref}
     fam = GenFamily.of([p0, p1], refs)
     with pytest.raises(ValueError) as err:

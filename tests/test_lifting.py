@@ -1,5 +1,4 @@
 import random
-from dataclasses import replace
 from fractions import Fraction
 from math import comb
 
@@ -510,7 +509,13 @@ def _lifting_error_cases():
          "reference (1,0) must be a Pda, got list"),
         (lambda: assemble_identity_lift(worked, {**refs, (1, 0): [[None]]}), ValueError,
          "reference (1,0) must be a Pda, got list"),
-        (lambda: lift_family_params(replace(p, ref_labels=2), p), ValueError,
+        (lambda: nonuniform_lift([worked[0], None], refs), ValueError,
+         "member 1 must be a Pda, got NoneType"),
+        (lambda: nonuniform_lift([worked[0], [[None]]], refs), ValueError,
+         "member 1 must be a Pda, got list"),
+        (lambda: assemble_identity_lift([None], {}), ValueError,
+         "member 0 must be a Pda, got NoneType"),
+        (lambda: lift_family_params(p._replace(ref_labels=2), p), ValueError,
          "inconsistent tuple: 2 reference labels at regularity 6 do not cover 6 cells"),
         (lambda: lift_family([], pstar, members, pstar), LiftError, "need at least one member"),
         (lambda: lift_family(members, pstar, [], pstar), LiftError,
@@ -531,9 +536,9 @@ def _lifting_error_cases():
          "members have differing star counts [1, 2]"),
         (lambda: lifted_params(params(mn(4, 2)), ParamTuple(6, 6, 1, 5, 3, 6)), ValueError,
          "member and reference label counts are required"),
-        (lambda: lifted_params(params(mn(4, 2)), replace(p, ref_labels=0)), ValueError,
+        (lambda: lifted_params(params(mn(4, 2)), p._replace(ref_labels=0)), ValueError,
          "inconsistent tuple: reference has cells but no labels"),
-        (lambda: lifted_params(replace(params(mn(4, 2)), g=None), p), ValueError,
+        (lambda: lifted_params(params(mn(4, 2))._replace(g=None), p), ValueError,
          "base must be regular for the lifted-parameter calculus"),
         (lambda: lift_family_params(p, ParamTuple(10, 10, 1, 6, 1, 4, 45, 10)), ValueError,
          "p members are 2-regular but q has only 1 members"),
