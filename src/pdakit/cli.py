@@ -9,15 +9,12 @@ run is a fresh process, so each subcommand imports the modules it uses.
 from __future__ import annotations
 
 import argparse
-import json
 import sys
 from fractions import Fraction
-from importlib import import_module
 from itertools import permutations
 
-from .core import Pda, PdaParams, params, validate
-from .errors import PdaError
-from .gridio import load_pda, pda_to_json, save_pda, serialize_grid
+from .core import Pda, PdaParams, params
+from .errors import InvalidPdaError, PdaError
 
 __all__ = ["main"]
 
@@ -35,6 +32,8 @@ def _write_text(text: str, out: "str | None") -> None:
 
 
 def _emit_pda(p: Pda, out: "str | None", fmt: str) -> None:
+    from .gridio import pda_to_json, serialize_grid
+
     _write_text(pda_to_json(p) + "\n" if fmt == "json" else serialize_grid(p), out)
 
 
@@ -44,23 +43,23 @@ def _witness_line(w) -> str:
 
 # ----------------------------------------------------------------- gen
 
-# name: (parameter count, the option passed after the parameters, builder's
-# module and function, imported once the usage checks pass); odd-tiling
-# builds a family and writes one file per array.
+# name: (parameter count, the option passed after the parameters, the
+# builder's name in the package, looked up once the usage checks pass);
+# odd-tiling builds a family and writes one file per array.
 _GENERATORS = {
-    "identity": (2, "anti", "constructions", "identity"),
-    "g": (1, "labels", "constructions", "g_array"),
-    "h": (1, "labels", "constructions", "h_array"),
-    "j": (2, "labels", "constructions", "filled"),
-    "star": (2, None, "constructions", "all_star"),
-    "mn": (2, "labels", "constructions", "mn"),
-    "mnrev": (2, "labels", "constructions", "mn_reverse"),
-    "shangguan": (3, "labels", "constructions", "shangguan_direct"),
-    "yan-half": (1, None, "constructions", "yan_half_memory"),
-    "mn-recursive": (2, None, "lifting", "mn_recursive"),
-    "shangguan-recursive": (3, None, "lifting", "shangguan_recursive"),
-    "corollary-odd": (2, None, "lifting", "odd_tiling_lift"),
-    "odd-tiling": (1, None, "constructions", "odd_tiling"),
+    "identity": (2, "anti", "identity"),
+    "g": (1, "labels", "g_array"),
+    "h": (1, "labels", "h_array"),
+    "j": (2, "labels", "filled"),
+    "star": (2, None, "all_star"),
+    "mn": (2, "labels", "mn"),
+    "mnrev": (2, "labels", "mn_reverse"),
+    "shangguan": (3, "labels", "shangguan_direct"),
+    "yan-half": (1, None, "yan_half_memory"),
+    "mn-recursive": (2, None, "mn_recursive"),
+    "shangguan-recursive": (3, None, "shangguan_recursive"),
+    "corollary-odd": (2, None, "odd_tiling_lift"),
+    "odd-tiling": (1, None, "odd_tiling"),
 }
 
 
@@ -68,13 +67,13 @@ def _cmd_gen(args) -> int:
     name = args.name
     if name not in _GENERATORS:
         raise _UsageError(f"unknown generator {name!r}")
-    arity, option, module, builder = _GENERATORS[name]
+    arity, option, builder = _GENERATORS[name]
     if len(args.params) != arity:
         raise _UsageError(f"gen {name} takes {arity} parameter(s)")
     for flag, given in (("labels", args.labels is not None), ("anti", args.anti)):
         if given and option != flag:
             raise _UsageError(f"gen {name} takes no --{flag}")
-    fn = getattr(import_module(f".{module}", __package__), builder)
+    fn = getattr(sys.modules[__package__], builder)
     try:
         labels = [int(x) for x in args.labels.split(",")] if args.labels else None
         extra = {"labels": [labels], "anti": [args.anti]}.get(option, [])
@@ -87,7 +86,7 @@ def _cmd_gen(args) -> int:
     prefix = args.out or f"odd_tiling_g{args.params[0]}"
     ext = "json" if args.format == "json" else "grid"
     for tag, p in (("p0", built.p0), ("p1", built.p1), ("pstar", built.pstar)):
-        save_pda(p, f"{prefix}.{tag}.{ext}", args.format)
+        _emit_pda(p, f"{prefix}.{tag}.{ext}", args.format)
     print(f"wrote {prefix}.p0/.p1/.pstar .{ext}", file=sys.stderr)
     return 0
 
@@ -103,12 +102,15 @@ def _params_line(info: PdaParams) -> str:
 
 
 def _cmd_verify(args) -> int:
+    from .gridio import load_pda
+
     p = load_pda(args.file)
-    report = validate(p, args.labels)
-    if report.ok:
+    try:
         print(_params_line(params(p, args.labels)))
         return 0
-    for v in report.violations:
+    except InvalidPdaError as exc:
+        violations = exc.report.violations
+    for v in violations:
         if v.condition == "C1":
             k, got, expected = v.witness
             print(f"C1 column={k} stars={got} expected={expected}")
@@ -136,6 +138,7 @@ def _pair_refs(mode: str, members: list, refs: list) -> dict:
 
 def _cmd_compat(args) -> int:
     from . import compatibility as compat
+    from .gridio import load_pda
 
     members = [load_pda(f) for f in args.files]
     refs = [load_pda(f) for f in args.ref]
@@ -164,7 +167,10 @@ def _cmd_compat(args) -> int:
 # ----------------------------------------------------------------- lift
 
 def _cmd_lift(args) -> int:
+    import json
+
     from . import lifting
+    from .gridio import load_pda
 
     members = [load_pda(f) for f in args.member]
     refs = [load_pda(f) for f in args.ref]
@@ -198,8 +204,8 @@ def _cmd_lift(args) -> int:
         lifted, rstar = lifting.lift_family(members, refs[0], q_members, qstar)
         prefix = args.out or "lifted"
         for i, r in enumerate(lifted):
-            save_pda(r, f"{prefix}.r{i}.{ext}", args.format)
-        save_pda(rstar, f"{prefix}.rstar.{ext}", args.format)
+            _emit_pda(r, f"{prefix}.r{i}.{ext}", args.format)
+        _emit_pda(rstar, f"{prefix}.rstar.{ext}", args.format)
         _write_text(
             json.dumps({"members": len(lifted), "reference": f"{prefix}.rstar.{ext}"}) + "\n",
             f"{prefix}.ledger.json",
@@ -288,6 +294,9 @@ def _cmd_table(args) -> int:
 
 
 def _cmd_sim(args) -> int:
+    import json
+
+    from .gridio import load_pda
     from .simulate import run
 
     p = load_pda(args.pda)

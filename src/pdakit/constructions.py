@@ -128,7 +128,7 @@ def mn_reverse(k: int, t: int, labels: "Sequence[int] | None" = None) -> Pda:
     """The MN PDA variant with rows and labels in reverse lexicographic order."""
     _check_memory_point(k, t)
     p = mn(k, t, _check_labels(labels, comb(k, t + 1))[::-1])
-    return Pda.from_rows(p.to_rows()[::-1])
+    return Pda(p.rows, p.cols, [c for j in reversed(range(p.rows)) for c in p.row(j)])
 
 
 def _subset_masks(n: int, t: int) -> list:

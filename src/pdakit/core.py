@@ -138,14 +138,22 @@ class Pda(_Frozen):
     def shape(self) -> tuple:
         return (self.rows, self.cols)
 
+    def _checked(self, what: str, index: int, bound: int) -> int:
+        """``index`` when it is a valid row or column number, else ValueError."""
+        if 0 <= index < bound:
+            return index
+        raise ValueError(f"{what} {index} is out of range for a {self.rows}x{self.cols} grid")
+
     def cell(self, j: int, k: int):
+        j, k = self._checked("row", j, self.rows), self._checked("column", k, self.cols)
         return self.cells[j * self.cols + k]
 
     def row(self, j: int) -> tuple:
-        return self.cells[j * self.cols : (j + 1) * self.cols]
+        start = self._checked("row", j, self.rows) * self.cols
+        return self.cells[start : start + self.cols]
 
     def column(self, k: int) -> tuple:
-        return self.cells[k :: self.cols]
+        return self.cells[self._checked("column", k, self.cols) :: self.cols]
 
     def labels(self) -> frozenset:
         return frozenset(self.cells).difference((None,))
@@ -159,13 +167,14 @@ class Pda(_Frozen):
         return [(pos // w, pos % w) for pos, c in enumerate(self.cells) if c is None]
 
     def column_star_count(self, k: int) -> int:
-        return self.column(k).count(None)
+        return self._star_counts[self._checked("column", k, self.cols)]
 
     @_cached
     def _label_index(self) -> dict:
         """Each label's flat row-major positions, labels in order of first
         appearance; built once per grid and shared by validation,
-        compatibility checks and simulation, which must not mutate it."""
+        canonicalization, compatibility checks and simulation, which must
+        not mutate it."""
         index: dict = {}
         for pos, c in enumerate(self.cells):
             if c is not None:
@@ -189,9 +198,6 @@ class Pda(_Frozen):
     @_cached
     def _c3(self) -> "Violation | None":
         return _first_blackburn_violation(self)
-
-    def to_rows(self) -> list:
-        return [list(self.row(j)) for j in range(self.rows)]
 
 
 class Violation(NamedTuple):
@@ -359,11 +365,8 @@ def relabel(p: Pda, mapping: Mapping[int, int]) -> Pda:
 
 def canonicalize(p: Pda) -> Pda:
     """Rename labels to 0..S-1 in order of first row-major appearance."""
-    mapping: dict = {}
-    for c in p.cells:
-        if c is not None and c not in mapping:
-            mapping[c] = len(mapping)
-    return relabel(p, mapping)
+    index = p._label_index
+    return relabel(p, dict(zip(index, range(len(index)))))
 
 
 def disjoint_copy(p: Pda, offset: int) -> Pda:

@@ -123,43 +123,38 @@ def _check_family(members, pstar, what="member"):
 def _lift(base, members, pstar) -> LiftOutcome:
     """Uniform lift of a checked base by a checked family, validated in full.
 
-    Fresh labels go reference ranges first (base stars row-major), then
-    one shared range per base label ascending.  The allocation reads only
-    the base's star positions and sorted label set, so the members of a
-    family lift, which agree on both, share one allocation.  Each block
-    is its source ranked onto 0, 1, ... and shifted to its range's start.
+    Fresh labels go reference ranges first, the i-th base star (row-major)
+    taking the range from i * n_ref, then one shared range per base label
+    ascending.  The allocation reads only the base's star count and sorted
+    label set, so the members of a family lift, which agree on both, share
+    one allocation.  Each block is its source ranked onto 0, 1, ... and
+    shifted to its range's start.
     """
     n_ref = len(pstar.labels())
     n_member = len(members[0].labels()) if members else 0
-    ledger = []
-    star_ranges = {}
-    label_ranges = {}
-    nxt = 0
-    for idx, pos in enumerate(base.star_positions()):
-        star_ranges[pos] = nxt
-        ledger.append(LedgerEntry("star", idx, nxt, nxt + n_ref))
-        nxt += n_ref
-    for s in sorted(base.labels()):
-        label_ranges[s] = nxt
-        ledger.append(LedgerEntry("label", s, nxt, nxt + n_member))
-        nxt += n_member
+    labels = sorted(base.labels())
+    n_stars = sum(base._star_counts)
+    first = n_stars * n_ref
+    ledger = [LedgerEntry("star", i, i * n_ref, (i + 1) * n_ref) for i in range(n_stars)]
+    ledger += [
+        LedgerEntry("label", s, first + i * n_member, first + (i + 1) * n_member)
+        for i, s in enumerate(labels)
+    ]
 
     ranked = [_ranked(m, members[0].labels()) for m in members]
     ref = _ranked(pstar, pstar.labels())
-    occurrence: dict = {}
+    occurrence = [0] * len(labels)
+    stars = 0
     blocks = []
-    for r in range(base.rows):
-        block_row = []
-        for c in range(base.cols):
-            s = base.cell(r, c)
-            if s is None:
-                block_row.append((ref, star_ranges[(r, c)]))
-            else:
-                t = occurrence.get(s, 0)
-                occurrence[s] = t + 1
-                block_row.append((ranked[t], label_ranges[s]))
-        blocks.append(block_row)
-    result = _assemble_blocks(blocks)
+    for i in _ranked(base, labels).cells:  # each base label as its rank i
+        if i is None:
+            blocks.append((ref, stars * n_ref))
+            stars += 1
+        else:
+            blocks.append((ranked[occurrence[i]], first + i * n_member))
+            occurrence[i] += 1
+    w = base.cols
+    result = _assemble_blocks([blocks[r : r + w] for r in range(0, len(blocks), w)])
     report = validate(result)
     if not report.ok:
         raise LiftError(f"lifted array failed validation: {report.violations}")
@@ -249,12 +244,6 @@ def lift_family(
     return tuple(lifted), rstar
 
 
-def _row_members(g: int, orientation: str) -> list:
-    """The member whose rows fill each block row, top to bottom; block
-    column j always holds member j's columns."""
-    return list(range(g)) if orientation == "main" else list(range(g - 1, -1, -1))
-
-
 def assemble_identity_lift(
     members: Sequence[Pda], refs: Mapping, orientation: str = "main"
 ) -> Pda:
@@ -278,18 +267,15 @@ def assemble_identity_lift(
     _check_pair_refs(members, refs)
     if g == 1:
         return members[0]
-    rows = _row_members(g, orientation)
+    # Each block row takes its rows from member i, block column j from member j.
+    rows = range(g) if orientation == "main" else range(g - 1, -1, -1)
     blocks = [[(members[i] if i == j else refs[i, j], 0) for j in range(g)] for i in rows]
     return _assemble_blocks(blocks)
 
 
-def _owning_member(members, cell, orientation):
-    """Member index owning the block that contains the assembled cell, or
-    None when the cell lies in a reference block."""
-    row_members = _row_members(len(members), orientation)
-    br = bisect_right(list(accumulate(members[i].rows for i in row_members)), cell[0])
-    bc = bisect_right(list(accumulate(m.cols for m in members)), cell[1])
-    return bc if row_members[br] == bc else None
+def _owning_member(members, cell):
+    """Index of the member whose block column holds the assembled cell."""
+    return bisect_right(list(accumulate(m.cols for m in members)), cell[1])
 
 
 def nonuniform_lift(
@@ -305,6 +291,8 @@ def nonuniform_lift(
     column blocks' star counts, read off the result.  By the equivalence
     between assembly validity and generalized compatibility, a Blackburn
     failure pins down the offending member pair, which is reported.
+    Valid, label-disjoint references put both cells of that failure in
+    member blocks, so each cell's block column names its member.
     """
     members = list(members)
     result = assemble_identity_lift(members, refs, orientation)
@@ -334,9 +322,8 @@ def nonuniform_lift(
     a, b, mirror = report.violations[0].witness
     raise LiftError(
         f"assembly violates the Blackburn property between members "
-        f"{_owning_member(members, a, orientation)} and "
-        f"{_owning_member(members, b, orientation)}: cells {a} and {b} share a "
-        f"label but {mirror} is not a star"
+        f"{_owning_member(members, a)} and {_owning_member(members, b)}: "
+        f"cells {a} and {b} share a label but {mirror} is not a star"
     )
 
 

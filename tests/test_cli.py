@@ -1,9 +1,24 @@
 import json
+import sys
 
-from pdakit.cli import main
-from pdakit.constructions import mn, odd_tiling, shangguan_direct
-from pdakit.gridio import load_pda, parse_grid, save_pda
-from pdakit.lifting import odd_tiling_lift
+import pytest
+
+import pdakit.core
+from pdakit.cli import _GENERATORS, main
+from pdakit.constructions import (
+    all_star,
+    filled,
+    g_array,
+    h_array,
+    identity,
+    mn,
+    mn_reverse,
+    odd_tiling,
+    shangguan_direct,
+    yan_half_memory,
+)
+from pdakit.gridio import load_pda, parse_grid, save_pda, serialize_grid
+from pdakit.lifting import mn_recursive, odd_tiling_lift, shangguan_recursive
 
 import printed
 
@@ -70,6 +85,41 @@ def test_gen_odd_tiling_writes_three_files(tmp_path, capsys):
     assert load_pda(f"{prefix}.pstar.grid") == fam.pstar
 
 
+# Each generator's builder, imported from its defining module, and small
+# parameters for it.
+_BUILDERS = {
+    "identity": (identity, [3, 1]),
+    "g": (g_array, [4]),
+    "h": (h_array, [3]),
+    "j": (filled, [2, 3]),
+    "star": (all_star, [2, 3]),
+    "mn": (mn, [4, 2]),
+    "mnrev": (mn_reverse, [4, 2]),
+    "shangguan": (shangguan_direct, [5, 2, 1]),
+    "yan-half": (yan_half_memory, [3]),
+    "mn-recursive": (mn_recursive, [5, 2]),
+    "shangguan-recursive": (shangguan_recursive, [5, 1, 2]),
+    "corollary-odd": (odd_tiling_lift, [5, 2]),
+    "odd-tiling": (odd_tiling, [5]),
+}
+
+
+@pytest.mark.parametrize("name", sorted(_GENERATORS))
+def test_gen_runs_every_generator_through_the_package(name, tmp_path, capsys):
+    builder, params = _BUILDERS[name]
+    built = builder(*params)
+    argv = ["gen", name, *map(str, params)]
+    if name != "odd-tiling":
+        assert run_cli(capsys, *argv) == (0, serialize_grid(built), "")
+        return
+    prefix = tmp_path / "odd"
+    code, out, _ = run_cli(capsys, *argv, "-o", str(prefix))
+    assert (code, out) == (0, "")
+    for tag in ("p0", "p1", "pstar"):
+        text = (tmp_path / f"odd.{tag}.grid").read_text()
+        assert text == serialize_grid(getattr(built, tag)), tag
+
+
 def test_gen_json_format(capsys):
     code, out, _ = run_cli(capsys, "gen", "identity", "3", "1", "--format", "json")
     assert code == 0
@@ -91,6 +141,34 @@ def test_verify_broken_exits_one_with_witness(tmp_path, capsys):
     code, out, _ = run_cli(capsys, "verify", str(path))
     assert code == 1
     assert out.splitlines()[0].startswith("C3 0 (0,0) (1,0)")
+
+
+@pytest.mark.parametrize(
+    "text, exit_code, first_line",
+    [
+        (serialize_grid(mn(4, 2)), 0, "valid (4,6,3,4) g=3 M/N=1/2 R=2/3"),
+        ("0 1 2\n0 4 5\n", 1, "C3 0 (0,0) (1,0) mirror=(0,0)"),
+    ],
+    ids=["valid", "c3-corrupt"],
+)
+def test_verify_validates_once(tmp_path, capsys, text, exit_code, first_line):
+    path = tmp_path / "a.grid"
+    path.write_text(text)
+    calls = []
+    validate = pdakit.core.validate.__code__
+
+    def count(frame, event, arg):
+        # Counts calls of validate's code under whatever name it is bound to.
+        if event == "call" and frame.f_code is validate:
+            calls.append(frame)
+
+    sys.setprofile(count)
+    try:
+        code, out, _ = run_cli(capsys, "verify", str(path))
+    finally:
+        sys.setprofile(None)
+    assert (code, out.splitlines()[0]) == (exit_code, first_line)
+    assert len(calls) == 1
 
 
 def test_compat_right_mode(tmp_path, capsys):

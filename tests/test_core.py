@@ -38,6 +38,35 @@ def test_validate_identity_passes():
     assert identity(3, 1).column_star_count(0) == 2
 
 
+@pytest.mark.parametrize(
+    "method, args, message",
+    [
+        ("cell", (0, 4), "column 4 is out of range for a 6x4 grid"),
+        ("cell", (6, 0), "row 6 is out of range for a 6x4 grid"),
+        ("cell", (-1, 0), "row -1 is out of range for a 6x4 grid"),
+        ("cell", (0, -1), "column -1 is out of range for a 6x4 grid"),
+        ("row", (6,), "row 6 is out of range for a 6x4 grid"),
+        ("row", (-1,), "row -1 is out of range for a 6x4 grid"),
+        ("column", (4,), "column 4 is out of range for a 6x4 grid"),
+        ("column", (-1,), "column -1 is out of range for a 6x4 grid"),
+        ("column_star_count", (-1,), "column -1 is out of range for a 6x4 grid"),
+        ("column_star_count", (5,), "column 5 is out of range for a 6x4 grid"),
+    ],
+)
+def test_accessors_reject_out_of_range_indices(method, args, message):
+    p = mn(4, 2)
+    with pytest.raises(ValueError) as info:
+        getattr(p, method)(*args)
+    assert str(info.value) == message
+
+
+def test_accessors_in_range():
+    p = mn(4, 2)
+    assert [p.column_star_count(k) for k in range(4)] == [3, 3, 3, 3]
+    assert p.cell(5, 3) == p.cells[-1] and p.cell(1, 0) == p.cells[4]
+    assert p.row(5) == p.cells[20:] and p.column(3) == p.cells[3::4]
+
+
 def test_validate_all_star_passes_with_no_labels():
     p = all_star(2, 3)
     assert validate(p).ok

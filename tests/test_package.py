@@ -1,6 +1,7 @@
 """The package surface: value semantics of the records, the names
 ``pdakit`` exports, and which modules a command-line run imports."""
 
+import ast
 import json
 import os
 import subprocess
@@ -93,24 +94,52 @@ def _run(code: str, *args: str) -> str:
     return done.stdout
 
 
-def test_cli_imports_only_what_verify_uses(tmp_path):
-    grid = tmp_path / "m42.grid"
-    grid.write_text(serialize_grid(mn(4, 2)))
+def _cli_modules(*argv: str) -> list:
+    """[the pdakit modules, dataclasses and json loaded after ``import
+    pdakit.cli``, the same after ``main(argv)``, its exit code, its stdout]."""
     code = (
-        "import io, json, sys, contextlib\n"
+        "import contextlib, io, sys\n"
         "import pdakit.cli\n"
-        "loaded = lambda: sorted(m for m in sys.modules if m.startswith('pdakit') or m == 'dataclasses')\n"
+        "loaded = lambda: sorted(m for m in sys.modules\n"
+        "                        if m.startswith('pdakit') or m in ('dataclasses', 'json'))\n"
         "after_import = loaded()\n"
         "out = io.StringIO()\n"
         "with contextlib.redirect_stdout(out):\n"
-        "    code = pdakit.cli.main(['verify', sys.argv[1]])\n"
-        "print(json.dumps([after_import, loaded(), code, out.getvalue()]))\n"
+        "    code = pdakit.cli.main(sys.argv[1:])\n"
+        "print(repr([after_import, loaded(), code, out.getvalue()]))\n"
     )
-    after_import, after_verify, exit_code, stdout = json.loads(_run(code, str(grid)))
-    verify_modules = ["pdakit", "pdakit.cli", "pdakit.core", "pdakit.errors", "pdakit.gridio"]
-    assert after_import == verify_modules
-    assert after_verify == verify_modules
+    return ast.literal_eval(_run(code, *argv))
+
+
+CLI_MODULES = ["pdakit", "pdakit.cli", "pdakit.core", "pdakit.errors"]
+
+
+def test_cli_imports_only_what_verify_uses(tmp_path):
+    grid = tmp_path / "m42.grid"
+    grid.write_text(serialize_grid(mn(4, 2)))
+    after_import, after_verify, exit_code, stdout = _cli_modules("verify", str(grid))
+    assert after_import == CLI_MODULES
+    assert after_verify == sorted([*CLI_MODULES, "json", "pdakit.gridio"])
     assert (exit_code, stdout) == (0, "valid (4,6,3,4) g=3 M/N=1/2 R=2/3\n")
+
+
+@pytest.mark.parametrize(
+    "argv, first_line",
+    [
+        (["table", "table1"], "scheme,g,K,f,Z,S,MN,R"),
+        (
+            ["params", "--family", "6,6,1,5,3,6,15,1", "--family", "10,10,1,6,2,4,45,10",
+             "--base", "4,6,3,4,3"],
+            "(60,60)_{11,51}^{3,12} member_labels=735 ref_labels=45",
+        ),
+    ],
+    ids=["table1", "readme-params"],
+)
+def test_commands_without_array_files_load_no_gridio_or_json(argv, first_line):
+    after_import, after_run, exit_code, stdout = _cli_modules(*argv)
+    assert after_import == CLI_MODULES
+    assert not {"json", "pdakit.gridio"} & set(after_run)
+    assert (exit_code, stdout.splitlines()[0]) == (0, first_line)
 
 
 SUBMODULES = {"compatibility", "constructions", "core", "errors", "gridio", "lifting", "simulate"}
