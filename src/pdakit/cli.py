@@ -13,7 +13,7 @@ import sys
 from fractions import Fraction
 from itertools import permutations
 
-from .core import Pda, PdaParams, params
+from .core import PdaParams, params
 from .errors import InvalidPdaError, PdaError
 
 __all__ = ["main"]
@@ -29,12 +29,6 @@ def _write_text(text: str, out: "str | None") -> None:
     else:
         with open(out, "w", encoding="utf-8", newline="\n") as fh:
             fh.write(text)
-
-
-def _emit_pda(p: Pda, out: "str | None", fmt: str) -> None:
-    from .gridio import pda_to_json, serialize_grid
-
-    _write_text(pda_to_json(p) + "\n" if fmt == "json" else serialize_grid(p), out)
 
 
 def _witness_line(w) -> str:
@@ -80,14 +74,15 @@ def _cmd_gen(args) -> int:
         built = fn(*args.params, *extra)
     except (ValueError, PdaError) as exc:
         raise _UsageError(f"bad parameters: {exc}") from exc
+    from .gridio import save_pda
+
     if name != "odd-tiling":
-        _emit_pda(built, args.out, args.format)
+        save_pda(built, args.out, args.format)
         return 0
     prefix = args.out or f"odd_tiling_g{args.params[0]}"
-    ext = "json" if args.format == "json" else "grid"
     for tag, p in (("p0", built.p0), ("p1", built.p1), ("pstar", built.pstar)):
-        _emit_pda(p, f"{prefix}.{tag}.{ext}", args.format)
-    print(f"wrote {prefix}.p0/.p1/.pstar .{ext}", file=sys.stderr)
+        save_pda(p, f"{prefix}.{tag}.{args.format}", args.format)
+    print(f"wrote {prefix}.p0/.p1/.pstar .{args.format}", file=sys.stderr)
     return 0
 
 
@@ -170,11 +165,11 @@ def _cmd_lift(args) -> int:
     import json
 
     from . import lifting
-    from .gridio import load_pda
+    from .gridio import load_pda, save_pda
 
     members = [load_pda(f) for f in args.member]
     refs = [load_pda(f) for f in args.ref]
-    ext = "json" if args.format == "json" else "grid"
+    ext = args.format
     if args.mode in ("uniform", "basic"):
         if args.base is None or len(refs) > 1:
             raise _UsageError(f"--mode {args.mode} takes a base file and at most one --ref")
@@ -187,7 +182,7 @@ def _cmd_lift(args) -> int:
             if not refs:
                 raise _UsageError("--mode uniform needs --ref")
             outcome = lifting.uniform_lift(base, members, refs[0])
-        _emit_pda(outcome.result, args.out, args.format)
+        save_pda(outcome.result, args.out, ext)
         if args.out:
             _write_text(
                 json.dumps(outcome.ledger_dict(), indent=2) + "\n",
@@ -204,8 +199,8 @@ def _cmd_lift(args) -> int:
         lifted, rstar = lifting.lift_family(members, refs[0], q_members, qstar)
         prefix = args.out or "lifted"
         for i, r in enumerate(lifted):
-            _emit_pda(r, f"{prefix}.r{i}.{ext}", args.format)
-        _emit_pda(rstar, f"{prefix}.rstar.{ext}", args.format)
+            save_pda(r, f"{prefix}.r{i}.{ext}", ext)
+        save_pda(rstar, f"{prefix}.rstar.{ext}", ext)
         _write_text(
             json.dumps({"members": len(lifted), "reference": f"{prefix}.rstar.{ext}"}) + "\n",
             f"{prefix}.ledger.json",
@@ -215,7 +210,7 @@ def _cmd_lift(args) -> int:
     # nonuniform
     pair_refs = _pair_refs("nonuniform", members, refs)
     result = lifting.nonuniform_lift(members, pair_refs, args.orientation)
-    _emit_pda(result, args.out, args.format)
+    save_pda(result, args.out, ext)
     if args.out:
         _write_text(
             json.dumps({"orientation": args.orientation, "members": len(members)}) + "\n",

@@ -6,11 +6,12 @@ tuples element-wise, so for K=4, t=2 the order is 01, 02, 03, 12, 13, 23.
 Reverse lexicographic order is the exact reversal of that enumeration.
 itertools.combinations(range(n), t) already enumerates lexicographically.
 
-One subset construction serves three families.  shangguan_direct holds
-the body, ranking subsets as bitmasks; two identities define the others:
+One subset construction serves four families.  shangguan_direct holds
+the body, ranking subsets as bitmasks; three identities define the others:
 mn(K, t) is shangguan_direct(K, t, 1) (t = K, one all-star row, aside),
-and mn_reverse(K, t, labels) is mn(K, t, labels reversed) with its rows
-in reverse order.
+mn_reverse(K, t, labels) is mn(K, t, labels reversed) with its rows in
+reverse order, and the star-diagonal square h_array(n, labels) is
+mn(n, 1, labels).
 
 Label arguments default to range(count); passing explicit labels supports
 disjoint-copy composition in block constructions.
@@ -70,27 +71,20 @@ def g_array(n: int, labels: "Sequence[int] | None" = None) -> Pda:
     cell and its anti-transpose (i, j) -> (n-1-j, n-1-i); the cells strictly
     above the anti-diagonal are enumerated row-major and mirrored below.
     """
-    pairs = [(i, j, n - 1 - j, n - 1 - i) for i in range(n) for j in range(n - 1 - i)]
-    return _mirrored_square(n, labels, pairs)
+    grid = [[None] * n for _ in range(n)]
+    pairs = ((i, j) for i in range(n) for j in range(n - 1 - i))
+    for s, (i, j) in zip(_check_labels(labels, n * (n - 1) // 2), pairs):
+        grid[i][j] = grid[n - 1 - j][n - 1 - i] = s
+    return Pda.from_rows(grid)
 
 
 def h_array(n: int, labels: "Sequence[int] | None" = None) -> Pda:
     """A 2-regular (n, n, 1, n(n-1)/2) PDA with stars on the main diagonal.
 
-    Symmetric: the upper triangle is enumerated row-major and mirrored by
-    transposition.
+    This is mn(n, 1, labels), cell for cell: the cell (i, j) off the
+    diagonal carries the label ranked by {i, j} among 2-subsets.
     """
-    pairs = [(i, j, j, i) for i in range(n) for j in range(i + 1, n)]
-    return _mirrored_square(n, labels, pairs)
-
-
-def _mirrored_square(n: int, labels, pairs: list) -> Pda:
-    """n x n stars with labels[d] at cells (r1, c1) and (r2, c2) of the d-th
-    pair (r1, c1, r2, c2)."""
-    grid = [[None] * n for _ in range(n)]
-    for s, (r1, c1, r2, c2) in zip(_check_labels(labels, n * (n - 1) // 2), pairs):
-        grid[r1][c1] = grid[r2][c2] = s
-    return Pda.from_rows(grid)
+    return mn(n, 1, labels)
 
 
 def filled(rows: int, cols: int, labels: "Sequence[int] | None" = None) -> Pda:

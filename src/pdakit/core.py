@@ -376,7 +376,7 @@ def disjoint_copy(p: Pda, offset: int) -> Pda:
     present = p.labels()
     if present != frozenset(range(len(present))):
         raise ValueError("disjoint_copy requires canonical labels 0..S-1")
-    return relabel(p, {s: s + offset for s in present})
+    return _assemble_blocks([[(p, offset)]])
 
 
 def _assemble_blocks(

@@ -139,6 +139,11 @@ def load_pda(path) -> Pda:
     return parse_grid(text)
 
 
-def save_pda(p: Pda, path, fmt: str = "grid") -> None:
+def save_pda(p: Pda, path=None, fmt: str = "grid") -> None:
+    """Write ``p`` as grid text, or JSON, to ``path``, or stdout when None."""
+    text = pda_to_json(p) + "\n" if fmt == "json" else serialize_grid(p)
+    if path is None:
+        sys.stdout.write(text)
+        return
     with open(path, "w", encoding="utf-8", newline="\n") as fh:
-        fh.write(pda_to_json(p) + "\n" if fmt == "json" else serialize_grid(p))
+        fh.write(text)

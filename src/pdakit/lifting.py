@@ -200,10 +200,12 @@ def lift_family(
     same fresh set in every member, and the reference copy at star
     position (r, c) likewise.  This requires identical star positions
     across members and the reference-star condition on ``pstar`` (both
-    checked).
+    checked; every member matches member 0's shape and stars, so the
+    reference-star check reads member 0 alone).
 
-    Returns (lifted members, lifted reference); the result family is
-    verified pairwise compatible with respect to the new reference.
+    Returns (lifted members, lifted reference); ``_check_family`` checks
+    the result family as it checks the inputs, so a lifted pair that is
+    not compatible raises ``CompatibilityError`` carrying its report.
     """
     members = list(members)
     if not members:
@@ -215,7 +217,7 @@ def lift_family(
                 f"members 0 and {i} differ in shape or star positions; "
                 "coordinated family lifting does not apply"
             )
-    cstar = check_condition_cstar(members, pstar)
+    cstar = check_condition_cstar(members[:1], pstar)
     if not cstar.ok:
         raise LiftError(
             f"reference carries a label at a member star position: "
@@ -234,13 +236,7 @@ def lift_family(
 
     lifted = [_lift(m, q_members, qstar).result for m in members]
     rstar = basic_lift(pstar, q_members[0]).result
-    for i, j in combinations(range(len(lifted)), 2):
-        report = is_blackburn_compatible(lifted[i], lifted[j], rstar)
-        if not report.ok:
-            raise LiftError(
-                f"lifted members {i} and {j} lost compatibility: "
-                f"{report.witnesses[0]}"
-            )
+    _check_family(lifted, rstar, "lifted member")
     return tuple(lifted), rstar
 
 

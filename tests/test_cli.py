@@ -433,7 +433,8 @@ def test_lift_basic_mode(tmp_path, capsys):
     assert parse_grid(out) == basic_lift(identity(3, 0), h_array(4)).result
 
 
-def test_lift_family_mode(tmp_path, capsys):
+@pytest.mark.parametrize("fmt", ["grid", "json"])
+def test_lift_family_mode(tmp_path, capsys, fmt):
     from pdakit.constructions import h_array
     from pdakit.core import Pda
 
@@ -451,11 +452,13 @@ def test_lift_family_mode(tmp_path, capsys):
         "--member", str(paths["p0"]), "--member", str(paths["p1"]),
         "--ref", str(paths["pstar"]),
         "--q-member", str(paths["p0"]), "--q-ref", str(paths["pstar"]),
-        "-o", str(prefix),
+        "-o", str(prefix), "--format", fmt,
     )
     assert code == 0
-    assert load_pda(f"{prefix}.r0.grid").shape == (9, 9)
-    assert load_pda(f"{prefix}.rstar.grid").shape == (9, 9)
+    assert load_pda(f"{prefix}.r0.{fmt}").shape == (9, 9)
+    assert load_pda(f"{prefix}.rstar.{fmt}").shape == (9, 9)
+    ledger = json.loads((tmp_path / "out.ledger.json").read_text())
+    assert ledger["reference"] == f"{prefix}.rstar.{fmt}"
 
 
 def test_compat_cstar_mode(tmp_path, capsys):

@@ -1,3 +1,4 @@
+import random
 from math import comb
 
 import pytest
@@ -39,6 +40,14 @@ def test_h_array_printed_form():
     assert h_array(3, [0, 1, 2]) == Pda.from_rows(
         [[None, 0, 1], [0, None, 2], [1, 2, None]]
     )
+
+
+@pytest.mark.parametrize("n", range(1, 13))
+def test_h_array_is_mn_with_one_star_per_row(n):
+    assert h_array(n) == oracle_mn(n, 1)
+    labels = list(range(50, 50 + n * (n - 1) // 2))
+    random.Random(n).shuffle(labels)
+    assert h_array(n, labels) == oracle_mn(n, 1, labels)
 
 
 def test_g_array_two_by_two():

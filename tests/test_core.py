@@ -194,6 +194,11 @@ def test_disjoint_copy():
     assert params(other) == params(p)
     with pytest.raises(ValueError):
         disjoint_copy(identity(3, 5), 1)
+    rng = random.Random(13)
+    for _ in range(40):
+        p = canonicalize(random_valid_pda(rng))
+        for k in (0, 1, 37):
+            assert disjoint_copy(p, k) == relabel(p, {s: s + k for s in p.labels()})
 
 
 def test_stacking_shape_checks():

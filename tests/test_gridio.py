@@ -142,3 +142,12 @@ def test_json_shape_over_the_cell_limit_is_refused_before_its_cells():
         pda_from_json('{"rows": 100000, "cols": 1000, "cells": [0]}')
     with pytest.raises(GridParseError, match="expected 16777216 cells"):
         pda_from_json('{"rows": 4096, "cols": 4096, "cells": [0]}')
+
+
+@pytest.mark.parametrize("fmt", ["grid", "json"])
+def test_save_pda_without_a_path_writes_the_file_bytes_to_stdout(tmp_path, capsys, fmt):
+    p = random_valid_pda(random.Random(5))
+    path = tmp_path / f"p.{fmt}"
+    gridio.save_pda(p, path, fmt)
+    gridio.save_pda(p, fmt=fmt)
+    assert capsys.readouterr().out.encode() == path.read_bytes()

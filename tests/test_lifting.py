@@ -6,6 +6,7 @@ import pytest
 
 from pdakit.constructions import (
     all_star,
+    filled,
     g_array,
     h_array,
     identity,
@@ -18,6 +19,7 @@ from pdakit.errors import CompatibilityError, InvalidPdaError, LiftError
 from pdakit.gridio import parse_grid
 import pdakit.lifting
 from pdakit.lifting import (
+    LiftOutcome,
     ParamTuple,
     _lift,
     assemble_identity_lift,
@@ -216,6 +218,19 @@ def test_lift_family_rejects_cstar_violation():
     q0, q1 = _transpose_family(3)
     with pytest.raises(LiftError):
         lift_family([p0, p1], identity(3, 50), [q0, q1], h_array(3))
+
+
+def test_lift_family_checks_its_result_like_its_inputs(monkeypatch):
+    # No real input loses compatibility, so a star-free reference with fresh
+    # labels stands in for the basic lift: every shared label is a witness.
+    p0, p1 = _transpose_family(3)
+    q0, q1 = _transpose_family(3)
+    fake = LiftOutcome(filled(9, 9, range(1000, 1081)), ())
+    monkeypatch.setattr(pdakit.lifting, "basic_lift", lambda base, p: fake)
+    with pytest.raises(CompatibilityError) as err:
+        lift_family([p0, p1], h_array(3, [100, 101, 102]), [q0, q1], h_array(3))
+    assert "lifted members 0 and 1" in str(err.value)
+    assert err.value.report.witnesses
 
 
 def test_lift_family_parameter_chain_eq6():
