@@ -11,9 +11,9 @@ the Blackburn property guarantees are in its cache.
 Each cached subfile is sliced from the library once per round, and every
 user that caches it holds that one read-only ``bytes`` object, so the
 caches take Z/f of the library once rather than once per user.  An XOR is
-one integer fold per transmission: each subfile is read as one big-endian
-integer, and the fold is written back as bytes once per transmission or
-recovered subfile.
+one integer fold per transmission.  Decoding reads each subfile and payload
+as a big-endian integer once per round, through one memo keyed by ``bytes``
+value that all users share and that the caches ``place`` returns carry.
 
 Decoding deliberately uses only the cache and the transmissions (plus the
 announced demand vector), never the library, so a byte-for-byte match is an
@@ -97,11 +97,16 @@ class RunReport(NamedTuple):
         return all(self.decode_ok)
 
 
+class _Caches(tuple):
+    """Per-user cache dicts plus the memo ``ints`` of the transmissions ``sent``."""
+
+
 def place(p: Pda, lib: Library) -> tuple:
     """Per-user cache contents: subfile (i, j) for every file i and star row j.
 
     Each subfile is sliced once, and every user caching (i, j) maps it to
     that same ``bytes`` object; callers must treat the caches as read-only.
+    The tuple also carries :func:`decode`'s memo and equals the plain tuple.
     """
     if lib.f != p.rows:
         raise ValueError(
@@ -112,7 +117,7 @@ def place(p: Pda, lib: Library) -> tuple:
         users = [k for k, c in enumerate(p.row(j)) if c is None]
         if users:
             star_users.append((j, users))
-    caches = tuple({} for _ in range(p.cols))
+    caches = _Caches({} for _ in range(p.cols))
     for i in range(lib.n_files):
         for j, users in star_users:
             key, sub = (i, j), lib.subfile(i, j)
@@ -155,12 +160,16 @@ def decode(
     """Reconstruct the file user ``user`` demanded, using only its cache and
     the broadcast (transmissions plus the announced demand vector).
 
+    Peers and payloads become integers through a memo keyed by ``bytes`` value,
+    which :func:`place`'s caches share across users until ``transmissions`` changes.
+
     Raises :class:`DecodeError` when ``user`` is not a column of ``p``, when
-    ``demands`` does not name one file per column, or when a subfile or
+    ``demands`` does not name one file per column, when a subfile or
     transmission it needs is missing: a peer subfile that the Blackburn
     property promises (the signature of an invalid array reaching the
     simulator), a cached subfile of its own, or the transmission for one of
-    its labels.
+    its labels; or when a payload's length is not the cached subfiles' length
+    (for a user that caches nothing, the first transmission's).
     """
     if not 0 <= user < p.cols:
         raise DecodeError(f"user {user} out of range [0,{p.cols})")
@@ -169,6 +178,12 @@ def decode(
     d = demands[user]
     by_label = {t.label: t.payload for t in transmissions}
     own = cache[user]
+    size = len(next(iter(own.values()), next(iter(by_label.values()), b"")))
+    ints = {}
+    if type(cache) is _Caches:
+        if getattr(cache, "sent", None) is not transmissions:
+            cache.sent, cache.ints = transmissions, ints
+        ints = cache.ints
     w, index = p.cols, p._label_index
     parts = []
     for j, s in enumerate(p.column(user)):
@@ -183,7 +198,10 @@ def decode(
         piece = by_label.get(s)
         if piece is None:
             raise DecodeError(f"user {user} received no transmission for label {s}")
-        acc = int.from_bytes(piece, "big")
+        if (acc := ints.get(piece)) is None:
+            if len(piece) != size:
+                raise DecodeError(f"label {s} payload has {len(piece)} bytes, not {size}")
+            acc = ints[piece] = int.from_bytes(piece, "big")
         for pos in index[s]:
             j2, k2 = divmod(pos, w)
             if k2 == user:
@@ -194,8 +212,10 @@ def decode(
                     f"user {user} misses peer subfile (file {demands[k2]}, "
                     f"subfile {j2}) needed to decode label {s}"
                 )
-            acc ^= int.from_bytes(peer, "big")
-        parts.append(acc.to_bytes(len(piece), "big"))
+            if (x := ints.get(peer)) is None:
+                x = ints[peer] = int.from_bytes(peer, "big")
+            acc ^= x
+        parts.append(acc.to_bytes(size, "big"))
     return b"".join(parts)
 
 

@@ -250,6 +250,30 @@ def test_decode_demand_vector_of_wrong_length_raises_decode_error():
             decode(p, 0, wrong, caches, sent)
 
 
+@pytest.mark.parametrize(
+    "cut, length",
+    [(lambda b: b[:3], 3), (lambda b: b + b"\x00", 11), (lambda b: b"", 0)],
+    ids=["truncated", "over-long", "empty"],
+)
+def test_decode_payload_of_wrong_length_raises_decode_error(cut, length):
+    p = mn(4, 2)
+    demands = [2, 1, 0, 3]
+    lib = make_library(4, 60, p.rows, seed=3)
+    assert lib.subfile_size == 10
+    sent = deliver(p, demands, lib)
+    assert sent[0].label == 0
+    sent[0] = Transmission(0, cut(sent[0].payload))
+    for caches in (place(p, lib), oracle_place(p, lib)):
+        for k in range(p.cols):
+            if 0 in p.column(k):
+                with pytest.raises(
+                    DecodeError, match=rf"^label 0 payload has {length} bytes, not 10$"
+                ):
+                    decode(p, k, demands, caches, sent)
+            else:
+                assert decode(p, k, demands, caches, sent)[:60] == lib.files[demands[k]]
+
+
 def test_subfiles_equal_slices_of_the_padded_file():
     rng = random.Random(23)
     for file_size in (1, 5, 6, 7, 97, 1000, 1001):
@@ -297,6 +321,53 @@ def test_byte_path_matches_pairwise_oracle():
                 decoded = decode(p, k, demands, caches, sent)
                 assert decoded == oracle_decode(p, k, demands, reference, sent)
                 assert decoded[:file_size] == lib.files[demands[k]]
+
+
+def test_tampered_cache_changes_only_its_own_users_result():
+    rng = random.Random(41)
+    tampered = 0
+    for _ in range(40):
+        p, lib, demands, caches, sent = _round_with_labels(rng)
+        plain = oracle_place(p, lib)
+        users = [k for k, cache in enumerate(plain) if cache]
+        if not users:
+            continue
+        victim = rng.choice(users)
+        key = rng.choice(sorted(plain[victim]))
+        forged = bytes(b ^ 0xA5 for b in plain[victim][key])
+        for c in (caches, plain):
+            c[victim][key] = forged
+        order = list(range(p.cols))
+        rng.shuffle(order)
+        for k in order:
+            decoded = decode(p, k, demands, caches, sent)
+            assert decoded == oracle_decode(p, k, demands, caches, sent)
+            assert decoded == decode(p, k, demands, plain, sent)
+        tampered += 1
+    assert tampered > 20
+
+
+def test_decode_memo_holds_at_most_one_round():
+    rng = random.Random(43)
+    for p in (mn(4, 2), yan_half_memory(4), odd_tiling_lift(5, 2)):
+        lib = make_library(p.cols, 40, p.rows, seed=rng.randrange(10**6))
+        caches = place(p, lib)
+        cached = {sub for cache in caches for sub in cache.values()}
+        for _ in range(20):
+            demands = [rng.randrange(p.cols) for _ in range(p.cols)]
+            sent = deliver(p, demands, lib)
+            for k in range(p.cols):
+                assert decode(p, k, demands, caches, sent)[:40] == lib.files[demands[k]]
+            peers = {
+                (demands[k2], j2)
+                for cells in p.label_positions().values()
+                for _, k in cells
+                for j2, k2 in cells
+                if k2 != k
+            }
+            assert caches.sent is sent
+            assert len(caches.ints) <= len(cached) + len(sent)
+            assert len(caches.ints) <= len(peers) + len(sent)
 
 
 def _round_with_labels(rng):
