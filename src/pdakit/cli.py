@@ -31,8 +31,8 @@ def _write_text(text: str, out: "str | None") -> None:
             fh.write(text)
 
 
-def _witness_line(w) -> str:
-    return f"{w.label} ({w.cell0[0]},{w.cell0[1]}) ({w.cell1[0]},{w.cell1[1]}) mirror=({w.mirror[0]},{w.mirror[1]})"
+def _witness_line(label, a, b, mirror) -> str:
+    return f"{label} ({a[0]},{a[1]}) ({b[0]},{b[1]}) mirror=({mirror[0]},{mirror[1]})"
 
 
 # ----------------------------------------------------------------- gen
@@ -112,8 +112,7 @@ def _cmd_verify(args) -> int:
         elif v.condition == "C2":
             print(f"C2 missing={v.witness[0]}")
         else:
-            (j1, k1), (j2, k2), (mr, mc) = v.witness
-            print(f"C3 {p.cell(j1, k1)} ({j1},{k1}) ({j2},{k2}) mirror=({mr},{mc})")
+            print("C3", _witness_line(p.cell(*v.witness[0]), *v.witness))
     return 1
 
 
@@ -155,7 +154,7 @@ def _cmd_compat(args) -> int:
         pair_refs = _pair_refs("family", members, refs)
         report = compat.is_generalized_family(compat.GenFamily.of(members, pair_refs))
     for w in report.witnesses:
-        print(_witness_line(w))
+        print(_witness_line(*w[:4]))
     return 0 if report.ok else 1
 
 
@@ -170,25 +169,6 @@ def _cmd_lift(args) -> int:
     members = [load_pda(f) for f in args.member]
     refs = [load_pda(f) for f in args.ref]
     ext = args.format
-    if args.mode in ("uniform", "basic"):
-        if args.base is None or len(refs) > 1:
-            raise _UsageError(f"--mode {args.mode} takes a base file and at most one --ref")
-        base = load_pda(args.base)
-        if args.mode == "basic":
-            if len(members) != 1:
-                raise _UsageError("--mode basic takes exactly one --member")
-            outcome = lifting.basic_lift(base, members[0])
-        else:
-            if not refs:
-                raise _UsageError("--mode uniform needs --ref")
-            outcome = lifting.uniform_lift(base, members, refs[0])
-        save_pda(outcome.result, args.out, ext)
-        if args.out:
-            _write_text(
-                json.dumps(outcome.ledger_dict(), indent=2) + "\n",
-                args.out + ".ledger.json",
-            )
-        return 0
     if args.mode == "family":
         if len(refs) != 1 or len(args.q_member) < 1 or args.q_ref is None:
             raise _UsageError(
@@ -207,15 +187,26 @@ def _cmd_lift(args) -> int:
         )
         print(f"wrote {prefix}.r0..r{len(lifted) - 1} and {prefix}.rstar", file=sys.stderr)
         return 0
-    # nonuniform
-    pair_refs = _pair_refs("nonuniform", members, refs)
-    result = lifting.nonuniform_lift(members, pair_refs, args.orientation)
+    if args.mode == "nonuniform":
+        pair_refs = _pair_refs("nonuniform", members, refs)
+        result = lifting.nonuniform_lift(members, pair_refs, args.orientation)
+        ledger, indent = {"orientation": args.orientation, "members": len(members)}, None
+    else:
+        if args.base is None or len(refs) > 1:
+            raise _UsageError(f"--mode {args.mode} takes a base file and at most one --ref")
+        base = load_pda(args.base)
+        if args.mode == "basic":
+            if len(members) != 1:
+                raise _UsageError("--mode basic takes exactly one --member")
+            outcome = lifting.basic_lift(base, members[0])
+        else:
+            if not refs:
+                raise _UsageError("--mode uniform needs --ref")
+            outcome = lifting.uniform_lift(base, members, refs[0])
+        result, ledger, indent = outcome.result, outcome.ledger_dict(), 2
     save_pda(result, args.out, ext)
     if args.out:
-        _write_text(
-            json.dumps({"orientation": args.orientation, "members": len(members)}) + "\n",
-            args.out + ".ledger.json",
-        )
+        _write_text(json.dumps(ledger, indent=indent) + "\n", args.out + ".ledger.json")
     return 0
 
 

@@ -60,18 +60,17 @@ class CompatReport(NamedTuple):
         return CompatReport(not witnesses, witnesses)
 
 
-def _check_shape(ref: Pda, rows: int, cols: int, what: str) -> None:
-    if ref.shape != (rows, cols):
+def _check_shape(p: Pda, rows: int, cols: int, what: str) -> None:
+    if p.shape != (rows, cols):
         raise ValueError(
-            f"{what} must be {rows}x{cols}, got {ref.rows}x{ref.cols}"
+            f"{what} must be {rows}x{cols}, got {p.rows}x{p.cols}"
         )
 
 
-def _right_witnesses(p0: Pda, p1: Pda, pstar: Pda, pair=None, both=False, swapped=False):
+def _right_witnesses(p0: Pda, p1: Pda, pstar: Pda, pair=None, both=False):
     """Witnesses per shared label, then row-major cell pairs; with ``both``
     the (i1, j0) mirror is checked after (i0, j1), which is full
-    compatibility.  With ``swapped`` each witness names the p1 cell first,
-    which is left compatibility of (p1, p0)."""
+    compatibility."""
     ref, w = pstar.cells, pstar.cols
     # tuple.__new__ skips the generated __new__'s Python frame; a failing
     # check builds one witness per equal-label pair.
@@ -84,10 +83,7 @@ def _right_witnesses(p0: Pda, p1: Pda, pstar: Pda, pair=None, both=False, swappe
             for c1 in cells1:
                 i1, j1 = c1
                 if ref[row0 + j1] is not None:
-                    if swapped:
-                        yield new(cls, (s, c1, c0, (i0, j1), pair))
-                    else:
-                        yield new(cls, (s, c0, c1, (i0, j1), pair))
+                    yield new(cls, (s, c0, c1, (i0, j1), pair))
                 if both and ref[i1 * w + j0] is not None:
                     yield new(cls, (s, c0, c1, (i1, j0), pair))
 
@@ -98,18 +94,18 @@ def is_right_compatible(p0: Pda, p1: Pda, pstar: Pda) -> CompatReport:
 
 
 def is_left_compatible(p0: Pda, p1: Pda, phash: Pda) -> CompatReport:
-    """Left compatibility of (p0, p1) equals right compatibility of (p1, p0)."""
+    """Right compatibility of (p1, p0), each witness naming the p0 cell first."""
     _check_shape(phash, p1.rows, p0.cols, "left reference")
-    return CompatReport.from_witnesses(_right_witnesses(p1, p0, phash, swapped=True))
+    new, cls = tuple.__new__, CompatWitness
+    return CompatReport.from_witnesses(
+        new(cls, (s, c0, c1, m, pair)) for s, c1, c0, m, pair in _right_witnesses(p1, p0, phash)
+    )
 
 
 def is_blackburn_compatible(p0: Pda, p1: Pda, pstar: Pda) -> CompatReport:
     """Full compatibility: both mirrored reference cells star for every pair."""
-    if not (p0.shape == p1.shape == pstar.shape):
-        raise ValueError(
-            f"full compatibility needs equal shapes, got {p0.shape}, "
-            f"{p1.shape}, {pstar.shape}"
-        )
+    _check_shape(p1, p0.rows, p0.cols, "second array")
+    _check_shape(pstar, p0.rows, p0.cols, "reference")
     return CompatReport.from_witnesses(_right_witnesses(p0, p1, pstar, both=True))
 
 
@@ -184,9 +180,8 @@ def check_condition_cstar(members: Sequence[Pda], pstar: Pda) -> CompatReport:
     if not members:
         raise ValueError("need at least one member")
     shape = members[0].shape
-    for m in members:
-        if m.shape != shape:
-            raise ValueError("members must share one shape")
+    for i, m in enumerate(members):
+        _check_shape(m, *shape, f"member {i}")
     _check_shape(pstar, *shape, "reference")
     stars = set(members[0].star_positions())
     for m in members[1:]:

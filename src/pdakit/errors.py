@@ -4,7 +4,11 @@ from __future__ import annotations
 
 
 class PdaError(Exception):
-    """Base class for all package errors."""
+    """Base class for all package errors; ``report`` is the failing check's report or None."""
+
+    def __init__(self, message: str, report=None):
+        super().__init__(message)
+        self.report = report
 
 
 class InvalidPdaError(PdaError):
@@ -12,10 +16,6 @@ class InvalidPdaError(PdaError):
 
     Carries the validation report when one is available.
     """
-
-    def __init__(self, message: str, report=None):
-        super().__init__(message)
-        self.report = report
 
 
 class GridParseError(PdaError):
@@ -32,10 +32,6 @@ class CompatibilityError(PdaError):
 
     Carries the offending ``CompatReport`` so callers can inspect witnesses.
     """
-
-    def __init__(self, message: str, report=None):
-        super().__init__(message)
-        self.report = report
 
 
 class LiftError(PdaError):

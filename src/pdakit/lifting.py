@@ -94,6 +94,13 @@ def _max_occurrences(p: Pda) -> int:
     return max(map(len, p._label_index.values()), default=0)
 
 
+def _check_member_count(bases, members, needs: str) -> None:
+    """Each occurrence of a label in ``bases`` takes its own member of the family."""
+    need = max(map(_max_occurrences, bases))
+    if len(members) < need:
+        raise LiftError(f"{needs.format(need)} (max label occurrences), got {len(members)}")
+
+
 def _ranked(p: Pda, labels) -> Pda:
     """p with each label replaced by its rank in ``sorted(labels)``."""
     return relabel(p, {s: i for i, s in enumerate(sorted(labels))})
@@ -169,12 +176,7 @@ def uniform_lift(base: Pda, members: Sequence[Pda], pstar: Pda) -> LiftOutcome:
     compatible with respect to it (checked, witnesses reported).
     """
     members = list(members)
-    need = _max_occurrences(base)
-    if len(members) < need:
-        raise LiftError(
-            f"base needs {need} family members (max label occurrences), "
-            f"got {len(members)}"
-        )
+    _check_member_count([base], members, "base needs {} family members")
     _validated(base, "base")
     _check_family(members, pstar)
     return _lift(base, members, pstar)
@@ -226,12 +228,7 @@ def lift_family(
     _check_family(members, pstar)
 
     q_members = list(q_members)
-    need = max(map(_max_occurrences, members))
-    if len(q_members) < need:
-        raise LiftError(
-            f"family members need {need} q-members (max label occurrences), "
-            f"got {len(q_members)}"
-        )
+    _check_member_count(members, q_members, "family members need {} q-members")
     _check_family(q_members, qstar, what="q-member")
 
     lifted = [_lift(m, q_members, qstar).result for m in members]

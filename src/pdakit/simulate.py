@@ -98,7 +98,7 @@ class RunReport(NamedTuple):
 
 
 class _Caches(tuple):
-    """Per-user cache dicts plus the memo ``ints`` of the transmissions ``sent``."""
+    """Per-user cache dicts, their subfile ``size``, and the memo ``ints`` for ``sent``."""
 
 
 def place(p: Pda, lib: Library) -> tuple:
@@ -108,16 +108,14 @@ def place(p: Pda, lib: Library) -> tuple:
     that same ``bytes`` object; callers must treat the caches as read-only.
     The tuple also carries :func:`decode`'s memo and equals the plain tuple.
     """
-    if lib.f != p.rows:
-        raise ValueError(
-            f"library is split into {lib.f} subfiles but the PDA has {p.rows} rows"
-        )
+    _check_split(p, lib)
     star_users = []
     for j in range(p.rows):
         users = [k for k, c in enumerate(p.row(j)) if c is None]
         if users:
             star_users.append((j, users))
     caches = _Caches({} for _ in range(p.cols))
+    caches.size = lib.subfile_size
     for i in range(lib.n_files):
         for j, users in star_users:
             key, sub = (i, j), lib.subfile(i, j)
@@ -130,6 +128,7 @@ def deliver(p: Pda, demands: Sequence[int], lib: Library) -> list:
     """One transmission per label in ascending order: the XOR over the
     label's cells of the subfile each cell's user demanded, folded as one
     integer."""
+    _check_split(p, lib)
     _check_demands(p, demands, lib.n_files)
     w, size, index = p.cols, lib.subfile_size, p._label_index
     out = []
@@ -140,6 +139,11 @@ def deliver(p: Pda, demands: Sequence[int], lib: Library) -> list:
             acc ^= int.from_bytes(lib.subfile(demands[k], j), "big")
         out.append(Transmission(s, acc.to_bytes(size, "big")))
     return out
+
+
+def _check_split(p: Pda, lib: Library) -> None:
+    if lib.f != p.rows:
+        raise ValueError(f"library is split into {lib.f} subfiles but the PDA has {p.rows} rows")
 
 
 def _check_demands(p: Pda, demands: Sequence[int], n_files: int) -> None:
@@ -160,16 +164,16 @@ def decode(
     """Reconstruct the file user ``user`` demanded, using only its cache and
     the broadcast (transmissions plus the announced demand vector).
 
-    Peers and payloads become integers through a memo keyed by ``bytes`` value,
-    which :func:`place`'s caches share across users until ``transmissions`` changes.
+    Peers and payloads become integers through a memo keyed by ``bytes`` value, which users
+    of :func:`place`'s caches expecting its subfile size share until ``transmissions`` changes.
 
     Raises :class:`DecodeError` when ``user`` is not a column of ``p``, when
     ``demands`` does not name one file per column, when a subfile or
     transmission it needs is missing: a peer subfile that the Blackburn
     property promises (the signature of an invalid array reaching the
     simulator), a cached subfile of its own, or the transmission for one of
-    its labels; or when a payload's length is not the cached subfiles' length
-    (for a user that caches nothing, the first transmission's).
+    its labels; or when a cached subfile or payload it reads, or its first
+    cached value, has a length most of its cached values and payloads do not.
     """
     if not 0 <= user < p.cols:
         raise DecodeError(f"user {user} out of range [0,{p.cols})")
@@ -180,7 +184,7 @@ def decode(
     own = cache[user]
     size = len(next(iter(own.values()), next(iter(by_label.values()), b"")))
     ints = {}
-    if type(cache) is _Caches:
+    if type(cache) is _Caches and cache.size == size:
         if getattr(cache, "sent", None) is not transmissions:
             cache.sent, cache.ints = transmissions, ints
         ints = cache.ints
@@ -193,6 +197,8 @@ def decode(
                 raise DecodeError(
                     f"user {user} misses its own cached subfile (file {d}, subfile {j})"
                 )
+            if len(sub) != size:
+                raise _length_error(user, own, by_label, (d, j), len(sub), size)
             parts.append(sub)
             continue
         piece = by_label.get(s)
@@ -200,7 +206,7 @@ def decode(
             raise DecodeError(f"user {user} received no transmission for label {s}")
         if (acc := ints.get(piece)) is None:
             if len(piece) != size:
-                raise DecodeError(f"label {s} payload has {len(piece)} bytes, not {size}")
+                raise _length_error(user, own, by_label, s, len(piece), size)
             acc = ints[piece] = int.from_bytes(piece, "big")
         for pos in index[s]:
             j2, k2 = divmod(pos, w)
@@ -213,10 +219,24 @@ def decode(
                     f"subfile {j2}) needed to decode label {s}"
                 )
             if (x := ints.get(peer)) is None:
+                if len(peer) != size:
+                    raise _length_error(user, own, by_label, (demands[k2], j2), len(peer), size)
                 x = ints[peer] = int.from_bytes(peer, "big")
             acc ^= x
         parts.append(acc.to_bytes(size, "big"))
     return b"".join(parts)
+
+
+def _length_error(user, own, by_label, key, n, size) -> DecodeError:
+    """Names the value at cache key or label ``key``, read at ``n`` bytes, or the
+    first cached value (or payload), which set ``size``, if most values have ``n``."""
+    lengths = [len(v) for v in (*own.values(), *by_label.values())]
+    if max(set(lengths), key=lengths.count) == n:
+        key, n, size = next(iter(own or by_label)), size, n
+    name = f"label {key} payload"
+    if type(key) is tuple:
+        name = f"user {user} cached subfile (file {key[0]}, subfile {key[1]})"
+    return DecodeError(f"{name} has {n} bytes, not {size}")
 
 
 def run(

@@ -13,7 +13,10 @@ variants, the recursions, identity-base lifts of random generalized
 families in both orientations with broken variants, malformed reference
 maps and non-``Pda`` members given to both the identity-base lift and
 ``is_generalized_family``, the parameter calculus over every pair of prior
-families, and CLI usage errors.
+families, right, left and full compatibility over random triples (shape
+mismatches included), the reference-star condition with empty, misshaped
+and differing members, CLI usage errors and CLI compatibility and
+verification runs.
 """
 
 import contextlib
@@ -27,7 +30,14 @@ import tempfile
 from itertools import product
 
 from pdakit import cli
-from pdakit.compatibility import GenFamily, is_generalized_family
+from pdakit.compatibility import (
+    GenFamily,
+    check_condition_cstar,
+    is_blackburn_compatible,
+    is_generalized_family,
+    is_left_compatible,
+    is_right_compatible,
+)
 from pdakit.constructions import all_star, h_array, identity, mn, odd_tiling
 from pdakit.core import Pda, hstack, params, relabel, vstack
 from pdakit.gridio import serialize_grid
@@ -45,7 +55,7 @@ from pdakit.lifting import (
 )
 from pdakit.tables import PRIOR_FAMILIES
 
-from randgen import random_gen_family, random_valid_pda
+from randgen import random_full_triple, random_gen_family, random_grid, random_valid_pda
 
 
 def _digest(*parts) -> str:
@@ -222,12 +232,60 @@ def _lift_lines():
         yield f"lifted_params odd {g}", _outcome(lifted_params, params(h_array(3)), tup)
 
 
+def _star_mask(rng: random.Random, rows: int, cols: int) -> Pda:
+    """A rows x cols reference: mostly stars, the rest fresh labels."""
+    density = rng.uniform(0.5, 1.0)
+    return Pda(rows, cols, tuple(None if rng.random() < density else 10_000 + i for i in range(rows * cols)))
+
+
+def _compat_lines():
+    """Right, left and full checks of random grids against a reference of
+    the shape the check needs about two times in three, and of random
+    same-shape triples with the second array or the reference reshaped in
+    half of them; then the reference-star condition."""
+    checks = {"right": is_right_compatible, "left": is_left_compatible, "full": is_blackburn_compatible}
+    rng = random.Random(20233)
+    for i in range(300):
+        p0, p1 = random_grid(rng, 4, 3), random_grid(rng, 4, 3)
+        fits = {"right": (p0.rows, p1.cols), "left": (p1.rows, p0.cols), "full": p0.shape}
+        for mode, check in checks.items():
+            shape = fits[mode] if rng.random() < 0.67 else (rng.randint(1, 4), rng.randint(1, 4))
+            yield f"compat {mode} random {i}", _outcome(check, p0, p1, _star_mask(rng, *shape))
+    for i in range(200):
+        p0, p1, ref = random_full_triple(rng)
+        variant = ("same", "p1-rows", "ref-cols", "same")[i % 4]
+        if variant == "p1-rows":
+            p1 = vstack([p1, all_star(1, p1.cols)])
+        elif variant == "ref-cols":
+            ref = hstack([ref, all_star(ref.rows, 1)])
+        for mode, check in checks.items():
+            yield f"compat {mode} triple {i} {variant}", _outcome(check, p0, p1, ref)
+
+    p0, p1 = _transpose_pair(3)
+    pstar = h_array(3, range(9, 12))
+    for name, members, ref in [
+        ("ok", [p0, p1], pstar),
+        ("one", [p1], pstar),
+        ("empty", [], pstar),
+        ("label-at-star", [p0, p1], identity(3, 50)),
+        ("misshaped-member-1", [p0, h_array(4)], pstar),
+        ("misshaped-member-2", [p0, p1, all_star(3, 2)], pstar),
+        ("misshaped-reference", [p0, p1], h_array(4)),
+        ("differing-stars", [p0, _with_cell(p1, 0, 0, 900)], pstar),
+        ("differing-stars-and-reference", [p0, _with_cell(p1, 0, 0, 900)], all_star(2, 3)),
+    ]:
+        yield f"check_condition_cstar {name}", _outcome(check_condition_cstar, members, ref)
+
+
 _CLI_SETUP = [
     ["gen", "h", "2", "-o", "h2.grid"],
     ["gen", "h", "3", "-o", "h3.grid"],
     ["gen", "odd-tiling", "5", "-o", "odd5"],
     ["gen", "identity", "2", "0", "-o", "i2.grid"],
     ["gen", "star", "2", "2", "-o", "s2.grid"],
+    ["gen", "shangguan", "4", "2", "1", "-o", "u421.grid"],
+    ["gen", "shangguan", "4", "1", "2", "-o", "u412.grid"],
+    ["gen", "shangguan", "4", "2", "2", "-o", "u422.grid"],
 ]
 
 _CLI_CASES = [
@@ -263,6 +321,18 @@ _CLI_CASES = [
     ["sim", "--pda", "h2.grid", "--files", "2", "--size", "8", "--demands", "x"],
     ["sim", "--pda", "h2.grid", "--files", "0", "--size", "8"],
     ["verify", "h3.grid", "--labels", "9"],
+    ["verify", "c3.grid"],
+    ["compat", "--mode", "right", "u421.grid", "u412.grid", "--ref", "u422.grid"],
+    ["compat", "--mode", "left", "u412.grid", "u421.grid", "--ref", "u422.grid"],
+    ["compat", "--mode", "left", "u421.grid", "u412.grid", "--ref", "u422.grid"],
+    ["compat", "--mode", "left", "u421.grid", "u421.grid", "--ref", "u422.grid"],
+    ["compat", "--mode", "full", "u421.grid", "u412.grid", "--ref", "u422.grid"],
+    ["compat", "--mode", "full", "h2.grid", "h2.grid", "--ref", "u422.grid"],
+    ["compat", "--mode", "full", "h2.grid", "h2.grid", "--ref", "s2.grid"],
+    ["compat", "--mode", "full", "h2.grid", "c3.grid", "--ref", "i2.grid"],
+    ["compat", "--mode", "left", "h2.grid", "c3.grid", "--ref", "i2.grid"],
+    ["compat", "--mode", "cstar", "h2.grid", "h3.grid", "--ref", "s2.grid"],
+    ["compat", "--mode", "cstar", "h2.grid", "i2.grid", "--ref", "s2.grid"],
 ]
 
 
@@ -270,6 +340,8 @@ def _cli_lines():
     cwd = os.getcwd()
     with tempfile.TemporaryDirectory() as tmp:
         os.chdir(tmp)
+        with open("c3.grid", "w") as fh:  # label 0 on a diagonal with labels on its mirrors
+            fh.write(serialize_grid(Pda.from_rows([[0, 1], [1, 0]])))
         try:
             for argv in _CLI_SETUP + _CLI_CASES:
                 out, err = io.StringIO(), io.StringIO()
@@ -284,7 +356,7 @@ def _cli_lines():
 
 def main() -> int:
     count = 0
-    for name, line in (*_lift_lines(), *_cli_lines()):
+    for name, line in (*_lift_lines(), *_compat_lines(), *_cli_lines()):
         sys.stdout.write(f"{name}\t{line}\n")
         count += 1
     print(f"{count} cases", file=sys.stderr)

@@ -142,6 +142,18 @@ def test_left_is_right_with_swapped_arguments():
         )
 
 
+def test_full_shape_checks_name_the_misshaped_array():
+    p = mn(4, 2)
+    for args, message in [
+        ((p, mn(4, 1), p), "second array must be 6x4, got 4x4"),
+        ((p, p, all_star(6, 5)), "reference must be 6x4, got 6x5"),
+        ((p, mn(4, 1), all_star(6, 5)), "second array must be 6x4, got 4x4"),
+    ]:
+        with pytest.raises(ValueError) as err:
+            is_blackburn_compatible(*args)
+        assert str(err.value) == message
+
+
 def test_left_trivial_wrt_all_star():
     assert is_left_compatible(
         filled(comb(4, 3), 1), mn(4, 2), all_star(comb(4, 2), 1)

@@ -2,6 +2,7 @@ import random
 
 import pytest
 
+from pdakit.compatibility import check_condition_cstar
 from pdakit.constructions import all_star, filled, identity, mn
 import pdakit.core
 from pdakit.core import (
@@ -15,7 +16,7 @@ from pdakit.core import (
     validate,
     vstack,
 )
-from pdakit.errors import InvalidPdaError
+from pdakit.errors import GridParseError, InvalidPdaError
 from pdakit.gridio import parse_grid
 
 import printed
@@ -319,3 +320,29 @@ def test_star_counts_and_labels_do_not_build_the_index():
     assert p.column_star_count(0) == 4
     assert len(p.labels()) == 10
     assert "_label_index" not in vars(p)
+
+
+def test_unreached_error_paths_keep_type_and_message():
+    p = mn(4, 2)
+    for call, kind, message in [
+        (lambda: check_condition_cstar([], p), ValueError, "need at least one member"),
+        (
+            lambda: check_condition_cstar([p, mn(4, 1)], p),
+            ValueError,
+            "member 1 must be 6x4, got 4x4",
+        ),
+        (lambda: identity(0), ValueError, "n must be at least 1"),
+        (lambda: Pda(0, 1, ()), ValueError, "grid must be at least 1x1, got 0x1"),
+        (lambda: Pda.from_rows([]), ValueError, "grid must have at least one row"),
+        (lambda: disjoint_copy(p, -1), ValueError, "offset must be non-negative"),
+        (lambda: hstack([]), ValueError, "nothing to stack"),
+        (lambda: vstack([]), ValueError, "nothing to stack"),
+        (
+            lambda: parse_grid("0 *\n# pda f=1 K=2\n"),
+            GridParseError,
+            "unexpected comment line at (2,1)",
+        ),
+    ]:
+        with pytest.raises(kind) as err:
+            call()
+        assert (type(err.value), str(err.value)) == (kind, message)

@@ -12,6 +12,7 @@ from pathlib import Path
 import pytest
 
 import pdakit
+from pdakit import errors
 from pdakit.compatibility import GenFamily
 from pdakit.constructions import identity, mn
 from pdakit.core import Pda, PdaParams, Violation, params
@@ -173,3 +174,18 @@ def test_public_surface():
     assert pdakit.mn is mn and pdakit.lifting.ParamTuple is ParamTuple
     with pytest.raises(AttributeError):
         pdakit.no_such_name
+
+
+def test_every_package_error_carries_a_report():
+    kinds = [
+        cls
+        for cls in vars(errors).values()
+        if isinstance(cls, type) and issubclass(cls, errors.PdaError)
+    ]
+    assert len(kinds) == 6
+    for cls in kinds:
+        exc = cls("m", 1, 2) if cls is errors.GridParseError else cls("m")
+        assert exc.report is None
+        assert "__init__" not in vars(cls) or cls in (errors.PdaError, errors.GridParseError)
+    assert errors.CompatibilityError("m", "r").report == "r"
+    assert errors.InvalidPdaError("m", report="r").report == "r"

@@ -1,5 +1,6 @@
 import random
 from fractions import Fraction
+from itertools import product
 
 import pytest
 
@@ -47,6 +48,15 @@ def test_place_all_star_and_filled():
 def test_place_subpacketization_mismatch():
     with pytest.raises(ValueError):
         place(mn(2, 1), make_library(2, 4, f=3, seed=0))
+
+
+def test_place_and_deliver_refuse_a_library_split_for_another_array():
+    p, lib = mn(4, 2), make_library(4, 60, 3)
+    message = "^library is split into 3 subfiles but the PDA has 6 rows$"
+    with pytest.raises(ValueError, match=message):
+        place(p, lib)
+    with pytest.raises(ValueError, match=message):
+        deliver(p, [0, 1, 2, 3], lib)
 
 
 def test_deliver_mn_2_1_single_xor():
@@ -272,6 +282,55 @@ def test_decode_payload_of_wrong_length_raises_decode_error(cut, length):
                     decode(p, k, demands, caches, sent)
             else:
                 assert decode(p, k, demands, caches, sent)[:60] == lib.files[demands[k]]
+
+
+def _values_read(p, user, demands, cache):
+    """Cache keys ``decode`` reads for ``user``: its first cached value,
+    which sets the subfile size, its own subfiles and its peers."""
+    keys = {next(iter(cache))}
+    for j, s in enumerate(p.column(user)):
+        if s is None:
+            keys.add((demands[user], j))
+            continue
+        keys |= {(demands[k], j2) for j2, k in p.label_positions()[s] if k != user}
+    return keys
+
+
+@pytest.mark.parametrize("make_caches", [place, oracle_place])
+def test_decode_cached_subfile_of_wrong_length_raises_decode_error(make_caches):
+    # User 3 reads labels before any subfile of its own, so a first cached
+    # value cut short must not meet the other users' memo.
+    p, user, demands = mn(4, 2), 3, [0, 1, 2, 3]
+    lib = make_library(4, 60, p.rows, seed=3)
+    sent = deliver(p, demands, lib)
+    cache = make_caches(p, lib)[user]
+    assert next(iter(cache)) == (0, 2) and p.column(user) == (1, 2, None, 3, None, None)
+    peers = {(0, 4), (1, 2), (0, 5), (2, 2), (1, 5), (2, 4)}
+    assert _values_read(p, user, demands, cache) == {(0, 2), (3, 2), (3, 4), (3, 5)} | peers
+    cases = [
+        ("peer grown", (2, 4), lambda b: b + b"\x00", 11),
+        ("peer cut", (1, 2), lambda b: b[:4], 4),
+        ("own subfile cut", (3, 4), lambda b: b[:4], 4),
+        ("first cached value cut", (0, 2), lambda b: b[:4], 4),
+    ]
+    for (name, key, edit, length), holders, victim_first in product(
+        cases, ("user", "every holder"), (True, False)
+    ):
+        caches = make_caches(p, lib)
+        edited = [user] if holders == "user" else [k for k in range(p.cols) if key in caches[k]]
+        for k in edited:
+            caches[k][key] = edit(caches[k][key])
+        others = [k for k in range(p.cols) if k != user]
+        for k in [user, *others] if victim_first else [*others, user]:
+            if k in edited and key in _values_read(p, k, demands, caches[k]):
+                with pytest.raises(
+                    DecodeError,
+                    match=rf"^user {k} cached subfile \(file {key[0]}, subfile {key[1]}\) "
+                    rf"has {length} bytes, not 10$",
+                ):
+                    decode(p, k, demands, caches, sent)
+            else:
+                assert decode(p, k, demands, caches, sent)[:60] == lib.files[k], (name, k)
 
 
 def test_subfiles_equal_slices_of_the_padded_file():
