@@ -22,7 +22,7 @@ from __future__ import annotations
 from itertools import permutations
 from typing import Mapping, NamedTuple, Sequence
 
-from .core import Pda, _Frozen
+from .core import Pda, _check_pda, _check_shape, _Frozen
 
 __all__ = [
     "CompatWitness",
@@ -60,13 +60,6 @@ class CompatReport(NamedTuple):
         return CompatReport(not witnesses, witnesses)
 
 
-def _check_shape(p: Pda, rows: int, cols: int, what: str) -> None:
-    if p.shape != (rows, cols):
-        raise ValueError(
-            f"{what} must be {rows}x{cols}, got {p.rows}x{p.cols}"
-        )
-
-
 def _right_witnesses(p0: Pda, p1: Pda, pstar: Pda, pair=None, both=False):
     """Witnesses per shared label, then row-major cell pairs; with ``both``
     the (i1, j0) mirror is checked after (i0, j1), which is full
@@ -89,13 +82,15 @@ def _right_witnesses(p0: Pda, p1: Pda, pstar: Pda, pair=None, both=False):
 
 
 def is_right_compatible(p0: Pda, p1: Pda, pstar: Pda) -> CompatReport:
-    _check_shape(pstar, p0.rows, p1.cols, "right reference")
+    _check_pda(p0, "first array")
+    _check_shape(pstar, p0.rows, _check_pda(p1, "second array").cols, "right reference")
     return CompatReport.from_witnesses(_right_witnesses(p0, p1, pstar))
 
 
 def is_left_compatible(p0: Pda, p1: Pda, phash: Pda) -> CompatReport:
     """Right compatibility of (p1, p0), each witness naming the p0 cell first."""
-    _check_shape(phash, p1.rows, p0.cols, "left reference")
+    _check_pda(p0, "first array")
+    _check_shape(phash, _check_pda(p1, "second array").rows, p0.cols, "left reference")
     new, cls = tuple.__new__, CompatWitness
     return CompatReport.from_witnesses(
         new(cls, (s, c0, c1, m, pair)) for s, c1, c0, m, pair in _right_witnesses(p1, p0, phash)
@@ -104,8 +99,8 @@ def is_left_compatible(p0: Pda, p1: Pda, phash: Pda) -> CompatReport:
 
 def is_blackburn_compatible(p0: Pda, p1: Pda, pstar: Pda) -> CompatReport:
     """Full compatibility: both mirrored reference cells star for every pair."""
-    _check_shape(p1, p0.rows, p0.cols, "second array")
-    _check_shape(pstar, p0.rows, p0.cols, "reference")
+    _check_shape(p1, *_check_pda(p0, "first array").shape, "second array")
+    _check_shape(pstar, *p0.shape, "reference")
     return CompatReport.from_witnesses(_right_witnesses(p0, p1, pstar, both=True))
 
 
@@ -147,14 +142,11 @@ def _check_pair_refs(members: Sequence[Pda], refs: Mapping) -> None:
                 f"member indices below {g}"
             )
     for i, m in enumerate(members):
-        if not isinstance(m, Pda):
-            raise ValueError(f"member {i} must be a Pda, got {type(m).__name__}")
+        _check_pda(m, f"member {i}")
     for i, j in pairs:
         ref = refs.get((i, j))
         if ref is None:
             raise ValueError(f"missing reference for pair ({i},{j})")
-        if not isinstance(ref, Pda):
-            raise ValueError(f"reference ({i},{j}) must be a Pda, got {type(ref).__name__}")
         _check_shape(ref, members[i].rows, members[j].cols, f"reference ({i},{j})")
 
 
@@ -174,19 +166,25 @@ def check_condition_cstar(members: Sequence[Pda], pstar: Pda) -> CompatReport:
 
     Applies to the regime where all members share identical star positions
     (so reference copies share labels only at identical positions): the
-    reference must carry a star wherever the members do.  Differing member
-    star patterns are rejected, the coordinated-copy regime does not apply.
+    reference must carry a star wherever the members do.  ValueError names
+    the first member, then the reference, that is not a ``Pda`` of member
+    0's shape, and then the first member whose star positions differ from
+    member 0's, since the coordinated-copy regime does not apply to it.
     """
     if not members:
         raise ValueError("need at least one member")
-    shape = members[0].shape
+    members = list(members)
+    shape = _check_pda(members[0], "member 0").shape
     for i, m in enumerate(members):
         _check_shape(m, *shape, f"member {i}")
     _check_shape(pstar, *shape, "reference")
     stars = set(members[0].star_positions())
-    for m in members[1:]:
+    for i, m in enumerate(members[1:], start=1):
         if set(m.star_positions()) != stars:
-            raise ValueError("star positions differ across members")
+            raise ValueError(
+                f"members 0 and {i} differ in star positions; "
+                "coordinated family lifting does not apply"
+            )
 
     def witnesses():
         for r, c in sorted(stars):

@@ -234,7 +234,7 @@ def validate(p: Pda, expected_labels: "int | None" = None) -> ValidationReport:
     """
     violations = []
 
-    counts = p._star_counts
+    counts = _check_pda(p, "array")._star_counts
     c1_ok = True
     for k in range(1, p.cols):
         if counts[k] != counts[0]:
@@ -324,15 +324,32 @@ class PdaParams(NamedTuple):
         return f"{tag}({self.k},{self.f},{self.z},{self.s})"
 
 
+def _check_pda(x, what: str) -> Pda:
+    """``x`` when it is a :class:`Pda`, else ValueError naming ``what``."""
+    if not isinstance(x, Pda):
+        raise ValueError(f"{what} must be a Pda, got {type(x).__name__}")
+    return x
+
+
+def _valid(p, what: str, expected_labels: "int | None" = None) -> Pda:
+    """``p`` when it is a valid PDA, else ValueError or InvalidPdaError naming ``what``."""
+    report = validate(_check_pda(p, what), expected_labels)
+    if not report.ok:
+        raise InvalidPdaError(f"{what} is not a valid PDA: {report.violations}", report)
+    return p
+
+
+def _check_shape(p, rows: int, cols: int, what: str) -> None:
+    if _check_pda(p, what).shape != (rows, cols):
+        raise ValueError(f"{what} must be {rows}x{cols}, got {p.rows}x{p.cols}")
+
+
 def params(p: Pda, expected_labels: "int | None" = None) -> PdaParams:
     """Extract (K, f, Z, S), regularity, memory ratio and rate.
 
     Raises :class:`InvalidPdaError` when validation fails.
     """
-    report = validate(p, expected_labels)
-    if not report.ok:
-        raise InvalidPdaError(f"not a valid PDA: {report.violations}", report)
-    z = p._star_counts[0]
+    z = _valid(p, "array", expected_labels)._star_counts[0]
     index = p._label_index
     occurrences = {len(v) for v in index.values()}
     g = occurrences.pop() if len(occurrences) == 1 else None

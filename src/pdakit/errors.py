@@ -35,7 +35,10 @@ class CompatibilityError(PdaError):
 
 
 class LiftError(PdaError):
-    """A lifting precondition failed (shapes, labels, star balance, C-star)."""
+    """A lifting precondition failed: member count or labels, reference
+    labels, star balance, C3 between members, C-star, or the lifted array's
+    validation.  Non-``Pda``, misshaped or differently starred arguments
+    are ValueErrors."""
 
 
 class DecodeError(PdaError):

@@ -40,8 +40,9 @@ from typing import Mapping, NamedTuple, Sequence
 
 from .compatibility import _check_pair_refs, check_condition_cstar, is_blackburn_compatible
 from .constructions import _check_memory_point, all_star, filled, h_array, odd_tiling
-from .core import Pda, PdaParams, _assemble_blocks, disjoint_copy, params, relabel, validate
-from .errors import CompatibilityError, InvalidPdaError, LiftError
+from .core import Pda, PdaParams, _assemble_blocks, _check_pda, _check_shape, _valid
+from .core import disjoint_copy, params, relabel, validate
+from .errors import CompatibilityError, LiftError
 
 __all__ = [
     "LedgerEntry",
@@ -83,13 +84,6 @@ class LiftOutcome(NamedTuple):
         return out
 
 
-def _validated(p: Pda, what: str) -> Pda:
-    report = validate(p)
-    if not report.ok:
-        raise InvalidPdaError(f"{what} is not a valid PDA: {report.violations}", report)
-    return p
-
-
 def _max_occurrences(p: Pda) -> int:
     return max(map(len, p._label_index.values()), default=0)
 
@@ -107,13 +101,12 @@ def _ranked(p: Pda, labels) -> Pda:
 
 
 def _check_family(members, pstar, what="member"):
-    _validated(pstar, "reference")
+    _valid(pstar, "reference")
     for i, q in enumerate(members):
-        _validated(q, f"{what} {i}")
-        if q.shape != pstar.shape:
-            raise LiftError(
-                f"{what} {i} is {q.rows}x{q.cols}, reference is {pstar.rows}x{pstar.cols}"
-            )
+        _valid(q, f"{what} {i}")
+        _check_shape(q, *members[0].shape, f"{what} {i}")
+    if members:
+        _check_shape(pstar, *members[0].shape, "reference")
     label_sets = {q.labels() for q in members}
     if len(label_sets) > 1:
         raise LiftError(f"{what}s must share one label set")
@@ -176,8 +169,8 @@ def uniform_lift(base: Pda, members: Sequence[Pda], pstar: Pda) -> LiftOutcome:
     compatible with respect to it (checked, witnesses reported).
     """
     members = list(members)
-    _check_member_count([base], members, "base needs {} family members")
-    _validated(base, "base")
+    _check_member_count([_check_pda(base, "base")], members, "base needs {} family members")
+    _valid(base, "base")
     _check_family(members, pstar)
     return _lift(base, members, pstar)
 
@@ -185,7 +178,8 @@ def uniform_lift(base: Pda, members: Sequence[Pda], pstar: Pda) -> LiftOutcome:
 def basic_lift(base: Pda, p: Pda) -> LiftOutcome:
     """Lift with one PDA: all star cells become all-star blocks and every
     occurrence of a base label gets the same shared relabeled copy of p."""
-    return uniform_lift(base, [p] * _max_occurrences(base), all_star(p.rows, p.cols))
+    n = _max_occurrences(_check_pda(base, "base"))
+    return uniform_lift(base, [p] * n, all_star(*_check_pda(p, "member").shape))
 
 
 def lift_family(
@@ -201,9 +195,9 @@ def lift_family(
     members share one label allocation: the copy for base label s uses the
     same fresh set in every member, and the reference copy at star
     position (r, c) likewise.  This requires identical star positions
-    across members and the reference-star condition on ``pstar`` (both
-    checked; every member matches member 0's shape and stars, so the
-    reference-star check reads member 0 alone).
+    across members and the reference-star condition on ``pstar``, both
+    checked by ``check_condition_cstar``, whose ValueError names the first
+    member that differs from member 0.
 
     Returns (lifted members, lifted reference); ``_check_family`` checks
     the result family as it checks the inputs, so a lifted pair that is
@@ -212,14 +206,7 @@ def lift_family(
     members = list(members)
     if not members:
         raise LiftError("need at least one member")
-    stars = set(members[0].star_positions())
-    for i, m in enumerate(members[1:], start=1):
-        if m.shape != members[0].shape or set(m.star_positions()) != stars:
-            raise LiftError(
-                f"members 0 and {i} differ in shape or star positions; "
-                "coordinated family lifting does not apply"
-            )
-    cstar = check_condition_cstar(members[:1], pstar)
+    cstar = check_condition_cstar(members, pstar)
     if not cstar.ok:
         raise LiftError(
             f"reference carries a label at a member star position: "
@@ -290,10 +277,10 @@ def nonuniform_lift(
     members = list(members)
     result = assemble_identity_lift(members, refs, orientation)
     for i, m in enumerate(members):
-        _validated(m, f"member {i}")
+        _valid(m, f"member {i}")
     taken = set().union(*(m.labels() for m in members))
     for key in permutations(range(len(members)), 2):
-        ref_labels = _validated(refs[key], f"reference {key}").labels()
+        ref_labels = _valid(refs[key], f"reference {key}").labels()
         overlap = ref_labels & taken
         if overlap:
             raise LiftError(

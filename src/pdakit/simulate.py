@@ -26,7 +26,7 @@ import random
 from fractions import Fraction
 from typing import NamedTuple, Sequence
 
-from .core import Pda, _Frozen, params
+from .core import Pda, _check_pda, _Frozen, params
 from .errors import DecodeError
 
 __all__ = [
@@ -129,7 +129,10 @@ def deliver(p: Pda, demands: Sequence[int], lib: Library) -> list:
     label's cells of the subfile each cell's user demanded, folded as one
     integer."""
     _check_split(p, lib)
-    _check_demands(p, demands, lib.n_files)
+    _check_per_user(p, demands, "demands")
+    for d in demands:
+        if not 0 <= d < lib.n_files:
+            raise ValueError(f"demand {d} out of range [0,{lib.n_files})")
     w, size, index = p.cols, lib.subfile_size, p._label_index
     out = []
     for s in sorted(index):
@@ -142,16 +145,13 @@ def deliver(p: Pda, demands: Sequence[int], lib: Library) -> list:
 
 
 def _check_split(p: Pda, lib: Library) -> None:
-    if lib.f != p.rows:
+    if lib.f != _check_pda(p, "array").rows:
         raise ValueError(f"library is split into {lib.f} subfiles but the PDA has {p.rows} rows")
 
 
-def _check_demands(p: Pda, demands: Sequence[int], n_files: int) -> None:
-    if len(demands) != p.cols:
-        raise ValueError(f"need {p.cols} demands, got {len(demands)}")
-    for d in demands:
-        if not 0 <= d < n_files:
-            raise ValueError(f"demand {d} out of range [0,{n_files})")
+def _check_per_user(p: Pda, values: Sequence, what: str) -> None:
+    if len(values) != p.cols:
+        raise ValueError(f"need {p.cols} {what}, got {len(values)}")
 
 
 def decode(
@@ -167,18 +167,19 @@ def decode(
     Peers and payloads become integers through a memo keyed by ``bytes`` value, which users
     of :func:`place`'s caches expecting its subfile size share until ``transmissions`` changes.
 
-    Raises :class:`DecodeError` when ``user`` is not a column of ``p``, when
-    ``demands`` does not name one file per column, when a subfile or
-    transmission it needs is missing: a peer subfile that the Blackburn
-    property promises (the signature of an invalid array reaching the
-    simulator), a cached subfile of its own, or the transmission for one of
-    its labels; or when a cached subfile or payload it reads, or its first
+    Raises ValueError when ``demands`` or ``cache`` does not hold one entry
+    per column of ``p``, as :func:`deliver` does for ``demands``.  Raises
+    :class:`DecodeError` when ``user`` is not a column of ``p``, when a
+    subfile or transmission it needs is missing: a peer subfile that the
+    Blackburn property promises (the signature of an invalid array reaching
+    the simulator), a cached subfile of its own, or the transmission for one
+    of its labels; or when a cached subfile or payload it reads, or its first
     cached value, has a length most of its cached values and payloads do not.
     """
-    if not 0 <= user < p.cols:
+    if not 0 <= user < _check_pda(p, "array").cols:
         raise DecodeError(f"user {user} out of range [0,{p.cols})")
-    if len(demands) != p.cols:
-        raise DecodeError(f"need {p.cols} demands, got {len(demands)}")
+    _check_per_user(p, demands, "demands")
+    _check_per_user(p, cache, "caches")
     d = demands[user]
     by_label = {t.label: t.payload for t in transmissions}
     own = cache[user]

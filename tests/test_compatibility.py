@@ -294,8 +294,11 @@ def test_cstar_vacuous_without_stars():
 
 def test_cstar_rejects_differing_star_positions():
     fam = odd_tiling(3)
-    with pytest.raises(ValueError):
+    with pytest.raises(ValueError) as err:
         check_condition_cstar([fam.p0, fam.p1], fam.pstar)
+    assert str(err.value) == (
+        "members 0 and 1 differ in star positions; coordinated family lifting does not apply"
+    )
 
 
 def test_witness_is_an_immutable_named_tuple():

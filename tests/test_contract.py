@@ -1,0 +1,115 @@
+"""The argument contract: a malformed array argument is a ValueError naming it.
+
+Each row of ``_ROWS`` is a public function, a valid argument list, and the
+array arguments to break, each with the name its error must use.  An
+argument is a position in the list, or a position and an index for one
+member of a list of arrays.  Every such argument is replaced in turn by
+each value of ``_BAD``; the call must raise exactly ``ValueError:
+<name> must be a Pda, got <type>``, never an ``AttributeError``,
+``KeyError``, ``IndexError`` or ``TypeError``.  The demand vector, the
+caches and the library are not arrays and stay outside the table, apart
+from the per-user count that ``deliver`` and ``decode`` share.
+"""
+
+import pytest
+
+from pdakit.compatibility import (
+    check_condition_cstar,
+    is_blackburn_compatible,
+    is_left_compatible,
+    is_right_compatible,
+)
+from pdakit.constructions import all_star, h_array, mn, odd_tiling
+from pdakit.core import params, validate
+from pdakit.errors import PdaError
+from pdakit.lifting import basic_lift, lift_family, uniform_lift
+from pdakit.simulate import decode, deliver, make_library, place, run
+
+_P = mn(4, 2)
+_DEMANDS = [2, 1, 0, 3]
+_LIB = make_library(4, 60, _P.rows, seed=3)
+_CACHES = place(_P, _LIB)
+_SENT = deliver(_P, _DEMANDS, _LIB)
+_ODD = odd_tiling(3)
+_H3 = [h_array(3), h_array(3, [2, 1, 0])]
+_Q = [h_array(2), h_array(2)]
+
+_BAD = [None, [[None]], "x", {(0, 1): None}]
+
+_ROWS = [
+    (validate, [_P], {0: "array"}),
+    (params, [_P], {0: "array"}),
+    (run, [_P, 4, 60], {0: "array"}),
+    (place, [_P, _LIB], {0: "array"}),
+    (deliver, [_P, _DEMANDS, _LIB], {0: "array"}),
+    (decode, [_P, 0, _DEMANDS, _CACHES, _SENT], {0: "array"}),
+    (is_right_compatible, [_P, _P, _P],
+     {0: "first array", 1: "second array", 2: "right reference"}),
+    (is_left_compatible, [_P, _P, _P],
+     {0: "first array", 1: "second array", 2: "left reference"}),
+    (is_blackburn_compatible, [_P, _P, _P],
+     {0: "first array", 1: "second array", 2: "reference"}),
+    (check_condition_cstar, [_H3, all_star(3, 3)],
+     {(0, 0): "member 0", (0, 1): "member 1", 1: "reference"}),
+    (uniform_lift, [h_array(2), [_ODD.p0, _ODD.p1], _ODD.pstar],
+     {0: "base", (1, 0): "member 0", (1, 1): "member 1", 2: "reference"}),
+    (basic_lift, [h_array(2), mn(3, 1)], {0: "base", 1: "member"}),
+    (lift_family, [_H3, all_star(3, 3), _Q, all_star(2, 2)],
+     {(0, 0): "member 0", (0, 1): "member 1", 1: "reference",
+      (2, 0): "q-member 0", (2, 1): "q-member 1", 3: "reference"}),
+]
+
+
+def _replaced(args, where, bad):
+    args = list(args)
+    if type(where) is tuple:
+        i, j = where
+        args[i] = list(args[i])
+        args[i][j] = bad
+    else:
+        args[where] = bad
+    return args
+
+
+_CASES = [
+    pytest.param(fn, _replaced(args, where, bad), f"{what} must be a Pda, got {type(bad).__name__}",
+                 id=f"{fn.__name__}-{where}-{type(bad).__name__}")
+    for fn, args, slots in _ROWS
+    for where, what in slots.items()
+    for bad in _BAD
+]
+
+
+def test_every_row_passes_with_its_valid_arguments():
+    for fn, args, _ in _ROWS:
+        fn(*args)
+
+
+@pytest.mark.parametrize("fn, args, message", _CASES)
+def test_a_malformed_array_argument_is_a_value_error_naming_it(fn, args, message):
+    with pytest.raises((ValueError, PdaError)) as err:
+        fn(*args)
+    assert (type(err.value), str(err.value)) == (ValueError, message)
+
+
+@pytest.mark.parametrize(
+    "members, message",
+    [
+        (None, "need at least one member"),
+        ([[None]], "member 0 must be a Pda, got list"),
+        ("x", "member 0 must be a Pda, got str"),
+        ({(0, 1): None}, "member 0 must be a Pda, got tuple"),
+    ],
+    ids=["None", "list", "str", "dict"],
+)
+def test_check_condition_cstar_member_list_replaced_whole(members, message):
+    with pytest.raises(ValueError) as err:
+        check_condition_cstar(members, _P)
+    assert (type(err.value), str(err.value)) == (ValueError, message)
+
+
+@pytest.mark.parametrize("caches", [(), _CACHES[:3], (*_CACHES, {})], ids=["empty", "short", "long"])
+def test_decode_needs_one_cache_per_user(caches):
+    with pytest.raises(ValueError) as err:
+        decode(_P, 0, _DEMANDS, caches, _SENT)
+    assert (type(err.value), str(err.value)) == (ValueError, f"need 4 caches, got {len(caches)}")

@@ -85,8 +85,9 @@ def test_uniform_lift_argument_errors():
     fam = odd_tiling(5)
     with pytest.raises(LiftError):
         uniform_lift(h_array(2), [fam.p0], fam.pstar)  # two occurrences, one member
-    with pytest.raises(LiftError):
+    with pytest.raises(ValueError) as err:
         uniform_lift(h_array(2), [fam.p0, identity(3, 0)], fam.pstar)
+    assert (type(err.value), str(err.value)) == (ValueError, "member 1 must be 5x5, got 3x3")
     with pytest.raises(LiftError):
         uniform_lift(h_array(2), [fam.p0, identity(5, 9)], fam.pstar)
 
@@ -200,8 +201,12 @@ def test_lift_family_matches_per_block_oracle(n, m):
 
 def test_lift_family_rejects_differing_star_positions():
     fam = odd_tiling(3)
-    with pytest.raises(LiftError):
+    with pytest.raises(ValueError) as err:
         lift_family([fam.p0, fam.p1], fam.pstar, [fam.p0, fam.p1], fam.pstar)
+    assert (type(err.value), str(err.value)) == (
+        ValueError,
+        "members 0 and 1 differ in star positions; coordinated family lifting does not apply",
+    )
 
 
 def test_lift_family_names_an_invalid_first_member():
@@ -505,9 +510,8 @@ def _lifting_error_cases():
     refs = {(0, 1): identity(4, 2), (1, 0): all_star(2, 2)}
     keys = "keys are pairs (i,j) of distinct member indices below 2"
     return [
-        (lambda: lift_family([odd0, members[1], members[1]], pstar, members, pstar), LiftError,
-         "members 0 and 1 differ in shape or star positions; coordinated family "
-         "lifting does not apply"),
+        (lambda: lift_family([odd0, members[1], members[1]], pstar, members, pstar), ValueError,
+         "members 0 and 1 differ in star positions; coordinated family lifting does not apply"),
         (lambda: nonuniform_lift(worked, {(0, 1): identity(4, 2)}), ValueError,
          "missing reference for pair (1,0)"),
         (lambda: nonuniform_lift(worked, {**refs, (1, 0): all_star(3, 2)}), ValueError,

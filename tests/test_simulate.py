@@ -250,14 +250,17 @@ def test_decode_user_outside_the_columns_raises_decode_error():
             decode(p, user, demands, caches, sent)
 
 
-def test_decode_demand_vector_of_wrong_length_raises_decode_error():
+def test_decode_demand_vector_of_wrong_length_raises_value_error_as_deliver_does():
     p = mn(4, 2)
     demands = [2, 1, 0, 3]
     lib = make_library(4, 60, p.rows, seed=3)
     caches, sent = place(p, lib), deliver(p, demands, lib)
     for wrong in (demands[:3], demands + [0]):
-        with pytest.raises(DecodeError, match=rf"need 4 demands, got {len(wrong)}"):
-            decode(p, 0, wrong, caches, sent)
+        message = rf"^need 4 demands, got {len(wrong)}$"
+        for call in (lambda: decode(p, 0, wrong, caches, sent), lambda: deliver(p, wrong, lib)):
+            with pytest.raises(ValueError, match=message) as err:
+                call()
+            assert type(err.value) is ValueError
 
 
 @pytest.mark.parametrize(
