@@ -22,7 +22,7 @@ from __future__ import annotations
 from itertools import permutations
 from typing import Mapping, NamedTuple, Sequence
 
-from .core import Pda, _check_pda, _check_shape, _Frozen
+from .core import Pda, _check_pda, _check_sequence, _check_shape, _Frozen
 
 __all__ = [
     "CompatWitness",
@@ -118,10 +118,12 @@ class GenFamily(_Frozen):
     """
 
     _fields = ("members", "refs")
-    _hashed = 1
 
     def __init__(self, members: tuple, refs: Mapping):
         self.__dict__.update(members=members, refs=refs)
+
+    def __hash__(self):
+        return hash(self.members)
 
     @staticmethod
     def of(members: Sequence[Pda], refs: Mapping) -> "GenFamily":
@@ -173,23 +175,21 @@ def check_condition_cstar(members: Sequence[Pda], pstar: Pda) -> CompatReport:
     """
     if not members:
         raise ValueError("need at least one member")
-    members = list(members)
+    members = list(_check_sequence(members, "members"))
     shape = _check_pda(members[0], "member 0").shape
     for i, m in enumerate(members):
         _check_shape(m, *shape, f"member {i}")
     _check_shape(pstar, *shape, "reference")
-    stars = set(members[0].star_positions())
+    stars = [c is None for c in members[0].cells]
     for i, m in enumerate(members[1:], start=1):
-        if set(m.star_positions()) != stars:
+        if [c is None for c in m.cells] != stars:
             raise ValueError(
                 f"members 0 and {i} differ in star positions; "
                 "coordinated family lifting does not apply"
             )
-
-    def witnesses():
-        for r, c in sorted(stars):
-            label = pstar.cell(r, c)
-            if label is not None:
-                yield CompatWitness(label, (r, c), (r, c), (r, c))
-
-    return CompatReport.from_witnesses(witnesses())
+    witnesses = []
+    for pos, s in enumerate(pstar.cells):
+        if s is not None and stars[pos]:
+            cell = divmod(pos, pstar.cols)
+            witnesses.append(CompatWitness(s, cell, cell, cell))
+    return CompatReport.from_witnesses(witnesses)

@@ -21,6 +21,7 @@ function, so values can be shared freely across threads.
 from __future__ import annotations
 
 from fractions import Fraction
+from functools import cached_property
 from operator import itemgetter
 from typing import Iterable, Mapping, NamedTuple, Sequence
 
@@ -40,34 +41,11 @@ __all__ = [
     "vstack",
 ]
 
-class _cached:
-    """Compute an attribute on first access and keep it in the instance
-    dict, where later lookups find it without calling back here.
-
-    functools.cached_property does the same but on CPython 3.11 takes a
-    lock on every first access, which made validating the many small grids
-    that lifting builds measurably slower.  Threads racing on one grid may
-    each compute the value; the values are equal, since grids are immutable.
-    """
-
-    def __init__(self, func):
-        self.func = func
-        self.name = func.__name__
-
-    def __get__(self, obj, owner=None):
-        if obj is None:
-            return self
-        value = obj.__dict__[self.name] = self.func(obj)
-        return value
-
-
 class _Frozen:
     """Value semantics for the records that are not tuples: equality with
-    an instance of the same class over ``_fields``, a hash over the first
-    ``_hashed`` of them (all when None), a ``Name(field=value, ...)`` repr,
-    and no attribute assignment or deletion; ``__init__`` fills ``__dict__``."""
-
-    _hashed = None
+    an instance of the same class over ``_fields``, a hash over them, a
+    ``Name(field=value, ...)`` repr, and no attribute assignment or
+    deletion; ``__init__`` fills ``__dict__``."""
 
     def _values(self) -> tuple:
         return tuple(getattr(self, name) for name in self._fields)
@@ -78,7 +56,7 @@ class _Frozen:
         return NotImplemented
 
     def __hash__(self):
-        return hash(self._values()[: self._hashed])
+        return hash(self._values())
 
     def __repr__(self):
         fields = ", ".join(f"{name}={getattr(self, name)!r}" for name in self._fields)
@@ -169,7 +147,7 @@ class Pda(_Frozen):
     def column_star_count(self, k: int) -> int:
         return self._star_counts[self._checked("column", k, self.cols)]
 
-    @_cached
+    @cached_property
     def _label_index(self) -> dict:
         """Each label's flat row-major positions, labels in order of first
         appearance; built once per grid and shared by validation,
@@ -190,12 +168,12 @@ class Pda(_Frozen):
         w = self.cols
         return [divmod(pos, w) for pos in self._label_index[s]]
 
-    @_cached
+    @cached_property
     def _star_counts(self) -> tuple:
         cells, w = self.cells, self.cols
         return tuple(cells[k::w].count(None) for k in range(w))
 
-    @_cached
+    @cached_property
     def _c3(self) -> "Violation | None":
         return _first_blackburn_violation(self)
 
@@ -328,6 +306,13 @@ def _check_pda(x, what: str) -> Pda:
     """``x`` when it is a :class:`Pda`, else ValueError naming ``what``."""
     if not isinstance(x, Pda):
         raise ValueError(f"{what} must be a Pda, got {type(x).__name__}")
+    return x
+
+
+def _check_sequence(x, what: str):
+    """``x`` when it is iterable, else ValueError naming ``what``."""
+    if not isinstance(x, Iterable):
+        raise ValueError(f"{what} must be a sequence, got {type(x).__name__}")
     return x
 
 

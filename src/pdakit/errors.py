@@ -42,8 +42,8 @@ class LiftError(PdaError):
 
 
 class DecodeError(PdaError):
-    """A peer subfile needed for XOR cancellation was not in the cache.
-
-    This signals an invalid PDA reaching the simulator, not a runtime
-    condition of valid schemes.
+    """Decoding cannot go on: the user is not a column of the array, a
+    subfile or transmission it needs is missing, or a value has the wrong
+    length.  A missing peer subfile signals an invalid PDA reaching the
+    simulator, not a runtime condition of valid schemes.
     """

@@ -40,8 +40,8 @@ from typing import Mapping, NamedTuple, Sequence
 
 from .compatibility import _check_pair_refs, check_condition_cstar, is_blackburn_compatible
 from .constructions import _check_memory_point, all_star, filled, h_array, odd_tiling
-from .core import Pda, PdaParams, _assemble_blocks, _check_pda, _check_shape, _valid
-from .core import disjoint_copy, params, relabel, validate
+from .core import Pda, PdaParams, _assemble_blocks, _check_pda, _check_sequence, _check_shape
+from .core import _valid, disjoint_copy, params, relabel, validate
 from .errors import CompatibilityError, LiftError
 
 __all__ = [
@@ -101,12 +101,14 @@ def _ranked(p: Pda, labels) -> Pda:
 
 
 def _check_family(members, pstar, what="member"):
-    _valid(pstar, "reference")
+    """Check a family as lifting needs it; the reference is named after ``what``."""
+    ref = what.replace("member", "reference")
+    _valid(pstar, ref)
     for i, q in enumerate(members):
         _valid(q, f"{what} {i}")
         _check_shape(q, *members[0].shape, f"{what} {i}")
     if members:
-        _check_shape(pstar, *members[0].shape, "reference")
+        _check_shape(pstar, *members[0].shape, ref)
     label_sets = {q.labels() for q in members}
     if len(label_sets) > 1:
         raise LiftError(f"{what}s must share one label set")
@@ -115,7 +117,7 @@ def _check_family(members, pstar, what="member"):
         if not report.ok:
             raise CompatibilityError(
                 f"{what}s {i} and {j} are not Blackburn-compatible with the "
-                f"reference; first witness {report.witnesses[0]}",
+                f"{ref}; first witness {report.witnesses[0]}",
                 report,
             )
 
@@ -168,7 +170,7 @@ def uniform_lift(base: Pda, members: Sequence[Pda], pstar: Pda) -> LiftOutcome:
     label set and one shape with the reference, and are pairwise
     compatible with respect to it (checked, witnesses reported).
     """
-    members = list(members)
+    members = list(_check_sequence(members, "members"))
     _check_member_count([_check_pda(base, "base")], members, "base needs {} family members")
     _valid(base, "base")
     _check_family(members, pstar)
@@ -177,9 +179,12 @@ def uniform_lift(base: Pda, members: Sequence[Pda], pstar: Pda) -> LiftOutcome:
 
 def basic_lift(base: Pda, p: Pda) -> LiftOutcome:
     """Lift with one PDA: all star cells become all-star blocks and every
-    occurrence of a base label gets the same shared relabeled copy of p."""
-    n = _max_occurrences(_check_pda(base, "base"))
-    return uniform_lift(base, [p] * n, all_star(*_check_pda(p, "member").shape))
+    occurrence of a base label gets the same shared relabeled copy of p.
+    Copies of one array are compatible with respect to an all-star
+    reference, so no compatibility check runs."""
+    _valid(base, "base")
+    _valid(p, "member")
+    return _lift(base, [p] * _max_occurrences(base), all_star(*p.shape))
 
 
 def lift_family(
@@ -203,7 +208,7 @@ def lift_family(
     the result family as it checks the inputs, so a lifted pair that is
     not compatible raises ``CompatibilityError`` carrying its report.
     """
-    members = list(members)
+    members = list(_check_sequence(members, "members"))
     if not members:
         raise LiftError("need at least one member")
     cstar = check_condition_cstar(members, pstar)
@@ -214,7 +219,7 @@ def lift_family(
         )
     _check_family(members, pstar)
 
-    q_members = list(q_members)
+    q_members = list(_check_sequence(q_members, "q-members"))
     _check_member_count(members, q_members, "family members need {} q-members")
     _check_family(q_members, qstar, what="q-member")
 
@@ -238,7 +243,7 @@ def assemble_identity_lift(
     """
     if orientation not in ("main", "anti"):
         raise ValueError(f"orientation must be 'main' or 'anti', got {orientation!r}")
-    members = list(members)
+    members = list(_check_sequence(members, "members"))
     g = len(members)
     if g == 0:
         raise ValueError("need at least one member")
@@ -274,7 +279,7 @@ def nonuniform_lift(
     Valid, label-disjoint references put both cells of that failure in
     member blocks, so each cell's block column names its member.
     """
-    members = list(members)
+    members = list(_check_sequence(members, "members"))
     result = assemble_identity_lift(members, refs, orientation)
     for i, m in enumerate(members):
         _valid(m, f"member {i}")

@@ -26,7 +26,7 @@ import random
 from fractions import Fraction
 from typing import NamedTuple, Sequence
 
-from .core import Pda, _check_pda, _Frozen, params
+from .core import Pda, _check_pda, _check_sequence, _Frozen, params
 from .errors import DecodeError
 
 __all__ = [
@@ -150,7 +150,7 @@ def _check_split(p: Pda, lib: Library) -> None:
 
 
 def _check_per_user(p: Pda, values: Sequence, what: str) -> None:
-    if len(values) != p.cols:
+    if len(_check_sequence(values, what)) != p.cols:
         raise ValueError(f"need {p.cols} {what}, got {len(values)}")
 
 
@@ -181,7 +181,7 @@ def decode(
     _check_per_user(p, demands, "demands")
     _check_per_user(p, cache, "caches")
     d = demands[user]
-    by_label = {t.label: t.payload for t in transmissions}
+    by_label = {t.label: t.payload for t in _check_sequence(transmissions, "transmissions")}
     own = cache[user]
     size = len(next(iter(own.values()), next(iter(by_label.values()), b"")))
     ints = {}

@@ -6,9 +6,13 @@ argument is a position in the list, or a position and an index for one
 member of a list of arrays.  Every such argument is replaced in turn by
 each value of ``_BAD``; the call must raise exactly ``ValueError:
 <name> must be a Pda, got <type>``, never an ``AttributeError``,
-``KeyError``, ``IndexError`` or ``TypeError``.  The demand vector, the
-caches and the library are not arrays and stay outside the table, apart
-from the per-user count that ``deliver`` and ``decode`` share.
+``KeyError``, ``IndexError`` or ``TypeError``.
+
+The rows of ``_SEQUENCE_ROWS`` do the same for the arguments that are
+sequences (member lists, demands, caches, transmissions): each value of
+``_NOT_SEQUENCES`` must raise exactly ``ValueError: <name> must be a
+sequence, got <type>``.  The library stays outside both tables, and of the
+caches and demands only their type and per-user count are checked here.
 """
 
 import pytest
@@ -22,7 +26,13 @@ from pdakit.compatibility import (
 from pdakit.constructions import all_star, h_array, mn, odd_tiling
 from pdakit.core import params, validate
 from pdakit.errors import PdaError
-from pdakit.lifting import basic_lift, lift_family, uniform_lift
+from pdakit.lifting import (
+    assemble_identity_lift,
+    basic_lift,
+    lift_family,
+    nonuniform_lift,
+    uniform_lift,
+)
 from pdakit.simulate import decode, deliver, make_library, place, run
 
 _P = mn(4, 2)
@@ -56,7 +66,21 @@ _ROWS = [
     (basic_lift, [h_array(2), mn(3, 1)], {0: "base", 1: "member"}),
     (lift_family, [_H3, all_star(3, 3), _Q, all_star(2, 2)],
      {(0, 0): "member 0", (0, 1): "member 1", 1: "reference",
-      (2, 0): "q-member 0", (2, 1): "q-member 1", 3: "reference"}),
+      (2, 0): "q-member 0", (2, 1): "q-member 1", 3: "q-reference"}),
+]
+
+_NOT_SEQUENCES = [None, 1.5]
+
+_SEQUENCE_ROWS = [
+    (uniform_lift, [h_array(2), [_ODD.p0, _ODD.p1], _ODD.pstar], {1: "members"}),
+    (lift_family, [_H3, all_star(3, 3), _Q, all_star(2, 2)],
+     {0: "members", 2: "q-members"}),
+    (assemble_identity_lift, [[_P], {}], {0: "members"}),
+    (nonuniform_lift, [[_P], {}], {0: "members"}),
+    (deliver, [_P, _DEMANDS, _LIB], {1: "demands"}),
+    (decode, [_P, 0, _DEMANDS, _CACHES, _SENT],
+     {2: "demands", 3: "caches", 4: "transmissions"}),
+    (run, [_P, 4, 60, _DEMANDS], {3: "demands"}),
 ]
 
 
@@ -79,15 +103,32 @@ _CASES = [
     for bad in _BAD
 ]
 
+_SEQUENCE_CASES = [
+    pytest.param(fn, _replaced(args, where, bad),
+                 f"{what} must be a sequence, got {type(bad).__name__}",
+                 id=f"{fn.__name__}-{where}-{type(bad).__name__}")
+    for fn, args, slots in _SEQUENCE_ROWS
+    for where, what in slots.items()
+    for bad in _NOT_SEQUENCES
+    if not (fn is run and bad is None)  # run draws demands for None
+]
+
 
 def test_every_row_passes_with_its_valid_arguments():
-    for fn, args, _ in _ROWS:
+    for fn, args, _ in _ROWS + _SEQUENCE_ROWS:
         fn(*args)
 
 
 @pytest.mark.parametrize("fn, args, message", _CASES)
 def test_a_malformed_array_argument_is_a_value_error_naming_it(fn, args, message):
     with pytest.raises((ValueError, PdaError)) as err:
+        fn(*args)
+    assert (type(err.value), str(err.value)) == (ValueError, message)
+
+
+@pytest.mark.parametrize("fn, args, message", _SEQUENCE_CASES)
+def test_a_sequence_argument_that_is_not_one_is_a_value_error_naming_it(fn, args, message):
+    with pytest.raises((ValueError, TypeError, PdaError)) as err:
         fn(*args)
     assert (type(err.value), str(err.value)) == (ValueError, message)
 
@@ -99,8 +140,9 @@ def test_a_malformed_array_argument_is_a_value_error_naming_it(fn, args, message
         ([[None]], "member 0 must be a Pda, got list"),
         ("x", "member 0 must be a Pda, got str"),
         ({(0, 1): None}, "member 0 must be a Pda, got tuple"),
+        (1.5, "members must be a sequence, got float"),
     ],
-    ids=["None", "list", "str", "dict"],
+    ids=["None", "list", "str", "dict", "float"],
 )
 def test_check_condition_cstar_member_list_replaced_whole(members, message):
     with pytest.raises(ValueError) as err:

@@ -15,7 +15,7 @@ from pdakit.constructions import (
     shangguan_direct,
 )
 from pdakit.core import Pda, params, relabel, validate
-from pdakit.errors import CompatibilityError, InvalidPdaError, LiftError
+from pdakit.errors import CompatibilityError, InvalidPdaError, LiftError, PdaError
 from pdakit.gridio import parse_grid
 import pdakit.lifting
 from pdakit.lifting import (
@@ -149,6 +149,26 @@ def test_basic_lift_all_star_base():
     assert outcome.result == all_star(6, 6)
 
 
+_NOT_A_PDA = Pda(2, 2, (0, 0, None, None))  # label 0 twice in row 0 breaks C3
+
+
+@pytest.mark.parametrize("base", [all_star(2, 2), h_array(3)], ids=["all-star", "h3"])
+def test_basic_lift_validates_its_member(base):
+    with pytest.raises(InvalidPdaError) as err:
+        basic_lift(base, _NOT_A_PDA)
+    message = f"member is not a valid PDA: {validate(_NOT_A_PDA).violations}"
+    assert (type(err.value), str(err.value)) == (InvalidPdaError, message)
+    assert err.value.report == validate(_NOT_A_PDA)
+
+
+def test_basic_lift_runs_no_compatibility_check(monkeypatch):
+    def refuse(*args):
+        raise AssertionError("copies of one array need no compatibility check")
+
+    monkeypatch.setattr(pdakit.lifting, "is_blackburn_compatible", refuse)
+    assert params(basic_lift(h_array(3), mn(3, 1)).result).notation() == "4-(9,9,5,9)"
+
+
 def test_basic_lift_multiplies_regularity():
     cases = [
         (identity(3, 0), h_array(4)),
@@ -216,6 +236,22 @@ def test_lift_family_names_an_invalid_first_member():
         lift_family([bad, bad], h_array(3, [100, 101, 102]), [q0, q1], h_array(3))
     assert str(err.value).startswith("member 0 is not a valid PDA: ")
     assert not err.value.report.ok
+
+
+@pytest.mark.parametrize(
+    "qstar, kind, message",
+    [
+        (all_star(3, 3), ValueError, "q-reference must be 2x2, got 3x3"),
+        (_NOT_A_PDA, InvalidPdaError,
+         f"q-reference is not a valid PDA: {validate(_NOT_A_PDA).violations}"),
+    ],
+    ids=["misshaped", "invalid"],
+)
+def test_lift_family_names_its_q_reference(qstar, kind, message):
+    with pytest.raises((ValueError, PdaError)) as err:
+        lift_family(list(_transpose_family(3)), h_array(3, [100, 101, 102]),
+                    list(_transpose_family(2)), qstar)
+    assert (type(err.value), str(err.value)) == (kind, message)
 
 
 def test_lift_family_rejects_cstar_violation():
