@@ -13,7 +13,7 @@ import sys
 from fractions import Fraction
 from itertools import permutations
 
-from .core import PdaParams, params
+from .core import PdaParams, _write_text, params
 from .errors import InvalidPdaError, PdaError
 
 __all__ = ["main"]
@@ -21,14 +21,6 @@ __all__ = ["main"]
 
 class _UsageError(Exception):
     """A usage error: main prints the message and exits 2."""
-
-
-def _write_text(text: str, out: "str | None") -> None:
-    if out is None:
-        sys.stdout.write(text)
-    else:
-        with open(out, "w", encoding="utf-8", newline="\n") as fh:
-            fh.write(text)
 
 
 def _witness_line(label, a, b, mirror) -> str:
@@ -79,10 +71,10 @@ def _cmd_gen(args) -> int:
     if name != "odd-tiling":
         save_pda(built, args.out, args.format)
         return 0
-    prefix = args.out or f"odd_tiling_g{args.params[0]}"
+    prefix, ext = args.out or f"odd_tiling_g{args.params[0]}", args.format or "grid"
     for tag, p in (("p0", built.p0), ("p1", built.p1), ("pstar", built.pstar)):
-        save_pda(p, f"{prefix}.{tag}.{args.format}", args.format)
-    print(f"wrote {prefix}.p0/.p1/.pstar .{args.format}", file=sys.stderr)
+        save_pda(p, f"{prefix}.{tag}.{ext}")
+    print(f"wrote {prefix}.p0/.p1/.pstar .{ext}", file=sys.stderr)
     return 0
 
 
@@ -168,7 +160,6 @@ def _cmd_lift(args) -> int:
 
     members = [load_pda(f) for f in args.member]
     refs = [load_pda(f) for f in args.ref]
-    ext = args.format
     if args.mode == "family":
         if len(refs) != 1 or len(args.q_member) < 1 or args.q_ref is None:
             raise _UsageError(
@@ -177,10 +168,10 @@ def _cmd_lift(args) -> int:
         q_members = [load_pda(f) for f in args.q_member]
         qstar = load_pda(args.q_ref)
         lifted, rstar = lifting.lift_family(members, refs[0], q_members, qstar)
-        prefix = args.out or "lifted"
+        prefix, ext = args.out or "lifted", args.format or "grid"
         for i, r in enumerate(lifted):
-            save_pda(r, f"{prefix}.r{i}.{ext}", ext)
-        save_pda(rstar, f"{prefix}.rstar.{ext}", ext)
+            save_pda(r, f"{prefix}.r{i}.{ext}")
+        save_pda(rstar, f"{prefix}.rstar.{ext}")
         _write_text(
             json.dumps({"members": len(lifted), "reference": f"{prefix}.rstar.{ext}"}) + "\n",
             f"{prefix}.ledger.json",
@@ -204,7 +195,7 @@ def _cmd_lift(args) -> int:
                 raise _UsageError("--mode uniform needs --ref")
             outcome = lifting.uniform_lift(base, members, refs[0])
         result, ledger, indent = outcome.result, outcome.ledger_dict(), 2
-    save_pda(result, args.out, ext)
+    save_pda(result, args.out, args.format)
     if args.out:
         _write_text(json.dumps(ledger, indent=indent) + "\n", args.out + ".ledger.json")
     return 0
@@ -322,7 +313,7 @@ def build_parser() -> argparse.ArgumentParser:
     g.add_argument("--labels", help="comma-separated label values")
     g.add_argument("--anti", action="store_true", help="anti-diagonal identity")
     g.add_argument("-o", "--out")
-    g.add_argument("--format", choices=("grid", "json"), default="grid")
+    g.add_argument("--format", choices=("grid", "json"))
     g.set_defaults(func=_cmd_gen)
 
     v = sub.add_parser("verify", help="validate a PDA file and print its parameters")
@@ -345,7 +336,7 @@ def build_parser() -> argparse.ArgumentParser:
     l.add_argument("--q-ref", help="lifting family reference")
     l.add_argument("--orientation", choices=("main", "anti"), default="main")
     l.add_argument("-o", "--out")
-    l.add_argument("--format", choices=("grid", "json"), default="grid")
+    l.add_argument("--format", choices=("grid", "json"))
     l.set_defaults(func=_cmd_lift)
 
     p = sub.add_parser("params", help="evaluate the lifted-parameter calculus")

@@ -20,10 +20,11 @@ function, so values can be shared freely across threads.
 
 from __future__ import annotations
 
+import sys
 from fractions import Fraction
 from functools import cached_property
 from operator import itemgetter
-from typing import Iterable, Mapping, NamedTuple, Sequence
+from typing import Iterable, Mapping, NamedTuple, Sequence, Sized
 
 from .errors import InvalidPdaError
 
@@ -139,10 +140,6 @@ class Pda(_Frozen):
     def label_positions(self) -> dict:
         """Map each label to its cells as (row, col) pairs in row-major order."""
         return {s: self._cells_of(s) for s in self._label_index}
-
-    def star_positions(self) -> list:
-        w = self.cols
-        return [(pos // w, pos % w) for pos, c in enumerate(self.cells) if c is None]
 
     def column_star_count(self, k: int) -> int:
         return self._star_counts[self._checked("column", k, self.cols)]
@@ -309,11 +306,20 @@ def _check_pda(x, what: str) -> Pda:
     return x
 
 
-def _check_sequence(x, what: str):
-    """``x`` when it is iterable, else ValueError naming ``what``."""
-    if not isinstance(x, Iterable):
+def _check_sequence(x, what: str, kind=Iterable):
+    """``x`` when it is a ``kind`` (iterable unless given), else ValueError naming ``what``."""
+    if not isinstance(x, kind):
         raise ValueError(f"{what} must be a sequence, got {type(x).__name__}")
     return x
+
+
+def _write_text(text: str, path=None) -> None:
+    """The one writer: ``text`` to ``path`` as UTF-8 with LF line endings, or stdout when None."""
+    if path is None:
+        sys.stdout.write(text)
+    else:
+        with open(path, "w", encoding="utf-8", newline="\n") as fh:
+            fh.write(text)
 
 
 def _valid(p, what: str, expected_labels: "int | None" = None) -> Pda:

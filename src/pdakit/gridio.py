@@ -17,7 +17,7 @@ import json
 import re
 import sys
 
-from .core import Pda
+from .core import Pda, _write_text
 from .errors import GridParseError
 
 __all__ = [
@@ -130,20 +130,20 @@ def pda_from_json(text: str) -> Pda:
         raise GridParseError(f"malformed PDA JSON: {exc}", 1, 1) from exc
 
 
+def _is_json(path) -> bool:
+    return path is not None and str(path).endswith(".json")
+
+
 def load_pda(path) -> Pda:
     """Read a PDA from a file, JSON when the name ends in .json, grid text otherwise."""
     with open(path, "r", encoding="utf-8") as fh:
         text = fh.read()
-    if str(path).endswith(".json"):
+    if _is_json(path):
         return pda_from_json(text)
     return parse_grid(text)
 
 
-def save_pda(p: Pda, path=None, fmt: str = "grid") -> None:
-    """Write ``p`` as grid text, or JSON, to ``path``, or stdout when None."""
-    text = pda_to_json(p) + "\n" if fmt == "json" else serialize_grid(p)
-    if path is None:
-        sys.stdout.write(text)
-        return
-    with open(path, "w", encoding="utf-8", newline="\n") as fh:
-        fh.write(text)
+def save_pda(p: Pda, path=None, fmt: "str | None" = None) -> None:
+    """Write ``p`` to ``path``, or stdout when None, in ``fmt``, else as :func:`load_pda` reads it."""
+    as_json = _is_json(path) if fmt is None else fmt == "json"
+    _write_text(pda_to_json(p) + "\n" if as_json else serialize_grid(p), path)

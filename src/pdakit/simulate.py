@@ -13,7 +13,7 @@ user that caches it holds that one read-only ``bytes`` object, so the
 caches take Z/f of the library once rather than once per user.  An XOR is
 one integer fold per transmission.  Decoding reads each subfile and payload
 as a big-endian integer once per round, through one memo keyed by ``bytes``
-value that all users share and that the caches ``place`` returns carry.
+value that all users share and that the broadcast ``deliver`` returns carries.
 
 Decoding deliberately uses only the cache and the transmissions (plus the
 announced demand vector), never the library, so a byte-for-byte match is an
@@ -24,7 +24,7 @@ from __future__ import annotations
 
 import random
 from fractions import Fraction
-from typing import NamedTuple, Sequence
+from typing import NamedTuple, Sequence, Sized
 
 from .core import Pda, _check_pda, _check_sequence, _Frozen, params
 from .errors import DecodeError
@@ -97,16 +97,16 @@ class RunReport(NamedTuple):
         return all(self.decode_ok)
 
 
-class _Caches(tuple):
-    """Per-user cache dicts, their subfile ``size``, and the memo ``ints`` for ``sent``."""
+class _Broadcast(list):
+    """One round's transmissions, their subfile ``size`` and :func:`decode`'s memo ``ints``."""
 
 
 def place(p: Pda, lib: Library) -> tuple:
     """Per-user cache contents: subfile (i, j) for every file i and star row j.
 
-    Each subfile is sliced once, and every user caching (i, j) maps it to
-    that same ``bytes`` object; callers must treat the caches as read-only.
-    The tuple also carries :func:`decode`'s memo and equals the plain tuple.
+    Returns a plain tuple of per-user dicts.  Each subfile is sliced once,
+    and every user caching (i, j) maps it to that same ``bytes`` object;
+    callers must treat the caches as read-only.
     """
     _check_split(p, lib)
     star_users = []
@@ -114,8 +114,7 @@ def place(p: Pda, lib: Library) -> tuple:
         users = [k for k, c in enumerate(p.row(j)) if c is None]
         if users:
             star_users.append((j, users))
-    caches = _Caches({} for _ in range(p.cols))
-    caches.size = lib.subfile_size
+    caches = tuple({} for _ in range(p.cols))
     for i in range(lib.n_files):
         for j, users in star_users:
             key, sub = (i, j), lib.subfile(i, j)
@@ -125,16 +124,17 @@ def place(p: Pda, lib: Library) -> tuple:
 
 
 def deliver(p: Pda, demands: Sequence[int], lib: Library) -> list:
-    """One transmission per label in ascending order: the XOR over the
-    label's cells of the subfile each cell's user demanded, folded as one
-    integer."""
+    """The broadcast: one transmission per label in ascending order, the XOR
+    over the label's cells of the subfile each cell's user demanded, folded as
+    one integer.  The list carries the subfile size and :func:`decode`'s memo.
+    ValueError unless ``demands`` is sized, with one int in range per column."""
     _check_split(p, lib)
     _check_per_user(p, demands, "demands")
     for d in demands:
-        if not 0 <= d < lib.n_files:
-            raise ValueError(f"demand {d} out of range [0,{lib.n_files})")
-    w, size, index = p.cols, lib.subfile_size, p._label_index
-    out = []
+        if not isinstance(d, int) or not 0 <= d < lib.n_files:
+            raise ValueError(f"demand {d!r} out of range [0,{lib.n_files})")
+    w, size, index, out = p.cols, lib.subfile_size, p._label_index, _Broadcast()
+    out.size, out.ints = size, {}
     for s in sorted(index):
         acc = 0
         for pos in index[s]:
@@ -150,7 +150,7 @@ def _check_split(p: Pda, lib: Library) -> None:
 
 
 def _check_per_user(p: Pda, values: Sequence, what: str) -> None:
-    if len(_check_sequence(values, what)) != p.cols:
+    if len(_check_sequence(values, what, Sized)) != p.cols:
         raise ValueError(f"need {p.cols} {what}, got {len(values)}")
 
 
@@ -164,11 +164,11 @@ def decode(
     """Reconstruct the file user ``user`` demanded, using only its cache and
     the broadcast (transmissions plus the announced demand vector).
 
-    Peers and payloads become integers through a memo keyed by ``bytes`` value, which users
-    of :func:`place`'s caches expecting its subfile size share until ``transmissions`` changes.
+    Peers and payloads become integers through a memo keyed by ``bytes`` value: the one
+    :func:`deliver`'s list carries when the user expects its subfile size, else a fresh one.
 
-    Raises ValueError when ``demands`` or ``cache`` does not hold one entry
-    per column of ``p``, as :func:`deliver` does for ``demands``.  Raises
+    Raises ValueError when ``demands`` or ``cache`` is not sized with one entry per
+    column of ``p``, or ``transmissions`` is not (label, payload) pairs.  Raises
     :class:`DecodeError` when ``user`` is not a column of ``p``, when a
     subfile or transmission it needs is missing: a peer subfile that the
     Blackburn property promises (the signature of an invalid array reaching
@@ -181,14 +181,15 @@ def decode(
     _check_per_user(p, demands, "demands")
     _check_per_user(p, cache, "caches")
     d = demands[user]
-    by_label = {t.label: t.payload for t in _check_sequence(transmissions, "transmissions")}
+    _check_sequence(transmissions, "transmissions")
+    try:
+        by_label = dict(transmissions)
+    except (TypeError, ValueError):
+        raise ValueError("transmissions must be (label, payload) pairs") from None
     own = cache[user]
     size = len(next(iter(own.values()), next(iter(by_label.values()), b"")))
-    ints = {}
-    if type(cache) is _Caches and cache.size == size:
-        if getattr(cache, "sent", None) is not transmissions:
-            cache.sent, cache.ints = transmissions, ints
-        ints = cache.ints
+    shared = type(transmissions) is _Broadcast and transmissions.size == size
+    ints = transmissions.ints if shared else {}
     w, index = p.cols, p._label_index
     parts = []
     for j, s in enumerate(p.column(user)):

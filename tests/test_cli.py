@@ -127,6 +127,18 @@ def test_gen_json_format(capsys):
     assert obj["rows"] == obj["cols"] == 3
 
 
+def test_gen_output_path_ending_in_json_writes_json_verify_reads(tmp_path, capsys, monkeypatch):
+    monkeypatch.chdir(tmp_path)
+    assert run_cli(capsys, "gen", "mn", "4", "2", "-o", "m.json") == (0, "", "")
+    assert (tmp_path / "m.json").read_text() == json.dumps(
+        {"rows": 6, "cols": 4, "cells": list(mn(4, 2).cells)}
+    ) + "\n"
+    assert run_cli(capsys, "verify", "m.json") == (0, "valid (4,6,3,4) g=3 M/N=1/2 R=2/3\n", "")
+    # An explicit --format wins over the name.
+    assert run_cli(capsys, "gen", "mn", "4", "2", "--format", "grid", "-o", "g.json")[0] == 0
+    assert (tmp_path / "g.json").read_text() == serialize_grid(mn(4, 2))
+
+
 def test_verify_valid(tmp_path, capsys):
     path = tmp_path / "m42.grid"
     save_pda(mn(4, 2), path)
@@ -237,6 +249,23 @@ def test_lift_uniform_writes_result_and_ledger(tmp_path, capsys):
     assert load_pda(out_path) == odd_tiling_lift(5, 2)
     ledger = json.loads((tmp_path / "lifted.grid.ledger.json").read_text())
     assert ledger["labels"]["0"] == [2, 6]
+
+
+def test_lift_uniform_output_path_ending_in_json_writes_json(tmp_path, capsys, monkeypatch):
+    monkeypatch.chdir(tmp_path)
+    fam = odd_tiling(5)
+    for name, p in (("h2.grid", h_array(2)), ("p0.grid", fam.p0), ("p1.grid", fam.p1),
+                    ("ref.grid", fam.pstar)):
+        save_pda(p, name)
+    code, _, _ = run_cli(
+        capsys, "lift", "--mode", "uniform", "h2.grid", "--member", "p0.grid",
+        "--member", "p1.grid", "--ref", "ref.grid", "-o", "out.json",
+    )
+    assert code == 0
+    assert json.loads((tmp_path / "out.json").read_text())["cells"] == list(
+        odd_tiling_lift(5, 2).cells
+    )
+    assert json.loads((tmp_path / "out.json.ledger.json").read_text())["labels"]["0"] == [2, 6]
 
 
 def test_lift_nonuniform_matches_printed(tmp_path, capsys):

@@ -150,6 +150,37 @@ def test_check_condition_cstar_member_list_replaced_whole(members, message):
     assert (type(err.value), str(err.value)) == (ValueError, message)
 
 
+@pytest.mark.parametrize(
+    "call, message",
+    [
+        (lambda: deliver(_P, (d for d in _DEMANDS), _LIB), "demands must be a sequence, got generator"),
+        (lambda: run(_P, 4, 60, (d for d in _DEMANDS)), "demands must be a sequence, got generator"),
+        (lambda: decode(_P, 0, (d for d in _DEMANDS), _CACHES, _SENT),
+         "demands must be a sequence, got generator"),
+        (lambda: decode(_P, 0, _DEMANDS, (c for c in _CACHES), _SENT),
+         "caches must be a sequence, got generator"),
+        (lambda: run(_P, 4, 60, demands="0123"), "demand '0' out of range [0,4)"),
+        (lambda: deliver(_P, [0, 1, 2.0, 3], _LIB), "demand 2.0 out of range [0,4)"),
+        (lambda: decode(_P, 0, _DEMANDS, _CACHES, "ab"), "transmissions must be (label, payload) pairs"),
+        (lambda: decode(_P, 0, _DEMANDS, _CACHES, [None]), "transmissions must be (label, payload) pairs"),
+    ],
+    ids=["deliver-demands", "run-demands", "decode-demands", "decode-caches", "run-str-demands",
+         "deliver-float-demand", "decode-str", "decode-None"],
+)
+def test_simulator_sequences_that_are_not_sized_or_hold_the_wrong_items(call, message):
+    with pytest.raises((ValueError, TypeError, AttributeError, PdaError)) as err:
+        call()
+    assert (type(err.value), str(err.value)) == (ValueError, message)
+
+
+def test_member_lists_still_accept_generators():
+    members = [_ODD.p0, _ODD.p1]
+    assert uniform_lift(h_array(2), (m for m in members), _ODD.pstar) == uniform_lift(
+        h_array(2), members, _ODD.pstar
+    )
+    assert check_condition_cstar((m for m in _H3), all_star(3, 3)).ok
+
+
 @pytest.mark.parametrize("caches", [(), _CACHES[:3], (*_CACHES, {})], ids=["empty", "short", "long"])
 def test_decode_needs_one_cache_per_user(caches):
     with pytest.raises(ValueError) as err:

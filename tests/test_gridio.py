@@ -151,3 +151,16 @@ def test_save_pda_without_a_path_writes_the_file_bytes_to_stdout(tmp_path, capsy
     gridio.save_pda(p, path, fmt)
     gridio.save_pda(p, fmt=fmt)
     assert capsys.readouterr().out.encode() == path.read_bytes()
+
+
+def test_save_pda_takes_the_format_from_the_path_when_given_none(tmp_path):
+    p = random_valid_pda(random.Random(6))
+    for name, fmt, text in (
+        ("p.json", None, gridio.pda_to_json(p) + "\n"),
+        ("p.grid", None, gridio.serialize_grid(p)),
+        ("g.json", "grid", gridio.serialize_grid(p)),
+    ):
+        gridio.save_pda(p, tmp_path / name, fmt)
+        assert (tmp_path / name).read_text() == text
+        if fmt is None:
+            assert gridio.load_pda(tmp_path / name) == p

@@ -427,9 +427,32 @@ def test_decode_memo_holds_at_most_one_round():
                 for j2, k2 in cells
                 if k2 != k
             }
-            assert caches.sent is sent
-            assert len(caches.ints) <= len(cached) + len(sent)
-            assert len(caches.ints) <= len(peers) + len(sent)
+            assert sent.ints
+            assert len(sent.ints) <= len(cached) + len(sent)
+            assert len(sent.ints) <= len(peers) + len(sent)
+
+
+@pytest.mark.parametrize("make_caches", [place, oracle_place])
+def test_every_user_decodes_through_the_one_memo_its_broadcast_carries(make_caches):
+    p, demands = mn(4, 2), [2, 1, 0, 3]
+    lib = make_library(4, 60, p.rows, seed=3)
+    caches = make_caches(p, lib)
+    assert type(caches) is tuple
+    sent = deliver(p, demands, lib)
+    memo = sent.ints
+    assert (sent.size, memo) == (10, {})
+    for k in range(p.cols):
+        assert decode(p, k, demands, caches, sent)[:60] == lib.files[demands[k]]
+    assert sent.ints is memo
+    peers = {
+        lib.subfile(demands[k2], j2)
+        for cells in p.label_positions().values()
+        for _, k in cells
+        for j2, k2 in cells
+        if k2 != k
+    }
+    assert memo == {b: int.from_bytes(b, "big") for b in peers | {t.payload for t in sent}}
+    assert deliver(p, demands, lib).ints == {}
 
 
 def _round_with_labels(rng):
