@@ -13,13 +13,16 @@ compatibility is both at once with a single same-shape reference.
 
 Each failing pair is reported as a ``CompatWitness``, an immutable named
 tuple: it iterates and unpacks as ``(label, cell0, cell1, mirror, pair)``,
-compares equal to that plain 5-tuple and hashes like it.  A check builds
-all of its witnesses before it returns.
+compares equal to that plain 5-tuple and hashes like it.  Scans yield plain
+5-tuples and ``CompatReport.from_witnesses`` builds the records, so every
+check builds each witness once, and all of them before it returns.
 """
 
 from __future__ import annotations
 
+from functools import partial
 from itertools import permutations
+from operator import itemgetter
 from typing import Mapping, NamedTuple, Sequence
 
 from .core import Pda, _check_pda, _check_sequence, _check_shape, _Frozen
@@ -56,7 +59,8 @@ class CompatReport(NamedTuple):
 
     @staticmethod
     def from_witnesses(witnesses) -> "CompatReport":
-        witnesses = tuple(witnesses)
+        """Each ``(label, cell0, cell1, mirror, pair)`` becomes a ``CompatWitness`` at C level."""
+        witnesses = tuple(map(partial(tuple.__new__, CompatWitness), witnesses))
         return CompatReport(not witnesses, witnesses)
 
 
@@ -65,9 +69,6 @@ def _right_witnesses(p0: Pda, p1: Pda, pstar: Pda, pair=None, both=False):
     the (i1, j0) mirror is checked after (i0, j1), which is full
     compatibility."""
     ref, w = pstar.cells, pstar.cols
-    # tuple.__new__ skips the generated __new__'s Python frame; a failing
-    # check builds one witness per equal-label pair.
-    new, cls = tuple.__new__, CompatWitness
     for s in sorted(p0._label_index.keys() & p1._label_index.keys()):
         cells1 = p1._cells_of(s)
         for c0 in p0._cells_of(s):
@@ -76,9 +77,9 @@ def _right_witnesses(p0: Pda, p1: Pda, pstar: Pda, pair=None, both=False):
             for c1 in cells1:
                 i1, j1 = c1
                 if ref[row0 + j1] is not None:
-                    yield new(cls, (s, c0, c1, (i0, j1), pair))
+                    yield s, c0, c1, (i0, j1), pair
                 if both and ref[i1 * w + j0] is not None:
-                    yield new(cls, (s, c0, c1, (i1, j0), pair))
+                    yield s, c0, c1, (i1, j0), pair
 
 
 def is_right_compatible(p0: Pda, p1: Pda, pstar: Pda) -> CompatReport:
@@ -91,10 +92,7 @@ def is_left_compatible(p0: Pda, p1: Pda, phash: Pda) -> CompatReport:
     """Right compatibility of (p1, p0), each witness naming the p0 cell first."""
     _check_pda(p0, "first array")
     _check_shape(phash, _check_pda(p1, "second array").rows, p0.cols, "left reference")
-    new, cls = tuple.__new__, CompatWitness
-    return CompatReport.from_witnesses(
-        new(cls, (s, c0, c1, m, pair)) for s, c1, c0, m, pair in _right_witnesses(p1, p0, phash)
-    )
+    return CompatReport.from_witnesses(map(itemgetter(0, 2, 1, 3, 4), _right_witnesses(p1, p0, phash)))
 
 
 def is_blackburn_compatible(p0: Pda, p1: Pda, pstar: Pda) -> CompatReport:
@@ -191,5 +189,5 @@ def check_condition_cstar(members: Sequence[Pda], pstar: Pda) -> CompatReport:
     for pos, s in enumerate(pstar.cells):
         if s is not None and stars[pos]:
             cell = divmod(pos, pstar.cols)
-            witnesses.append(CompatWitness(s, cell, cell, cell))
+            witnesses.append((s, cell, cell, cell, None))
     return CompatReport.from_witnesses(witnesses)

@@ -360,7 +360,7 @@ def relabel(p: Pda, mapping: Mapping[int, int]) -> Pda:
 
     The mapping must cover every label of ``p`` and be injective on them.
     """
-    present = p.labels()
+    present = _check_pda(p, "array").labels()
     missing = present - mapping.keys()
     if missing:
         raise ValueError(f"mapping does not cover labels {sorted(missing)}")
@@ -373,7 +373,7 @@ def relabel(p: Pda, mapping: Mapping[int, int]) -> Pda:
 
 def canonicalize(p: Pda) -> Pda:
     """Rename labels to 0..S-1 in order of first row-major appearance."""
-    index = p._label_index
+    index = _check_pda(p, "array")._label_index
     return relabel(p, dict(zip(index, range(len(index)))))
 
 
@@ -381,7 +381,7 @@ def disjoint_copy(p: Pda, offset: int) -> Pda:
     """Shift canonical labels 0..S-1 by ``offset`` to get a label-disjoint copy."""
     if offset < 0:
         raise ValueError("offset must be non-negative")
-    present = p.labels()
+    present = _check_pda(p, "array").labels()
     if present != frozenset(range(len(present))):
         raise ValueError("disjoint_copy requires canonical labels 0..S-1")
     return _assemble_blocks([[(p, offset)]])
@@ -419,11 +419,13 @@ def hstack(parts: Sequence[Pda]) -> Pda:
     """Concatenate grids left to right; all parts need equal row counts."""
     if not parts:
         raise ValueError("nothing to stack")
-    return _assemble_blocks([[(q, 0) for q in parts]], "hstack needs equal row counts")
+    row = [(_check_pda(q, f"part {i}"), 0) for i, q in enumerate(parts)]
+    return _assemble_blocks([row], "hstack needs equal row counts")
 
 
 def vstack(parts: Sequence[Pda]) -> Pda:
     """Concatenate grids top to bottom; all parts need equal column counts."""
     if not parts:
         raise ValueError("nothing to stack")
-    return _assemble_blocks([[(q, 0)] for q in parts], "vstack needs equal column counts")
+    column = [[(_check_pda(q, f"part {i}"), 0)] for i, q in enumerate(parts)]
+    return _assemble_blocks(column, "vstack needs equal column counts")

@@ -17,7 +17,7 @@ import json
 import re
 import sys
 
-from .core import Pda, _write_text
+from .core import Pda, _check_pda, _write_text
 from .errors import GridParseError
 
 __all__ = [
@@ -104,16 +104,15 @@ def parse_grid(text: str) -> Pda:
 
 
 def serialize_grid(p: Pda, header: bool = False) -> str:
-    out = []
-    if header:
-        out.append(f"# pda f={p.rows} K={p.cols}")
+    _check_pda(p, "array")
+    out = [f"# pda f={p.rows} K={p.cols}"] if header else []
     for j in range(p.rows):
         out.append(" ".join("*" if c is None else str(c) for c in p.row(j)))
     return "\n".join(out) + "\n"
 
 
 def pda_to_json(p: Pda) -> str:
-    return json.dumps({"rows": p.rows, "cols": p.cols, "cells": list(p.cells)})
+    return json.dumps({"rows": _check_pda(p, "array").rows, "cols": p.cols, "cells": list(p.cells)})
 
 
 def pda_from_json(text: str) -> Pda:

@@ -258,11 +258,6 @@ def assemble_identity_lift(
     return _assemble_blocks(blocks)
 
 
-def _owning_member(members, cell):
-    """Index of the member whose block column holds the assembled cell."""
-    return bisect_right(list(accumulate(m.cols for m in members)), cell[1])
-
-
 def nonuniform_lift(
     members: Sequence[Pda], refs: Mapping, orientation: str = "main"
 ) -> Pda:
@@ -296,18 +291,15 @@ def nonuniform_lift(
     report = validate(result)
     if report.ok:
         return result
+    starts = list(accumulate((m.cols for m in members[:-1]), initial=0))
     if not report.c1_ok:
-        counts = result._star_counts
-        starts = accumulate((m.cols for m in members[:-1]), initial=0)
-        raise LiftError(
-            f"per-column-block star counts differ: {[counts[c] for c in starts]}; "
-            "C1 would fail"
-        )
+        counts = [result._star_counts[c] for c in starts]
+        raise LiftError(f"per-column-block star counts differ: {counts}; C1 would fail")
     # C2 is not checked without an expected label count, so this is C3.
     a, b, mirror = report.violations[0].witness
     raise LiftError(
         f"assembly violates the Blackburn property between members "
-        f"{_owning_member(members, a)} and {_owning_member(members, b)}: "
+        f"{bisect_right(starts, a[1]) - 1} and {bisect_right(starts, b[1]) - 1}: "
         f"cells {a} and {b} share a label but {mirror} is not a star"
     )
 
@@ -400,11 +392,14 @@ class ParamTuple(NamedTuple):
 
 
 def measure_family(members: Sequence[Pda], pstar: Pda) -> ParamTuple:
-    """Read the family tuple off actual arrays."""
-    zs = {m.column_star_count(0) for m in members}
+    """Read the family tuple off actual arrays: valid members, then a valid reference."""
+    members = list(_check_sequence(members, "members"))
+    if not members:
+        raise ValueError("need at least one member")
+    zs = {_valid(m, f"member {i}")._star_counts[0] for i, m in enumerate(members)}
     if len(zs) != 1:
         raise ValueError(f"members have differing star counts {sorted(zs)}")
-    ref = params(pstar)
+    ref = params(_valid(pstar, "reference"))
     return ParamTuple(
         k=pstar.cols,
         f=pstar.rows,

@@ -24,7 +24,7 @@ from __future__ import annotations
 
 import random
 from fractions import Fraction
-from typing import NamedTuple, Sequence, Sized
+from typing import Mapping, NamedTuple, Sequence, Sized
 
 from .core import Pda, _check_pda, _check_sequence, _Frozen, params
 from .errors import DecodeError
@@ -167,15 +167,17 @@ def decode(
     Peers and payloads become integers through a memo keyed by ``bytes`` value: the one
     :func:`deliver`'s list carries when the user expects its subfile size, else a fresh one.
 
-    Raises ValueError when ``demands`` or ``cache`` is not sized with one entry per
-    column of ``p``, or ``transmissions`` is not (label, payload) pairs.  Raises
-    :class:`DecodeError` when ``user`` is not a column of ``p``, when a
-    subfile or transmission it needs is missing: a peer subfile that the
-    Blackburn property promises (the signature of an invalid array reaching
-    the simulator), a cached subfile of its own, or the transmission for one
-    of its labels; or when a cached subfile or payload it reads, or its first
-    cached value, has a length most of its cached values and payloads do not.
+    Raises ValueError when ``user`` is not an int, ``demands`` or ``cache`` is not sized
+    with one entry per column of ``p``, ``transmissions`` is not (label, payload) pairs,
+    or the user's cache is no dict, or a cached value or payload that is not bytes stops it.
+    Raises :class:`DecodeError` when ``user`` is not a column of ``p``, when a subfile or
+    transmission it needs is missing: a peer subfile that the Blackburn property promises
+    (the signature of an invalid array reaching the simulator), a cached subfile of its own,
+    or the transmission for one of its labels; or when a cached subfile or payload it reads,
+    or its first cached value, has a length most of its cached values and payloads do not.
     """
+    if not isinstance(user, int):
+        raise ValueError(f"user must be an int, got {type(user).__name__}")
     if not 0 <= user < _check_pda(p, "array").cols:
         raise DecodeError(f"user {user} out of range [0,{p.cols})")
     _check_per_user(p, demands, "demands")
@@ -187,46 +189,60 @@ def decode(
     except (TypeError, ValueError):
         raise ValueError("transmissions must be (label, payload) pairs") from None
     own = cache[user]
-    size = len(next(iter(own.values()), next(iter(by_label.values()), b"")))
-    shared = type(transmissions) is _Broadcast and transmissions.size == size
-    ints = transmissions.ints if shared else {}
-    w, index = p.cols, p._label_index
-    parts = []
-    for j, s in enumerate(p.column(user)):
-        if s is None:
-            sub = own.get((d, j))
-            if sub is None:
-                raise DecodeError(
-                    f"user {user} misses its own cached subfile (file {d}, subfile {j})"
-                )
-            if len(sub) != size:
-                raise _length_error(user, own, by_label, (d, j), len(sub), size)
-            parts.append(sub)
-            continue
-        piece = by_label.get(s)
-        if piece is None:
-            raise DecodeError(f"user {user} received no transmission for label {s}")
-        if (acc := ints.get(piece)) is None:
-            if len(piece) != size:
-                raise _length_error(user, own, by_label, s, len(piece), size)
-            acc = ints[piece] = int.from_bytes(piece, "big")
-        for pos in index[s]:
-            j2, k2 = divmod(pos, w)
-            if k2 == user:
+    try:
+        size = len(next(iter(own.values()), next(iter(by_label.values()), b"")))
+        shared = type(transmissions) is _Broadcast and transmissions.size == size
+        ints = transmissions.ints if shared else {}
+        w, index = p.cols, p._label_index
+        parts = []
+        for j, s in enumerate(p.column(user)):
+            if s is None:
+                sub = own.get((d, j))
+                if sub is None:
+                    raise DecodeError(
+                        f"user {user} misses its own cached subfile (file {d}, subfile {j})"
+                    )
+                if len(sub) != size:
+                    raise _length_error(user, own, by_label, (d, j), len(sub), size)
+                parts.append(sub)
                 continue
-            peer = own.get((demands[k2], j2))
-            if peer is None:
-                raise DecodeError(
-                    f"user {user} misses peer subfile (file {demands[k2]}, "
-                    f"subfile {j2}) needed to decode label {s}"
-                )
-            if (x := ints.get(peer)) is None:
-                if len(peer) != size:
-                    raise _length_error(user, own, by_label, (demands[k2], j2), len(peer), size)
-                x = ints[peer] = int.from_bytes(peer, "big")
-            acc ^= x
-        parts.append(acc.to_bytes(size, "big"))
-    return b"".join(parts)
+            piece = by_label.get(s)
+            if piece is None:
+                raise DecodeError(f"user {user} received no transmission for label {s}")
+            if (acc := ints.get(piece)) is None:
+                if len(piece) != size:
+                    raise _length_error(user, own, by_label, s, len(piece), size)
+                acc = ints[piece] = int.from_bytes(piece, "big")
+            for pos in index[s]:
+                j2, k2 = divmod(pos, w)
+                if k2 == user:
+                    continue
+                peer = own.get((demands[k2], j2))
+                if peer is None:
+                    raise DecodeError(
+                        f"user {user} misses peer subfile (file {demands[k2]}, "
+                        f"subfile {j2}) needed to decode label {s}"
+                    )
+                if (x := ints.get(peer)) is None:
+                    if len(peer) != size:
+                        raise _length_error(user, own, by_label, (demands[k2], j2), len(peer), size)
+                    x = ints[peer] = int.from_bytes(peer, "big")
+                acc ^= x
+            parts.append(acc.to_bytes(size, "big"))
+        return b"".join(parts)
+    except (TypeError, AttributeError, DecodeError) as e:
+        raise _not_bytes(user, own, by_label) or e from None
+
+
+def _not_bytes(user, own, by_label) -> "ValueError | None":
+    """The user's cache if no dict, else its first value, then first payload, not bytes."""
+    if not isinstance(own, Mapping):
+        return ValueError(f"caches[{user}] must be a dict, got {type(own).__name__}")
+    for where, kind, values in ((f"caches[{user}]", "key", own), ("transmissions", "label", by_label)):
+        for key, v in values.items():
+            if not isinstance(v, bytes):
+                what = f"{type(v).__name__} for {kind} {key!r}"
+                return ValueError(f"{where} must hold bytes, got {what}")
 
 
 def _length_error(user, own, by_label, key, n, size) -> DecodeError:

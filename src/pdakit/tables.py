@@ -12,7 +12,6 @@ fractional digits with round-half-even.
 
 from __future__ import annotations
 
-from decimal import ROUND_HALF_EVEN, Decimal, localcontext
 from fractions import Fraction
 from typing import NamedTuple
 
@@ -34,10 +33,8 @@ __all__ = [
 
 def format_decimal4(x: Fraction) -> str:
     """Render an exact rational with 4 fractional digits, round half even."""
-    with localcontext() as ctx:
-        ctx.prec = 60
-        d = Decimal(x.numerator) / Decimal(x.denominator)
-        return str(d.quantize(Decimal("0.0001"), rounding=ROUND_HALF_EVEN))
+    n = round(abs(x) * 10000)
+    return f"{'-' if x < 0 else ''}{n // 10000}.{n % 10000:04d}"
 
 
 # Compatible-family tuples from earlier lifting literature, used as opaque

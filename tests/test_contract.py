@@ -15,6 +15,8 @@ sequence, got <type>``.  The library stays outside both tables, and of the
 caches and demands only their type and per-user count are checked here.
 """
 
+import os
+
 import pytest
 
 from pdakit.compatibility import (
@@ -24,12 +26,14 @@ from pdakit.compatibility import (
     is_right_compatible,
 )
 from pdakit.constructions import all_star, h_array, mn, odd_tiling
-from pdakit.core import params, validate
+from pdakit.core import canonicalize, disjoint_copy, hstack, params, relabel, validate, vstack
 from pdakit.errors import PdaError
+from pdakit.gridio import pda_to_json, save_pda, serialize_grid
 from pdakit.lifting import (
     assemble_identity_lift,
     basic_lift,
     lift_family,
+    measure_family,
     nonuniform_lift,
     uniform_lift,
 )
@@ -49,6 +53,14 @@ _BAD = [None, [[None]], "x", {(0, 1): None}]
 _ROWS = [
     (validate, [_P], {0: "array"}),
     (params, [_P], {0: "array"}),
+    (relabel, [_P, {s: s + 1 for s in _P.labels()}], {0: "array"}),
+    (canonicalize, [_P], {0: "array"}),
+    (disjoint_copy, [_P, 3], {0: "array"}),
+    (hstack, [[_P, _P]], {(0, 0): "part 0", (0, 1): "part 1"}),
+    (vstack, [[_P, _P]], {(0, 0): "part 0", (0, 1): "part 1"}),
+    (serialize_grid, [_P], {0: "array"}),
+    (pda_to_json, [_P], {0: "array"}),
+    (save_pda, [_P, os.devnull], {0: "array"}),
     (run, [_P, 4, 60], {0: "array"}),
     (place, [_P, _LIB], {0: "array"}),
     (deliver, [_P, _DEMANDS, _LIB], {0: "array"}),
@@ -67,6 +79,8 @@ _ROWS = [
     (lift_family, [_H3, all_star(3, 3), _Q, all_star(2, 2)],
      {(0, 0): "member 0", (0, 1): "member 1", 1: "reference",
       (2, 0): "q-member 0", (2, 1): "q-member 1", 3: "q-reference"}),
+    (measure_family, [[_ODD.p0, _ODD.p1], _ODD.pstar],
+     {(0, 0): "member 0", (0, 1): "member 1", 1: "reference"}),
 ]
 
 _NOT_SEQUENCES = [None, 1.5]
@@ -81,6 +95,7 @@ _SEQUENCE_ROWS = [
     (decode, [_P, 0, _DEMANDS, _CACHES, _SENT],
      {2: "demands", 3: "caches", 4: "transmissions"}),
     (run, [_P, 4, 60, _DEMANDS], {3: "demands"}),
+    (measure_family, [[_ODD.p0, _ODD.p1], _ODD.pstar], {0: "members"}),
 ]
 
 

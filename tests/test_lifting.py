@@ -589,6 +589,13 @@ def _lifting_error_cases():
         (lambda: odd_tiling_lift(5, 1), ValueError, "n must be at least 2, got 1"),
         (lambda: measure_family([h_array(3), identity(3, 0)], pstar), ValueError,
          "members have differing star counts [1, 2]"),
+        (lambda: measure_family([], pstar), ValueError, "need at least one member"),
+        (lambda: measure_family([Pda(2, 2, (0, 0, None, None))], all_star(2, 2)), InvalidPdaError,
+         "member 0 is not a valid PDA: "
+         "(Violation(condition='C3', witness=((0, 0), (0, 1), (0, 1))),)"),
+        (lambda: measure_family([h_array(2)], Pda(2, 2, (0, 0, None, None))), InvalidPdaError,
+         "reference is not a valid PDA: "
+         "(Violation(condition='C3', witness=((0, 0), (0, 1), (0, 1))),)"),
         (lambda: lifted_params(params(mn(4, 2)), ParamTuple(6, 6, 1, 5, 3, 6)), ValueError,
          "member and reference label counts are required"),
         (lambda: lifted_params(params(mn(4, 2)), p._replace(ref_labels=0)), ValueError,

@@ -263,6 +263,55 @@ def test_decode_demand_vector_of_wrong_length_raises_value_error_as_deliver_does
             assert type(err.value) is ValueError
 
 
+def _swap_values(values, label_or_key, make):
+    """``values`` (a list of transmissions or a cache dict) with one value remade."""
+    if isinstance(values, dict):
+        return {**values, label_or_key: make(values[label_or_key])}
+    return [(s, make(v) if s == label_or_key else v) for s, v in values]
+
+
+@pytest.mark.parametrize(
+    "edit, message",
+    [
+        (lambda c, t: (c, _swap_values(t, 0, lambda v: "x" * len(v))),
+         "transmissions must hold bytes, got str for label 0"),
+        (lambda c, t: (c, _swap_values(t, 0, bytearray)),
+         "transmissions must hold bytes, got bytearray for label 0"),
+        (lambda c, t: (c, [(0, None)]), "transmissions must hold bytes, got NoneType for label 0"),
+        (lambda c, t: ((_swap_values(c[0], (2, 1), lambda v: "x" * len(v)), *c[1:]), t),
+         "caches[0] must hold bytes, got str for key (2, 1)"),
+        (lambda c, t: ((_swap_values(c[0], (1, 1), bytearray), *c[1:]), t),
+         "caches[0] must hold bytes, got bytearray for key (1, 1)"),
+        (lambda c, t: ([[1]] * 4, t), "caches[0] must be a dict, got list"),
+    ],
+    ids=["str-payload", "bytearray-payload", "None-payload", "str-own-subfile",
+         "bytearray-peer", "list-cache"],
+)
+def test_decode_values_that_are_not_bytes_raise_value_error_naming_them(edit, message):
+    p = mn(4, 2)
+    demands = [2, 1, 0, 3]
+    lib = make_library(4, 60, p.rows, seed=3)
+    for caches in (place(p, lib), oracle_place(p, lib)):
+        sent = deliver(p, demands, lib)
+        edited, transmissions = edit(caches, sent)
+        with pytest.raises((ValueError, TypeError, AttributeError, DecodeError)) as err:
+            decode(p, 0, demands, edited, transmissions)
+        assert (type(err.value), str(err.value)) == (ValueError, message)
+        assert decode(p, 0, demands, caches, sent)[:60] == lib.files[demands[0]]
+
+
+@pytest.mark.parametrize("user", [None, 1.0, "0"], ids=["None", "float", "str"])
+def test_decode_user_that_is_not_an_int_raises_value_error(user):
+    p = mn(4, 2)
+    demands = [2, 1, 0, 3]
+    lib = make_library(4, 60, p.rows, seed=3)
+    with pytest.raises((ValueError, TypeError)) as err:
+        decode(p, user, demands, place(p, lib), deliver(p, demands, lib))
+    assert (type(err.value), str(err.value)) == (
+        ValueError, f"user must be an int, got {type(user).__name__}"
+    )
+
+
 @pytest.mark.parametrize(
     "cut, length",
     [(lambda b: b[:3], 3), (lambda b: b + b"\x00", 11), (lambda b: b"", 0)],

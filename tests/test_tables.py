@@ -17,6 +17,11 @@ def test_format_decimal4_round_half_even():
     assert format_decimal4(Fraction(1, 20000)) == "0.0000"
     assert format_decimal4(Fraction(3, 20000)) == "0.0002"
     assert format_decimal4(Fraction(83, 4)) == "20.7500"
+    # Rounded from the exact rational, not from a 60-digit quotient.
+    assert format_decimal4(Fraction(3, 20000) - Fraction(1, 10**70)) == "0.0001"
+    assert format_decimal4(Fraction(1, 20000) + Fraction(1, 10**70)) == "0.0001"
+    assert format_decimal4(-Fraction(1, 30000)) == "-0.0000"
+    assert format_decimal4(-Fraction(5, 20000)) == "-0.0002"
 
 
 def test_new_scheme_rows_match_published_values():
