@@ -25,7 +25,7 @@ from itertools import permutations
 from operator import itemgetter
 from typing import Mapping, NamedTuple, Sequence
 
-from .core import Pda, _check_pda, _check_sequence, _check_shape, _Frozen
+from .core import Pda, _check_members, _check_pda, _check_shape, _Frozen
 
 __all__ = [
     "CompatWitness",
@@ -171,9 +171,7 @@ def check_condition_cstar(members: Sequence[Pda], pstar: Pda) -> CompatReport:
     0's shape, and then the first member whose star positions differ from
     member 0's, since the coordinated-copy regime does not apply to it.
     """
-    if not members:
-        raise ValueError("need at least one member")
-    members = list(_check_sequence(members, "members"))
+    members = _check_members(members)
     shape = _check_pda(members[0], "member 0").shape
     for i, m in enumerate(members):
         _check_shape(m, *shape, f"member {i}")

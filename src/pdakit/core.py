@@ -313,6 +313,14 @@ def _check_sequence(x, what: str, kind=Iterable):
     return x
 
 
+def _check_members(xs, what: str = "members") -> list:
+    """``xs`` as a non-empty list, else ValueError naming ``what``, a plural."""
+    xs = list(_check_sequence(xs, what))
+    if not xs:
+        raise ValueError(f"need at least one {what[:-1]}")
+    return xs
+
+
 def _write_text(text: str, path=None) -> None:
     """The one writer: ``text`` to ``path`` as UTF-8 with LF line endings, or stdout when None."""
     if path is None:
@@ -358,9 +366,12 @@ def params(p: Pda, expected_labels: "int | None" = None) -> PdaParams:
 def relabel(p: Pda, mapping: Mapping[int, int]) -> Pda:
     """Replace every label through ``mapping``; star positions unchanged.
 
-    The mapping must cover every label of ``p`` and be injective on them.
+    The mapping must be a dict (any ``Mapping``) that covers every label of
+    ``p`` and is injective on them, else ValueError.
     """
     present = _check_pda(p, "array").labels()
+    if not isinstance(mapping, Mapping):
+        raise ValueError(f"mapping must be a dict, got {type(mapping).__name__}")
     missing = present - mapping.keys()
     if missing:
         raise ValueError(f"mapping does not cover labels {sorted(missing)}")
@@ -417,15 +428,13 @@ def _assemble_blocks(
 
 def hstack(parts: Sequence[Pda]) -> Pda:
     """Concatenate grids left to right; all parts need equal row counts."""
-    if not parts:
-        raise ValueError("nothing to stack")
+    parts = _check_members(parts, "parts")
     row = [(_check_pda(q, f"part {i}"), 0) for i, q in enumerate(parts)]
     return _assemble_blocks([row], "hstack needs equal row counts")
 
 
 def vstack(parts: Sequence[Pda]) -> Pda:
     """Concatenate grids top to bottom; all parts need equal column counts."""
-    if not parts:
-        raise ValueError("nothing to stack")
+    parts = _check_members(parts, "parts")
     column = [[(_check_pda(q, f"part {i}"), 0)] for i, q in enumerate(parts)]
     return _assemble_blocks(column, "vstack needs equal column counts")

@@ -34,14 +34,15 @@ from __future__ import annotations
 
 from bisect import bisect_right
 from fractions import Fraction
+from functools import cache
 from itertools import accumulate, combinations, permutations
 from math import comb
 from typing import Mapping, NamedTuple, Sequence
 
 from .compatibility import _check_pair_refs, check_condition_cstar, is_blackburn_compatible
 from .constructions import _check_memory_point, all_star, filled, h_array, odd_tiling
-from .core import Pda, PdaParams, _assemble_blocks, _check_pda, _check_sequence, _check_shape
-from .core import _valid, disjoint_copy, params, relabel, validate
+from .core import Pda, PdaParams, _assemble_blocks, _check_members, _check_pda, _check_sequence
+from .core import _check_shape, _valid, disjoint_copy, params, relabel, validate
 from .errors import CompatibilityError, LiftError
 
 __all__ = [
@@ -208,9 +209,7 @@ def lift_family(
     the result family as it checks the inputs, so a lifted pair that is
     not compatible raises ``CompatibilityError`` carrying its report.
     """
-    members = list(_check_sequence(members, "members"))
-    if not members:
-        raise LiftError("need at least one member")
+    members = _check_members(members)
     cstar = check_condition_cstar(members, pstar)
     if not cstar.ok:
         raise LiftError(
@@ -219,7 +218,7 @@ def lift_family(
         )
     _check_family(members, pstar)
 
-    q_members = list(_check_sequence(q_members, "q-members"))
+    q_members = _check_members(q_members, "q-members")
     _check_member_count(members, q_members, "family members need {} q-members")
     _check_family(q_members, qstar, what="q-member")
 
@@ -239,19 +238,16 @@ def assemble_identity_lift(
     member i's rows and member j's columns.  ``refs`` is checked against
     the ``GenFamily`` reference-map contract before any block is placed,
     so a key that is no such pair, a member that is not a ``Pda``, or a
-    missing (or None), non-``Pda`` or misshaped reference, is a ValueError.
+    missing (or None), non-``Pda`` or misshaped reference, is the
+    ValueError ``is_generalized_family`` raises; an empty member list is
+    ``need at least one member``.  One member takes no reference, so every
+    key is refused, and assembles to an array equal to it.
     """
     if orientation not in ("main", "anti"):
         raise ValueError(f"orientation must be 'main' or 'anti', got {orientation!r}")
-    members = list(_check_sequence(members, "members"))
-    g = len(members)
-    if g == 0:
-        raise ValueError("need at least one member")
-    if g == 1 and refs:
-        raise ValueError("a single member takes no references")
+    members = _check_members(members)
     _check_pair_refs(members, refs)
-    if g == 1:
-        return members[0]
+    g = len(members)
     # Each block row takes its rows from member i, block column j from member j.
     rows = range(g) if orientation == "main" else range(g - 1, -1, -1)
     blocks = [[(members[i] if i == j else refs[i, j], 0) for j in range(g)] for i in rows]
@@ -274,7 +270,7 @@ def nonuniform_lift(
     Valid, label-disjoint references put both cells of that failure in
     member blocks, so each cell's block column names its member.
     """
-    members = list(_check_sequence(members, "members"))
+    members = _check_members(members)
     result = assemble_identity_lift(members, refs, orientation)
     for i, m in enumerate(members):
         _valid(m, f"member {i}")
@@ -331,25 +327,19 @@ def shangguan_recursive(n: int, a: int, b: int) -> Pda:
     """
     if a < 0 or b < 0 or a + b > n + 1:
         raise ValueError(f"need 0 <= a, b and a+b <= n+1, got a={a}, b={b}, n={n}")
-    built: dict = {}
 
+    @cache
     def build(n: int, a: int, b: int) -> Pda:
-        p = built.get((n, a, b))
-        if p is not None:
-            return p
         if min(a, b) == 0:
-            p = filled(comb(n, a), comb(n, b), range(comb(n, a) * comb(n, b)))
-        elif a + b == n + 1:
-            p = all_star(comb(n, a), comb(n, b))
-        else:
-            shared = comb(n - 1, a + b - 1)
-            p0 = build(n - 1, a, b - 1)
-            p1 = build(n - 1, a - 1, b)
-            pstar = disjoint_copy(build(n - 1, a, b), shared)
-            phash = all_star(comb(n - 1, a - 1), comb(n - 1, b - 1))
-            p = nonuniform_lift([p0, p1], {(0, 1): pstar, (1, 0): phash}, "anti")
-        built[(n, a, b)] = p
-        return p
+            return filled(comb(n, a), comb(n, b), range(comb(n, a) * comb(n, b)))
+        if a + b == n + 1:
+            return all_star(comb(n, a), comb(n, b))
+        shared = comb(n - 1, a + b - 1)
+        p0 = build(n - 1, a, b - 1)
+        p1 = build(n - 1, a - 1, b)
+        pstar = disjoint_copy(build(n - 1, a, b), shared)
+        phash = all_star(comb(n - 1, a - 1), comb(n - 1, b - 1))
+        return nonuniform_lift([p0, p1], {(0, 1): pstar, (1, 0): phash}, "anti")
 
     return build(n, a, b)
 
@@ -393,9 +383,7 @@ class ParamTuple(NamedTuple):
 
 def measure_family(members: Sequence[Pda], pstar: Pda) -> ParamTuple:
     """Read the family tuple off actual arrays: valid members, then a valid reference."""
-    members = list(_check_sequence(members, "members"))
-    if not members:
-        raise ValueError("need at least one member")
+    members = _check_members(members)
     zs = {_valid(m, f"member {i}")._star_counts[0] for i, m in enumerate(members)}
     if len(zs) != 1:
         raise ValueError(f"members have differing star counts {sorted(zs)}")

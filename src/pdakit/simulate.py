@@ -167,8 +167,8 @@ def decode(
     Peers and payloads become integers through a memo keyed by ``bytes`` value: the one
     :func:`deliver`'s list carries when the user expects its subfile size, else a fresh one.
 
-    Raises ValueError when ``user`` is not an int, ``demands`` or ``cache`` is not sized
-    with one entry per column of ``p``, ``transmissions`` is not (label, payload) pairs,
+    Raises ValueError when ``user`` or a demand is not an int, ``demands`` or ``cache`` is
+    not sized with one entry per column of ``p``, ``transmissions`` is not (label, payload) pairs,
     or the user's cache is no dict, or a cached value or payload that is not bytes stops it.
     Raises :class:`DecodeError` when ``user`` is not a column of ``p``, when a subfile or
     transmission it needs is missing: a peer subfile that the Blackburn property promises
@@ -181,6 +181,9 @@ def decode(
     if not 0 <= user < _check_pda(p, "array").cols:
         raise DecodeError(f"user {user} out of range [0,{p.cols})")
     _check_per_user(p, demands, "demands")
+    for d in demands:
+        if not isinstance(d, int):
+            raise ValueError(f"demand {d!r} must be an int, got {type(d).__name__}")
     _check_per_user(p, cache, "caches")
     d = demands[user]
     _check_sequence(transmissions, "transmissions")

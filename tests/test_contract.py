@@ -9,10 +9,12 @@ each value of ``_BAD``; the call must raise exactly ``ValueError:
 ``KeyError``, ``IndexError`` or ``TypeError``.
 
 The rows of ``_SEQUENCE_ROWS`` do the same for the arguments that are
-sequences (member lists, demands, caches, transmissions): each value of
-``_NOT_SEQUENCES`` must raise exactly ``ValueError: <name> must be a
-sequence, got <type>``.  The library stays outside both tables, and of the
-caches and demands only their type and per-user count are checked here.
+sequences (member and part lists, demands, caches, transmissions): each
+value of ``_NOT_SEQUENCES`` must raise exactly ``ValueError: <name> must
+be a sequence, got <type>``, and every list of arrays that must not be
+empty refuses an empty one, list or iterator, with one message.  The
+library stays outside both tables, and of the caches and demands only
+their type and per-user count are checked here.
 """
 
 import os
@@ -20,14 +22,16 @@ import os
 import pytest
 
 from pdakit.compatibility import (
+    GenFamily,
     check_condition_cstar,
     is_blackburn_compatible,
+    is_generalized_family,
     is_left_compatible,
     is_right_compatible,
 )
-from pdakit.constructions import all_star, h_array, mn, odd_tiling
+from pdakit.constructions import all_star, h_array, identity, mn, odd_tiling
 from pdakit.core import canonicalize, disjoint_copy, hstack, params, relabel, validate, vstack
-from pdakit.errors import PdaError
+from pdakit.errors import DecodeError, PdaError
 from pdakit.gridio import pda_to_json, save_pda, serialize_grid
 from pdakit.lifting import (
     assemble_identity_lift,
@@ -96,6 +100,9 @@ _SEQUENCE_ROWS = [
      {2: "demands", 3: "caches", 4: "transmissions"}),
     (run, [_P, 4, 60, _DEMANDS], {3: "demands"}),
     (measure_family, [[_ODD.p0, _ODD.p1], _ODD.pstar], {0: "members"}),
+    (check_condition_cstar, [_H3, all_star(3, 3)], {0: "members"}),
+    (hstack, [[_P, _P]], {0: "parts"}),
+    (vstack, [[_P, _P]], {0: "parts"}),
 ]
 
 
@@ -151,7 +158,7 @@ def test_a_sequence_argument_that_is_not_one_is_a_value_error_naming_it(fn, args
 @pytest.mark.parametrize(
     "members, message",
     [
-        (None, "need at least one member"),
+        (None, "members must be a sequence, got NoneType"),
         ([[None]], "member 0 must be a Pda, got list"),
         ("x", "member 0 must be a Pda, got str"),
         ({(0, 1): None}, "member 0 must be a Pda, got tuple"),
@@ -201,3 +208,89 @@ def test_decode_needs_one_cache_per_user(caches):
     with pytest.raises(ValueError) as err:
         decode(_P, 0, _DEMANDS, caches, _SENT)
     assert (type(err.value), str(err.value)) == (ValueError, f"need 4 caches, got {len(caches)}")
+
+
+_S = all_star(2, 2)
+
+_NON_EMPTY = [
+    (lambda xs: check_condition_cstar(xs, _P), "member"),
+    (hstack, "part"),
+    (vstack, "part"),
+    (lambda xs: lift_family(xs, all_star(3, 3), _Q, all_star(2, 2)), "member"),
+    (lambda xs: lift_family(_H3, all_star(3, 3), xs, all_star(2, 2)), "q-member"),
+    # Label-free members need no q-member by count, but the lifted reference is a basic
+    # lift by q-member 0.
+    (lambda xs: lift_family([_S, _S], _S, xs, identity(2, 0)), "q-member"),
+    (lambda xs: assemble_identity_lift(xs, {}), "member"),
+    (lambda xs: nonuniform_lift(xs, {}), "member"),
+    (lambda xs: measure_family(xs, _ODD.pstar), "member"),
+]
+
+
+@pytest.mark.parametrize("empty", [list, lambda: iter([]), lambda: (x for x in ())],
+                         ids=["list", "iterator", "generator"])
+@pytest.mark.parametrize("call, what", _NON_EMPTY,
+                         ids=["cstar", "hstack", "vstack", "lift_family-members",
+                              "lift_family-q-members", "lift_family-label-free",
+                              "assemble_identity_lift", "nonuniform_lift", "measure_family"])
+def test_an_empty_list_of_arrays_is_one_value_error(call, what, empty):
+    with pytest.raises((ValueError, IndexError, PdaError)) as err:
+        call(empty())
+    assert (type(err.value), str(err.value)) == (ValueError, f"need at least one {what}")
+
+
+def test_a_label_free_base_still_lifts_with_an_empty_family():
+    blocks = [[disjoint_copy(identity(2, 0), 2 * r + c) for c in range(2)] for r in range(2)]
+    assert uniform_lift(_S, [], identity(2, 0)).result == vstack(map(hstack, blocks))
+
+
+@pytest.mark.parametrize("refs", [{(0, 1): _P}, {(0, 0): _P}], ids=["(0,1)", "(0,0)"])
+def test_one_member_refuses_every_reference_key_alike(refs):
+    messages = set()
+    for call in (
+        lambda: nonuniform_lift([_P], refs),
+        lambda: assemble_identity_lift([_P], refs),
+        lambda: is_generalized_family(GenFamily.of([_P], refs)),
+    ):
+        with pytest.raises(ValueError) as err:
+            call()
+        messages.add((type(err.value), str(err.value)))
+    key = next(iter(refs))
+    assert messages == {(ValueError, f"unexpected reference key {key!r}: keys are pairs "
+                                     "(i,j) of distinct member indices below 1")}
+
+
+@pytest.mark.parametrize("orientation", ["main", "anti"])
+def test_one_member_assembles_to_itself(orientation):
+    assert assemble_identity_lift([_P], {}, orientation) == _P
+    assert nonuniform_lift(iter([_P]), {}, orientation) == _P
+
+
+@pytest.mark.parametrize("mapping", [None, [1, 2], "abc"], ids=["None", "list", "str"])
+def test_relabel_needs_a_mapping(mapping):
+    with pytest.raises((ValueError, AttributeError)) as err:
+        relabel(_P, mapping)
+    message = f"mapping must be a dict, got {type(mapping).__name__}"
+    assert (type(err.value), str(err.value)) == (ValueError, message)
+
+
+@pytest.mark.parametrize(
+    "demand, message",
+    [
+        ([0], "demand [0] must be an int, got list"),
+        (None, "demand None must be an int, got NoneType"),
+        ("0", "demand '0' must be an int, got str"),
+        (0.0, "demand 0.0 must be an int, got float"),
+    ],
+    ids=["list", "None", "str", "float"],
+)
+def test_decode_needs_int_demands(demand, message):
+    sent = deliver(_P, [0] * 4, _LIB)
+    with pytest.raises((ValueError, TypeError, DecodeError)) as err:
+        decode(_P, 0, [demand] * 4, _CACHES, sent)
+    assert (type(err.value), str(err.value)) == (ValueError, message)
+
+
+def test_decode_keeps_a_demand_outside_the_library_a_decode_error():
+    with pytest.raises(DecodeError, match=r"\(file 9, subfile 0\)"):
+        decode(_P, 0, [9, 1, 0, 3], _CACHES, _SENT)

@@ -335,8 +335,8 @@ def test_unreached_error_paths_keep_type_and_message():
         (lambda: Pda(0, 1, ()), ValueError, "grid must be at least 1x1, got 0x1"),
         (lambda: Pda.from_rows([]), ValueError, "grid must have at least one row"),
         (lambda: disjoint_copy(p, -1), ValueError, "offset must be non-negative"),
-        (lambda: hstack([]), ValueError, "nothing to stack"),
-        (lambda: vstack([]), ValueError, "nothing to stack"),
+        (lambda: hstack([]), ValueError, "need at least one part"),
+        (lambda: vstack([]), ValueError, "need at least one part"),
         (
             lambda: parse_grid("0 *\n# pda f=1 K=2\n"),
             GridParseError,

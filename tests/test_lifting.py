@@ -572,14 +572,15 @@ def _lifting_error_cases():
          "member 0 must be a Pda, got NoneType"),
         (lambda: lift_family_params(p._replace(ref_labels=2), p), ValueError,
          "inconsistent tuple: 2 reference labels at regularity 6 do not cover 6 cells"),
-        (lambda: lift_family([], pstar, members, pstar), LiftError, "need at least one member"),
-        (lambda: lift_family(members, pstar, [], pstar), LiftError,
-         "family members need 1 q-members (max label occurrences), got 0"),
+        (lambda: lift_family([], pstar, members, pstar), ValueError, "need at least one member"),
+        (lambda: lift_family(members, pstar, [], pstar), ValueError,
+         "need at least one q-member"),
         (lambda: assemble_identity_lift(members, {}, "diag"), ValueError,
          "orientation must be 'main' or 'anti', got 'diag'"),
         (lambda: assemble_identity_lift([], {}), ValueError, "need at least one member"),
         (lambda: assemble_identity_lift([identity(2, 0)], lone), ValueError,
-         "a single member takes no references"),
+         "unexpected reference key (0, 1): keys are pairs (i,j) of distinct "
+         "member indices below 1"),
         (lambda: assemble_identity_lift([identity(2, 0)] * 2, lone), ValueError,
          "missing reference for pair (1,0)"),
         (lambda: shangguan_recursive(3, 3, 2), ValueError,
