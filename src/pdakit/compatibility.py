@@ -25,7 +25,7 @@ from itertools import permutations
 from operator import itemgetter
 from typing import Mapping, NamedTuple, Sequence
 
-from .core import Pda, _check_members, _check_pda, _check_shape, _Frozen
+from .core import Pda, _check_kind, _check_members, _check_pda, _check_shape, _Frozen
 
 __all__ = [
     "CompatWitness",
@@ -107,12 +107,14 @@ class GenFamily(_Frozen):
 
     The reference for (i, j) has the row count of member i and the column
     count of member j.  ``is_generalized_family`` and the identity-base
-    lift check this one contract alike: ValueError for a key that is no
-    such pair, then for the first member that is not a ``Pda``, then for
-    the first pair whose reference is missing (or None), not a ``Pda`` or
-    misshaped.  Reference label sets must be pairwise disjoint and disjoint
-    from all members' labels for the identity-lift equivalence to hold;
-    ``nonuniform_lift`` checks that.  The hash leaves ``refs`` out.
+    lift check this one contract alike: ValueError for a ``refs`` that is
+    no mapping, then for a key that is no such pair, then for the first
+    member that is not a ``Pda``, then for the first pair whose reference
+    is missing (or None), not a ``Pda`` or misshaped.  Reference label sets
+    must be pairwise disjoint and disjoint from all members' labels for the
+    identity-lift equivalence to hold; ``nonuniform_lift`` checks that.
+    ``of`` refuses members that are no sequence and ``refs`` that is no
+    mapping.  The hash leaves ``refs`` out.
     """
 
     _fields = ("members", "refs")
@@ -125,17 +127,19 @@ class GenFamily(_Frozen):
 
     @staticmethod
     def of(members: Sequence[Pda], refs: Mapping) -> "GenFamily":
-        return GenFamily(tuple(members), dict(refs))
+        members = tuple(_check_kind(members, "members"))
+        return GenFamily(members, dict(_check_kind(refs, "refs", Mapping)))
 
 
 def _check_pair_refs(members: Sequence[Pda], refs: Mapping) -> None:
     """Check that every member is a ``Pda`` and that ``refs`` maps every
     ordered pair (i, j) of distinct member indices, and nothing else, to a
-    ``Pda`` of shape rows(i) x cols(j): all keys first, then the members'
-    types, and each value's type before any of its attributes."""
+    ``Pda`` of shape rows(i) x cols(j): that ``refs`` is a mapping first,
+    then all keys, then the members' types, and each value's type before
+    any of its attributes."""
     g = len(members)
     pairs = list(permutations(range(g), 2))
-    for key in refs:
+    for key in _check_kind(refs, "refs", Mapping):
         if key not in pairs:
             raise ValueError(
                 f"unexpected reference key {key!r}: keys are pairs (i,j) of distinct "
@@ -152,7 +156,7 @@ def _check_pair_refs(members: Sequence[Pda], refs: Mapping) -> None:
 
 def is_generalized_family(fam: GenFamily) -> CompatReport:
     """Every ordered pair (i, j) must be right compatible w.r.t. refs[(i, j)]."""
-    members, refs = fam.members, fam.refs
+    members, refs = _check_kind(fam, "family", GenFamily).members, fam.refs
     _check_pair_refs(members, refs)
     return CompatReport.from_witnesses(
         w

@@ -211,6 +211,6 @@ def yan_half_memory(g: int) -> Pda:
     for t in range(1, g + 1, 2):
         shared = start + comb(g, t - 1)  # where S_{i+1} begins
         left = mn_reverse(g, t, range(shared, shared + comb(g, t + 1)))
-        blocks.append([(left, 0), (mn(g, g - t, range(start, shared)), 0)])
+        blocks.append([(left, None), (mn(g, g - t, range(start, shared)), None)])
         start = shared
     return _assemble_blocks(blocks)

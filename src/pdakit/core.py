@@ -205,11 +205,14 @@ def validate(p: Pda, expected_labels: "int | None" = None) -> ValidationReport:
     C2 is trivially satisfied by the labels actually present; when
     ``expected_labels`` declares the intended label count m (label set [m]),
     a missing-label violation is reported if fewer than m distinct labels
-    appear.  Witnesses are the first violation in row-major scan order.
+    appear; an ``expected_labels`` that is no int is a ValueError.
+    Witnesses are the first violation in row-major scan order.
     """
     violations = []
 
     counts = _check_pda(p, "array")._star_counts
+    if expected_labels is not None:
+        _check_kind(expected_labels, "expected_labels", int)
     c1_ok = True
     for k in range(1, p.cols):
         if counts[k] != counts[0]:
@@ -299,23 +302,26 @@ class PdaParams(NamedTuple):
         return f"{tag}({self.k},{self.f},{self.z},{self.s})"
 
 
+_NOUNS = {Iterable: "a sequence", Sized: "a sequence", Mapping: "a dict", int: "an int"}
+
+
+def _check_kind(x, what: str, kind=Iterable):
+    """``x`` when it is a ``kind`` (iterable unless given) and no bool, else
+    ValueError: ``what`` must be a sequence, a dict, an int or a ``kind``."""
+    if isinstance(x, bool) or not isinstance(x, kind):
+        noun = _NOUNS.get(kind, f"a {kind.__name__}")
+        raise ValueError(f"{what} must be {noun}, got {type(x).__name__}")
+    return x
+
+
 def _check_pda(x, what: str) -> Pda:
     """``x`` when it is a :class:`Pda`, else ValueError naming ``what``."""
-    if not isinstance(x, Pda):
-        raise ValueError(f"{what} must be a Pda, got {type(x).__name__}")
-    return x
-
-
-def _check_sequence(x, what: str, kind=Iterable):
-    """``x`` when it is a ``kind`` (iterable unless given), else ValueError naming ``what``."""
-    if not isinstance(x, kind):
-        raise ValueError(f"{what} must be a sequence, got {type(x).__name__}")
-    return x
+    return _check_kind(x, what, Pda)
 
 
 def _check_members(xs, what: str = "members") -> list:
     """``xs`` as a non-empty list, else ValueError naming ``what``, a plural."""
-    xs = list(_check_sequence(xs, what))
+    xs = list(_check_kind(xs, what))
     if not xs:
         raise ValueError(f"need at least one {what[:-1]}")
     return xs
@@ -370,9 +376,7 @@ def relabel(p: Pda, mapping: Mapping[int, int]) -> Pda:
     ``p`` and is injective on them, else ValueError.
     """
     present = _check_pda(p, "array").labels()
-    if not isinstance(mapping, Mapping):
-        raise ValueError(f"mapping must be a dict, got {type(mapping).__name__}")
-    missing = present - mapping.keys()
+    missing = present - _check_kind(mapping, "mapping", Mapping).keys()
     if missing:
         raise ValueError(f"mapping does not cover labels {sorted(missing)}")
     images = [mapping[s] for s in present]
@@ -389,13 +393,14 @@ def canonicalize(p: Pda) -> Pda:
 
 
 def disjoint_copy(p: Pda, offset: int) -> Pda:
-    """Shift canonical labels 0..S-1 by ``offset`` to get a label-disjoint copy."""
-    if offset < 0:
+    """Shift canonical labels 0..S-1 by ``offset`` to get a label-disjoint
+    copy: with canonical labels, ``range(offset, offset + S)`` is the shift."""
+    if _check_kind(offset, "offset", int) < 0:
         raise ValueError("offset must be non-negative")
     present = _check_pda(p, "array").labels()
     if present != frozenset(range(len(present))):
         raise ValueError("disjoint_copy requires canonical labels 0..S-1")
-    return _assemble_blocks([[(p, offset)]])
+    return _assemble_blocks([[(p, range(offset, offset + len(present)))]])
 
 
 def _assemble_blocks(
@@ -403,12 +408,13 @@ def _assemble_blocks(
 ) -> Pda:
     """The one block layout every composite grid is built with.
 
-    ``blocks[r][c]`` is a ``(grid, offset)`` pair that lands at block row r
-    and block column c, with ``offset`` added to each of the grid's labels
-    as its rows are copied (0 copies them unchanged).  The blocks of a
-    block row share its first block's row count and the blocks of a block
-    column its top block's column count, else ValueError(mismatch).  The
-    result's cells are emitted row-major into one flat tuple.
+    ``blocks[r][c]`` is a ``(grid, labels)`` pair that lands at block row r
+    and block column c.  Its rows are copied unchanged when ``labels`` is
+    None, else each label s becomes ``labels[s]`` (any indexable map).  The
+    blocks of a block row share its first block's row count and the blocks
+    of a block column its top block's column count, else
+    ValueError(mismatch).  The result's cells are emitted row-major into
+    one flat tuple.
     """
     widths = [q.cols for q, _ in blocks[0]]
     for block_row in blocks:
@@ -418,10 +424,10 @@ def _assemble_blocks(
     cells = []
     for block_row in blocks:
         for j in range(block_row[0][0].rows):
-            for q, offset in block_row:
+            for q, labels in block_row:
                 row = q.cells[j * q.cols : (j + 1) * q.cols]
-                if offset:
-                    row = [None if c is None else c + offset for c in row]
+                if labels is not None:
+                    row = [None if c is None else labels[c] for c in row]
                 cells += row
     return Pda(sum(r[0][0].rows for r in blocks), sum(widths), cells)
 
@@ -429,12 +435,12 @@ def _assemble_blocks(
 def hstack(parts: Sequence[Pda]) -> Pda:
     """Concatenate grids left to right; all parts need equal row counts."""
     parts = _check_members(parts, "parts")
-    row = [(_check_pda(q, f"part {i}"), 0) for i, q in enumerate(parts)]
+    row = [(_check_pda(q, f"part {i}"), None) for i, q in enumerate(parts)]
     return _assemble_blocks([row], "hstack needs equal row counts")
 
 
 def vstack(parts: Sequence[Pda]) -> Pda:
     """Concatenate grids top to bottom; all parts need equal column counts."""
     parts = _check_members(parts, "parts")
-    column = [[(_check_pda(q, f"part {i}"), 0)] for i, q in enumerate(parts)]
+    column = [[(_check_pda(q, f"part {i}"), None)] for i, q in enumerate(parts)]
     return _assemble_blocks(column, "vstack needs equal column counts")

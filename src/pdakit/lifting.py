@@ -41,8 +41,8 @@ from typing import Mapping, NamedTuple, Sequence
 
 from .compatibility import _check_pair_refs, check_condition_cstar, is_blackburn_compatible
 from .constructions import _check_memory_point, all_star, filled, h_array, odd_tiling
-from .core import Pda, PdaParams, _assemble_blocks, _check_members, _check_pda, _check_sequence
-from .core import _check_shape, _valid, disjoint_copy, params, relabel, validate
+from .core import Pda, PdaParams, _assemble_blocks, _check_kind, _check_members, _check_pda
+from .core import _check_shape, _valid, disjoint_copy, params, validate
 from .errors import CompatibilityError, LiftError
 
 __all__ = [
@@ -96,11 +96,6 @@ def _check_member_count(bases, members, needs: str) -> None:
         raise LiftError(f"{needs.format(need)} (max label occurrences), got {len(members)}")
 
 
-def _ranked(p: Pda, labels) -> Pda:
-    """p with each label replaced by its rank in ``sorted(labels)``."""
-    return relabel(p, {s: i for i, s in enumerate(sorted(labels))})
-
-
 def _check_family(members, pstar, what="member"):
     """Check a family as lifting needs it; the reference is named after ``what``."""
     ref = what.replace("member", "reference")
@@ -126,36 +121,30 @@ def _check_family(members, pstar, what="member"):
 def _lift(base, members, pstar) -> LiftOutcome:
     """Uniform lift of a checked base by a checked family, validated in full.
 
-    Fresh labels go reference ranges first, the i-th base star (row-major)
-    taking the range from i * n_ref, then one shared range per base label
-    ascending.  The allocation reads only the base's star count and sorted
-    label set, so the members of a family lift, which agree on both, share
-    one allocation.  Each block is its source ranked onto 0, 1, ... and
-    shifted to its range's start.
+    Fresh labels go reference ranges first, one per base star (row-major),
+    then one shared range per base label ascending.  The allocation reads
+    only the base's star count and sorted label set, so the members of a
+    family lift, which agree on both, share one allocation.  Each block is
+    its source itself with a map of the source's sorted labels onto its
+    ledger range, one map per base label for all its occurrences, or None
+    for a source without labels.
     """
-    n_ref = len(pstar.labels())
-    n_member = len(members[0].labels()) if members else 0
+    ref_labels = sorted(pstar.labels())
+    member_labels = sorted(members[0].labels()) if members else []
     labels = sorted(base.labels())
     n_stars = sum(base._star_counts)
-    first = n_stars * n_ref
-    ledger = [LedgerEntry("star", i, i * n_ref, (i + 1) * n_ref) for i in range(n_stars)]
-    ledger += [
-        LedgerEntry("label", s, first + i * n_member, first + (i + 1) * n_member)
-        for i, s in enumerate(labels)
-    ]
+    sizes = [("star", i, len(ref_labels)) for i in range(n_stars)]
+    sizes += [("label", s, len(member_labels)) for s in labels]
+    stops = accumulate(n for _, _, n in sizes)
+    ledger = [LedgerEntry(kind, key, stop - n, stop) for (kind, key, n), stop in zip(sizes, stops)]
 
-    ranked = [_ranked(m, members[0].labels()) for m in members]
-    ref = _ranked(pstar, pstar.labels())
-    occurrence = [0] * len(labels)
-    stars = 0
-    blocks = []
-    for i in _ranked(base, labels).cells:  # each base label as its rank i
-        if i is None:
-            blocks.append((ref, stars * n_ref))
-            stars += 1
-        else:
-            blocks.append((ranked[occurrence[i]], first + i * n_member))
-            occurrence[i] += 1
+    def onto(source_labels: list, e: LedgerEntry):
+        return dict(zip(source_labels, range(e.start, e.stop))) or None
+
+    stars = (onto(ref_labels, e) for e in ledger[:n_stars])
+    shared = {e.key: onto(member_labels, e) for e in ledger[n_stars:]}
+    unused = {s: iter(members) for s in labels}  # each occurrence takes the next member
+    blocks = [(pstar, next(stars)) if s is None else (next(unused[s]), shared[s]) for s in base.cells]
     w = base.cols
     result = _assemble_blocks([blocks[r : r + w] for r in range(0, len(blocks), w)])
     report = validate(result)
@@ -171,7 +160,7 @@ def uniform_lift(base: Pda, members: Sequence[Pda], pstar: Pda) -> LiftOutcome:
     label set and one shape with the reference, and are pairwise
     compatible with respect to it (checked, witnesses reported).
     """
-    members = list(_check_sequence(members, "members"))
+    members = list(_check_kind(members, "members"))
     _check_member_count([_check_pda(base, "base")], members, "base needs {} family members")
     _valid(base, "base")
     _check_family(members, pstar)
@@ -250,7 +239,7 @@ def assemble_identity_lift(
     g = len(members)
     # Each block row takes its rows from member i, block column j from member j.
     rows = range(g) if orientation == "main" else range(g - 1, -1, -1)
-    blocks = [[(members[i] if i == j else refs[i, j], 0) for j in range(g)] for i in rows]
+    blocks = [[(members[i] if i == j else refs[i, j], None) for j in range(g)] for i in rows]
     return _assemble_blocks(blocks)
 
 

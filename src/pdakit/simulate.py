@@ -26,7 +26,7 @@ import random
 from fractions import Fraction
 from typing import Mapping, NamedTuple, Sequence, Sized
 
-from .core import Pda, _check_pda, _check_sequence, _Frozen, params
+from .core import Pda, _check_kind, _check_pda, _Frozen, params
 from .errors import DecodeError
 
 __all__ = [
@@ -150,7 +150,7 @@ def _check_split(p: Pda, lib: Library) -> None:
 
 
 def _check_per_user(p: Pda, values: Sequence, what: str) -> None:
-    if len(_check_sequence(values, what, Sized)) != p.cols:
+    if len(_check_kind(values, what, Sized)) != p.cols:
         raise ValueError(f"need {p.cols} {what}, got {len(values)}")
 
 
@@ -186,7 +186,7 @@ def decode(
             raise ValueError(f"demand {d!r} must be an int, got {type(d).__name__}")
     _check_per_user(p, cache, "caches")
     d = demands[user]
-    _check_sequence(transmissions, "transmissions")
+    _check_kind(transmissions, "transmissions")
     try:
         by_label = dict(transmissions)
     except (TypeError, ValueError):

@@ -227,11 +227,13 @@ def oracle_decode(p: Pda, user: int, demands, caches, transmissions) -> bytes:
     return b"".join(parts)
 
 
-# The per-block uniform lift the package used before it assembled blocks by
-# label offset: one relabeled Pda per base cell, its rows then copied into
-# the result.  Ranges are handed out as the package documents: one reference
-# range per base star (row-major), then one shared member range per base
-# label ascending.  No preconditions are checked and nothing is validated.
+# The per-block uniform lift the package used before its blocks carried
+# label maps: one relabeled Pda per base cell, its rows then copied into the
+# result, where the package copies each source's rows through a map onto its
+# ledger range and builds no block.  Ranges are handed out as the package
+# documents: one reference range per base star (row-major), then one shared
+# member range per base label ascending.  No preconditions are checked and
+# nothing is validated.
 
 
 def _relabel_block(p: Pda, source_labels, start: int) -> Pda:

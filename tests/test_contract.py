@@ -13,7 +13,10 @@ sequences (member and part lists, demands, caches, transmissions): each
 value of ``_NOT_SEQUENCES`` must raise exactly ``ValueError: <name> must
 be a sequence, got <type>``, and every list of arrays that must not be
 empty refuses an empty one, list or iterator, with one message.  The
-library stays outside both tables, and of the caches and demands only
+integer offsets and label counts, the reference maps and the family
+arguments get the same exact ``ValueError``: ``<name> must be an int``,
+``a dict``, ``a sequence`` or ``a GenFamily``.  The library stays
+outside both tables, and of the caches and demands only
 their type and per-user count are checked here.
 """
 
@@ -294,3 +297,48 @@ def test_decode_needs_int_demands(demand, message):
 def test_decode_keeps_a_demand_outside_the_library_a_decode_error():
     with pytest.raises(DecodeError, match=r"\(file 9, subfile 0\)"):
         decode(_P, 0, [9, 1, 0, 3], _CACHES, _SENT)
+
+
+_PAIR = [_P, _P]
+_NOT_A_MAPPING = [None, 3, [(0, 1), (1, 0)]]
+
+
+@pytest.mark.parametrize(
+    "call, message",
+    [
+        (lambda: disjoint_copy(_P, 1.5), "offset must be an int, got float"),
+        (lambda: disjoint_copy(_P, None), "offset must be an int, got NoneType"),
+        (lambda: disjoint_copy(_P, True), "offset must be an int, got bool"),
+        (lambda: disjoint_copy(None, 1.5), "offset must be an int, got float"),
+        (lambda: validate(_P, "a"), "expected_labels must be an int, got str"),
+        (lambda: validate(_P, 2.5), "expected_labels must be an int, got float"),
+        (lambda: validate(_P, True), "expected_labels must be an int, got bool"),
+        (lambda: params(_P, "a"), "expected_labels must be an int, got str"),
+        (lambda: params(_P, 2.5), "expected_labels must be an int, got float"),
+    ]
+    + [
+        (lambda fn=fn, refs=refs: fn(_PAIR, refs), f"refs must be a dict, got {type(refs).__name__}")
+        for fn in (assemble_identity_lift, nonuniform_lift,
+                   lambda members, refs: is_generalized_family(GenFamily(tuple(members), refs)))
+        for refs in _NOT_A_MAPPING
+    ]
+    + [
+        (lambda: GenFamily.of(None, {}), "members must be a sequence, got NoneType"),
+        (lambda: GenFamily.of(1.5, {}), "members must be a sequence, got float"),
+        (lambda: GenFamily.of([_P], None), "refs must be a dict, got NoneType"),
+        (lambda: GenFamily.of(_PAIR, [(0, 1), (1, 0)]), "refs must be a dict, got list"),
+        (lambda: is_generalized_family(None), "family must be a GenFamily, got NoneType"),
+        (lambda: is_generalized_family(_PAIR), "family must be a GenFamily, got list"),
+    ],
+    ids=["offset-float", "offset-None", "offset-bool", "offset-before-array",
+         "validate-str", "validate-float", "validate-bool", "params-str", "params-float"]
+    + [f"{where}-refs-{kind}" for where in ("assemble", "nonuniform", "family")
+       for kind in ("None", "int", "list")]
+    + ["of-members-None", "of-members-float", "of-refs-None", "of-refs-list",
+       "family-None", "family-list"],
+)
+def test_integer_mapping_and_family_arguments_are_value_errors_naming_them(call, message):
+    with pytest.raises((ValueError, TypeError, AttributeError, PdaError)) as err:
+        call()
+    assert (type(err.value), str(err.value)) == (ValueError, message)
+

@@ -169,6 +169,32 @@ def test_basic_lift_runs_no_compatibility_check(monkeypatch):
     assert params(basic_lift(h_array(3), mn(3, 1)).result).notation() == "4-(9,9,5,9)"
 
 
+def _count_constructions(monkeypatch) -> list:
+    """A list that gains one entry per ``Pda`` built from now on."""
+    built, init = [], Pda.__init__
+
+    def counting(self, *args):
+        built.append(args[:2])
+        init(self, *args)
+
+    monkeypatch.setattr(Pda, "__init__", counting)
+    return built
+
+
+def test_a_uniform_lift_builds_only_its_result(monkeypatch):
+    base, fam = h_array(6), odd_tiling(5)
+    built = _count_constructions(monkeypatch)
+    outcome = uniform_lift(base, [fam.p0, fam.p1], fam.pstar)
+    assert built == [outcome.result.shape]
+
+
+def test_a_basic_lift_builds_only_its_reference_and_result(monkeypatch):
+    base, p = mn(5, 2), h_array(4)
+    built = _count_constructions(monkeypatch)
+    outcome = basic_lift(base, p)
+    assert built == [p.shape, outcome.result.shape]
+
+
 def test_basic_lift_multiplies_regularity():
     cases = [
         (identity(3, 0), h_array(4)),
