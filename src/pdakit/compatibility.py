@@ -1,10 +1,10 @@
 """Decision procedures for Blackburn-compatibility between PDAs.
 
 Two arrays interact only through cells that carry the same label.  The
-checks below index label positions first, so their cost is proportional to
-the number of equal-label pairs rather than to the square of the cell
-count.  Witness order is deterministic: lowest label first, then row-major
-cell pairs.
+checks below index label positions, clear a label of g0 and g1 cells in
+O(g0 + g1) with the star count ``core._stars_over`` that C3 uses, and walk
+only a failing label pair by pair.  Witness order is deterministic: lowest
+label first, then row-major cell pairs.
 
 Right compatibility of (p0, p1) with respect to a reference of shape
 rows(p0) x cols(p1) demands a star at (i0, j1) for every equal-label pair
@@ -25,7 +25,7 @@ from itertools import permutations
 from operator import itemgetter
 from typing import Mapping, NamedTuple, Sequence
 
-from .core import Pda, _check_kind, _check_members, _check_pda, _check_shape, _Frozen
+from .core import Pda, _check_kind, _check_members, _check_pda, _check_shape, _Frozen, _stars_over
 
 __all__ = [
     "CompatWitness",
@@ -65,11 +65,17 @@ class CompatReport(NamedTuple):
 
 
 def _right_witnesses(p0: Pda, p1: Pda, pstar: Pda, pair=None, both=False):
-    """Witnesses per shared label, then row-major cell pairs; with ``both``
-    the (i1, j0) mirror is checked after (i0, j1), which is full
-    compatibility."""
-    ref, w = pstar.cells, pstar.cols
+    """Witnesses per shared label, then row-major cell pairs; with ``both`` the
+    (i1, j0) mirror is checked after (i0, j1), which is full compatibility.
+    A label whose mirrors ``_stars_over`` counts all stars is not walked."""
+    ref, w, rows, w0 = pstar.cells, pstar.cols, pstar._star_rows, p0.cols
     for s in sorted(p0._label_index.keys() & p1._label_index.keys()):
+        flat0, flat1 = p0._label_index[s], p1._label_index[s]
+        g = len(flat0) * len(flat1)  # w is p1's width, and p0's too with both
+        if _stars_over(rows, flat0, w0, flat1, w) == g and (
+            not both or _stars_over(rows, flat1, w, flat0, w) == g
+        ):
+            continue
         cells1 = p1._cells_of(s)
         for c0 in p0._cells_of(s):
             i0, j0 = c0
@@ -107,12 +113,13 @@ class GenFamily(_Frozen):
 
     The reference for (i, j) has the row count of member i and the column
     count of member j.  ``is_generalized_family`` and the identity-base
-    lift check this one contract alike: ValueError for a ``refs`` that is
-    no mapping, then for a key that is no such pair, then for the first
-    member that is not a ``Pda``, then for the first pair whose reference
-    is missing (or None), not a ``Pda`` or misshaped.  Reference label sets
-    must be pairwise disjoint and disjoint from all members' labels for the
-    identity-lift equivalence to hold; ``nonuniform_lift`` checks that.
+    lift check this one contract alike: ValueError for ``members`` that is
+    no sequence, then for a ``refs`` that is no mapping, then for a key
+    that is no such pair, then for the first member that is not a ``Pda``,
+    then for the first pair whose reference is missing (or None), not a
+    ``Pda`` or misshaped.  Reference label sets must be pairwise disjoint
+    and disjoint from all members' labels for the identity-lift
+    equivalence to hold; ``nonuniform_lift`` checks that.
     ``of`` refuses members that are no sequence and ``refs`` that is no
     mapping.  The hash leaves ``refs`` out.
     """
@@ -134,10 +141,10 @@ class GenFamily(_Frozen):
 def _check_pair_refs(members: Sequence[Pda], refs: Mapping) -> None:
     """Check that every member is a ``Pda`` and that ``refs`` maps every
     ordered pair (i, j) of distinct member indices, and nothing else, to a
-    ``Pda`` of shape rows(i) x cols(j): that ``refs`` is a mapping first,
-    then all keys, then the members' types, and each value's type before
-    any of its attributes."""
-    g = len(members)
+    ``Pda`` of shape rows(i) x cols(j): that ``members`` is a sequence
+    first, then that ``refs`` is a mapping, then all keys, then the
+    members' types, and each value's type before any of its attributes."""
+    g = len(_check_kind(members, "members", Sequence))
     pairs = list(permutations(range(g), 2))
     for key in _check_kind(refs, "refs", Mapping):
         if key not in pairs:
@@ -180,16 +187,15 @@ def check_condition_cstar(members: Sequence[Pda], pstar: Pda) -> CompatReport:
     for i, m in enumerate(members):
         _check_shape(m, *shape, f"member {i}")
     _check_shape(pstar, *shape, "reference")
-    stars = [c is None for c in members[0].cells]
     for i, m in enumerate(members[1:], start=1):
-        if [c is None for c in m.cells] != stars:
+        if m._star_rows != members[0]._star_rows:
             raise ValueError(
                 f"members 0 and {i} differ in star positions; "
                 "coordinated family lifting does not apply"
             )
-    witnesses = []
+    witnesses, cells = [], members[0].cells
     for pos, s in enumerate(pstar.cells):
-        if s is not None and stars[pos]:
+        if s is not None and cells[pos] is None:
             cell = divmod(pos, pstar.cols)
             witnesses.append((s, cell, cell, cell, None))
     return CompatReport.from_witnesses(witnesses)

@@ -23,7 +23,8 @@ from __future__ import annotations
 import sys
 from fractions import Fraction
 from functools import cached_property
-from operator import itemgetter
+from itertools import repeat
+from operator import is_
 from typing import Iterable, Mapping, NamedTuple, Sequence, Sized
 
 from .errors import InvalidPdaError
@@ -171,6 +172,13 @@ class Pda(_Frozen):
         return tuple(cells[k::w].count(None) for k in range(w))
 
     @cached_property
+    def _star_rows(self) -> tuple:
+        """One int per row, bit k set when column k is a star, built at C level."""
+        flags, w = bytearray(map(is_, self.cells, repeat(None))), self.cols
+        bits = flags.translate(bytes.maketrans(b"\0\1", b"01"))
+        return tuple(int(bits[i : i + w][::-1], 2) for i in range(0, len(bits), w))
+
+    @cached_property
     def _c3(self) -> "Violation | None":
         return _first_blackburn_violation(self)
 
@@ -239,23 +247,16 @@ def _first_blackburn_violation(p: Pda) -> "Violation | None":
     """The C3 violation a row-major scan meets first, or None.
 
     A label at rows R and columns C obeys C3 exactly when its R x C
-    submatrix is all stars off the diagonal, so one star count per label
-    clears it; only a failing label is walked pair by pair.  The witness is
-    the smallest later cell, then its earliest earlier occurrence, then the
-    (j1, k2) mirror before (j2, k1).  Cost is O(equal-label pairs).
+    submatrix is all stars off the diagonal, so one ``_stars_over`` count
+    of g*g - g clears a label of g cells in O(g); only a failing label is
+    walked pair by pair.  The witness is the smallest later cell, then its
+    earliest earlier occurrence, then the (j1, k2) mirror before (j2, k1).
     """
-    cells, w = p.cells, p.cols
-    rows = [cells[i : i + w] for i in range(0, len(cells), w)]
+    cells, w, rows = p.cells, p.cols, p._star_rows
     first = None
     for flat in p._label_index.values():
         g = len(flat)
-        if g < 2:
-            continue
-        in_columns = itemgetter(*[pos % w for pos in flat])
-        stars = 0
-        for pos in flat:
-            stars += in_columns(rows[pos // w]).count(None)
-        if stars == g * g - g:
+        if _stars_over(rows, flat, w, flat, w) == g * g - g:
             continue
         found = _first_failing_pair(cells, w, flat)
         if first is None or found[1] < first[1]:
@@ -263,6 +264,19 @@ def _first_blackburn_violation(p: Pda) -> "Violation | None":
     if first is None:
         return None
     return Violation("C3", tuple(divmod(pos, w) for pos in first))
+
+
+def _stars_over(rows: tuple, flat0: list, w0: int, flat1: list, w1: int) -> int:
+    """Stars in the star rows ``rows`` over the row of each flat position in
+    ``flat0`` (width w0) by the distinct columns of ``flat1`` (width w1): at
+    most len(flat0) * len(flat1), reached only when every such mirror is a star."""
+    mask = 0
+    for pos in flat1:
+        mask |= 1 << pos % w1
+    stars = 0
+    for pos in flat0:
+        stars += (rows[pos // w0] & mask).bit_count()
+    return stars
 
 
 def _first_failing_pair(cells: tuple, w: int, flat: list) -> tuple:
@@ -302,7 +316,7 @@ class PdaParams(NamedTuple):
         return f"{tag}({self.k},{self.f},{self.z},{self.s})"
 
 
-_NOUNS = {Iterable: "a sequence", Sized: "a sequence", Mapping: "a dict", int: "an int"}
+_NOUNS = dict.fromkeys((Iterable, Sized, Sequence), "a sequence") | {Mapping: "a dict", int: "an int"}
 
 
 def _check_kind(x, what: str, kind=Iterable):

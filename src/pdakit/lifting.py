@@ -139,6 +139,8 @@ def _lift(base, members, pstar) -> LiftOutcome:
     ledger = [LedgerEntry(kind, key, stop - n, stop) for (kind, key, n), stop in zip(sizes, stops)]
 
     def onto(source_labels: list, e: LedgerEntry):
+        if source_labels[-1:] == [len(source_labels) - 1]:  # sorted labels 0..n-1
+            return range(e.start, e.stop)
         return dict(zip(source_labels, range(e.start, e.stop))) or None
 
     stars = (onto(ref_labels, e) for e in ledger[:n_stars])

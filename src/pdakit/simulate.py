@@ -176,9 +176,7 @@ def decode(
     or the transmission for one of its labels; or when a cached subfile or payload it reads,
     or its first cached value, has a length most of its cached values and payloads do not.
     """
-    if not isinstance(user, int):
-        raise ValueError(f"user must be an int, got {type(user).__name__}")
-    if not 0 <= user < _check_pda(p, "array").cols:
+    if not 0 <= _check_kind(user, "user", int) < _check_pda(p, "array").cols:
         raise DecodeError(f"user {user} out of range [0,{p.cols})")
     _check_per_user(p, demands, "demands")
     for d in demands:

@@ -86,10 +86,16 @@ def random_full_triple(rng: random.Random, max_cells: int = 60) -> tuple:
     return p0, p1, Pda(p0.rows, p0.cols, tuple(mask))
 
 
-def random_grid(rng: random.Random, max_side: int = 6, n_labels: int = 5) -> Pda:
+# Column counts on both sides of the 8- and 64-bit boundaries of the
+# star-row ints (``Pda._star_rows``).
+WIDE_COLS = (1, 7, 8, 9, 31, 63, 64, 65, 66, 100, 127, 128, 129, 130)
+
+
+def random_grid(rng: random.Random, max_side: int = 6, n_labels: int = 5, shape=None) -> Pda:
     """Any grid of stars and a few labels, mostly not a PDA: star columns
-    unbalanced, labels repeated in a row or column, mirrors not stars."""
-    rows, cols = rng.randint(1, max_side), rng.randint(1, max_side)
+    unbalanced, labels repeated in a row or column, mirrors not stars.
+    ``shape`` fixes (rows, cols), else each is drawn up to ``max_side``."""
+    rows, cols = shape or (rng.randint(1, max_side), rng.randint(1, max_side))
     star = rng.random()
     return Pda(
         rows,

@@ -34,7 +34,7 @@ from oracles import (
     brute_force_right_ok,
     brute_force_right_witnesses,
 )
-from randgen import random_full_triple, random_valid_pda
+from randgen import WIDE_COLS, random_full_triple, random_grid, random_valid_pda
 
 
 def test_odd_pair_compatible_with_identity():
@@ -105,6 +105,33 @@ def test_right_and_left_witness_sequences_match_oracle_on_randgen_triples():
             assert report.ok == (not expected)
             verdicts[(side, report.ok)] += 1
     assert min(verdicts.values()) >= 20
+
+
+def test_witness_sequences_match_oracles_on_wide_grids():
+    """Shapes up to 130 columns, across the 8- and 64-bit boundaries of the
+    reference's star rows; labels repeat in rows and columns."""
+    rng = random.Random(22)
+    verdicts = {}
+
+    def grid(rows, cols, n_labels):
+        return random_grid(rng, n_labels=n_labels, shape=(rows, cols))
+
+    def reference(rows, cols):
+        return all_star(rows, cols) if rng.random() < 0.3 else grid(rows, cols, 5)
+
+    for _ in range(25):
+        (r0, c0), (r1, c1) = [(rng.randint(1, 2), rng.choice(WIDE_COLS)) for _ in "01"]
+        pool = rng.randint(1, 60)
+        p0, p1, q1 = grid(r0, c0, pool), grid(r1, c1, pool), grid(r0, c0, pool)
+        for side, check, oracle, args in (
+            ("right", is_right_compatible, brute_force_right_witnesses, (p0, p1, reference(r0, c1))),
+            ("left", is_left_compatible, brute_force_left_witnesses, (p0, p1, reference(r1, c0))),
+            ("full", is_blackburn_compatible, brute_force_full_witnesses, (p0, q1, reference(r0, c0))),
+        ):
+            report, expected = check(*args), oracle(*args)
+            assert report.witnesses == tuple(CompatWitness(*w) for w in expected)
+            verdicts[side, report.ok] = verdicts.get((side, report.ok), 0) + 1
+    assert len(verdicts) == 6 and min(verdicts.values()) >= 5
 
 
 def _random_labeled(rng, rows, cols, pool):

@@ -329,16 +329,23 @@ _NOT_A_MAPPING = [None, 3, [(0, 1), (1, 0)]]
         (lambda: GenFamily.of(_PAIR, [(0, 1), (1, 0)]), "refs must be a dict, got list"),
         (lambda: is_generalized_family(None), "family must be a GenFamily, got NoneType"),
         (lambda: is_generalized_family(_PAIR), "family must be a GenFamily, got list"),
+        (lambda: is_generalized_family(GenFamily(None, {})), "members must be a sequence, got NoneType"),
+        (lambda: is_generalized_family(GenFamily(iter(_PAIR), {})), "members must be a sequence, got list_iterator"),
+        (lambda: decode(_P, True, _DEMANDS, _CACHES, _SENT), "user must be an int, got bool"),
     ],
     ids=["offset-float", "offset-None", "offset-bool", "offset-before-array",
          "validate-str", "validate-float", "validate-bool", "params-str", "params-float"]
     + [f"{where}-refs-{kind}" for where in ("assemble", "nonuniform", "family")
        for kind in ("None", "int", "list")]
     + ["of-members-None", "of-members-float", "of-refs-None", "of-refs-list",
-       "family-None", "family-list"],
+       "family-None", "family-list", "family-members-None", "family-members-iterator",
+       "decode-user-bool"],
 )
 def test_integer_mapping_and_family_arguments_are_value_errors_naming_them(call, message):
     with pytest.raises((ValueError, TypeError, AttributeError, PdaError)) as err:
         call()
     assert (type(err.value), str(err.value)) == (ValueError, message)
 
+
+def test_a_hand_built_empty_family_is_compatible():
+    assert is_generalized_family(GenFamily((), {})) == (True, ())

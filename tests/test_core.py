@@ -21,7 +21,7 @@ from pdakit.gridio import parse_grid
 
 import printed
 from oracles import brute_force_first_c3
-from randgen import random_grid, random_valid_pda
+from randgen import WIDE_COLS, random_grid, random_valid_pda
 
 
 def test_grid_must_be_rectangular():
@@ -297,6 +297,26 @@ def test_c3_witness_matches_oracle_property():
         assert p.labels() == frozenset(positions)
 
     check()
+
+
+def test_c3_and_star_rows_match_oracles_on_wide_grids():
+    rng = random.Random(22)
+    verdicts = {True: 0, False: 0}
+    grids = [random_grid(rng, n_labels=rng.randint(1, 150), shape=(rng.randint(1, 3), rng.choice(WIDE_COLS)))
+             for _ in range(70)]
+    for n in (3, 22, 43):  # valid 3 x 3n arrays whose labels pass by the count alone
+        p = hstack([identity(3, s) for s in range(n)])
+        cells = list(p.cells)
+        cells[3 * n - 1] = rng.randrange(n)  # a second copy of one label at the last column
+        grids += [p, Pda(3, 3 * n, tuple(cells))]
+    for p in grids:
+        assert p._star_rows == tuple(
+            sum(1 << k for k in range(p.cols) if p.cell(j, k) is None) for j in range(p.rows)
+        )
+        want = _oracle_violation(p)
+        assert _c3_violation(validate(p)) == want
+        verdicts[want is None] += 1
+    assert min(verdicts.values()) >= 15
 
 
 def test_params_after_validate_does_not_rescan(monkeypatch):
