@@ -2,9 +2,9 @@
 
 Two arrays interact only through cells that carry the same label.  The
 checks below index label positions, clear a label of g0 and g1 cells in
-O(g0 + g1) with the star count ``core._stars_over`` that C3 uses, and walk
-only a failing label pair by pair.  Witness order is deterministic: lowest
-label first, then row-major cell pairs.
+O(g0 + g1) with the star count ``core._stars_over``, and walk only a failing
+label pair by pair with ``core._failing_pairs``; C3 uses both.  Witness
+order is deterministic: lowest label first, then row-major cell pairs.
 
 Right compatibility of (p0, p1) with respect to a reference of shape
 rows(p0) x cols(p1) demands a star at (i0, j1) for every equal-label pair
@@ -21,11 +21,12 @@ check builds each witness once, and all of them before it returns.
 from __future__ import annotations
 
 from functools import partial
-from itertools import permutations
+from itertools import chain, permutations
 from operator import itemgetter
 from typing import Mapping, NamedTuple, Sequence
 
-from .core import Pda, _check_kind, _check_members, _check_pda, _check_shape, _Frozen, _stars_over
+from .core import Pda, _check_kind, _check_members, _check_pda, _check_shape, _failing_pairs, _Frozen
+from .core import _stars_over
 
 __all__ = [
     "CompatWitness",
@@ -65,27 +66,21 @@ class CompatReport(NamedTuple):
 
 
 def _right_witnesses(p0: Pda, p1: Pda, pstar: Pda, pair=None, both=False):
-    """Witnesses per shared label, then row-major cell pairs; with ``both`` the
-    (i1, j0) mirror is checked after (i0, j1), which is full compatibility.
-    A label whose mirrors ``_stars_over`` counts all stars is not walked."""
+    """Witnesses per shared label in ascending order, each failing label walked
+    lazily by ``core._failing_pairs``; ``both`` adds the (i1, j0) mirror after
+    (i0, j1): full compatibility.  A label ``_stars_over`` clears is not walked."""
     ref, w, rows, w0 = pstar.cells, pstar.cols, pstar._star_rows, p0.cols
-    for s in sorted(p0._label_index.keys() & p1._label_index.keys()):
-        flat0, flat1 = p0._label_index[s], p1._label_index[s]
-        g = len(flat0) * len(flat1)  # w is p1's width, and p0's too with both
-        if _stars_over(rows, flat0, w0, flat1, w) == g and (
-            not both or _stars_over(rows, flat1, w, flat0, w) == g
-        ):
-            continue
-        cells1 = p1._cells_of(s)
-        for c0 in p0._cells_of(s):
-            i0, j0 = c0
-            row0 = i0 * w
-            for c1 in cells1:
-                i1, j1 = c1
-                if ref[row0 + j1] is not None:
-                    yield s, c0, c1, (i0, j1), pair
-                if both and ref[i1 * w + j0] is not None:
-                    yield s, c0, c1, (i1, j0), pair
+
+    def walks():
+        for s in sorted(p0._label_index.keys() & p1._label_index.keys()):
+            flat0, flat1 = p0._label_index[s], p1._label_index[s]
+            g = len(flat0) * len(flat1)  # w is p1's width, and p0's too with both
+            if _stars_over(rows, flat0, w0, flat1, w) != g or (
+                both and _stars_over(rows, flat1, w, flat0, w) != g
+            ):
+                yield _failing_pairs(ref, w, s, p0._cells_of(s), p1._cells_of(s), pair, both)
+
+    return chain.from_iterable(walks())
 
 
 def is_right_compatible(p0: Pda, p1: Pda, pstar: Pda) -> CompatReport:
@@ -165,11 +160,10 @@ def is_generalized_family(fam: GenFamily) -> CompatReport:
     """Every ordered pair (i, j) must be right compatible w.r.t. refs[(i, j)]."""
     members, refs = _check_kind(fam, "family", GenFamily).members, fam.refs
     _check_pair_refs(members, refs)
-    return CompatReport.from_witnesses(
-        w
+    return CompatReport.from_witnesses(chain.from_iterable(
+        _right_witnesses(members[i], members[j], refs[i, j], pair=(i, j))
         for i, j in permutations(range(len(members)), 2)
-        for w in _right_witnesses(members[i], members[j], refs[i, j], pair=(i, j))
-    )
+    ))
 
 
 def check_condition_cstar(members: Sequence[Pda], pstar: Pda) -> CompatReport:

@@ -6,12 +6,12 @@ tuples element-wise, so for K=4, t=2 the order is 01, 02, 03, 12, 13, 23.
 Reverse lexicographic order is the exact reversal of that enumeration.
 itertools.combinations(range(n), t) already enumerates lexicographically.
 
-One subset construction serves four families.  shangguan_direct holds
-the body, ranking subsets as bitmasks; three identities define the others:
-mn(K, t) is shangguan_direct(K, t, 1) (t = K, one all-star row, aside),
-mn_reverse(K, t, labels) is mn(K, t, labels reversed) with its rows in
-reverse order, and the star-diagonal square h_array(n, labels) is
-mn(n, 1, labels).
+One subset construction serves four families and the identity arrays.
+shangguan_direct holds the body, ranking subsets as bitmasks; identities
+define the rest: mn(K, t) is shangguan_direct(K, t, 1) (t = K aside),
+mn_reverse(K, t, labels) is mn(K, t, labels reversed) with its rows
+reversed, h_array(n, labels) is mn(n, 1, labels), and identity(n, s, anti)
+is mn_reverse(n, n-1, [s]), or mn(n, n-1, [s]) when anti.
 
 Label arguments default to range(count); passing explicit labels supports
 disjoint-copy composition in block constructions.
@@ -54,14 +54,13 @@ def _check_labels(labels, count: int) -> list:
 def identity(n: int, s: int = 0, anti: bool = False) -> Pda:
     """The (n, n, n-1, {s}) PDA with s on the main diagonal, stars elsewhere.
 
-    With ``anti=True`` the label sits on the anti-diagonal instead.
+    With ``anti=True`` the label sits on the anti-diagonal instead: that is
+    mn(n, n-1, [s]), and the main-diagonal form mn_reverse(n, n-1, [s]); each
+    row of MN(n, n-1) misses one user, and that cell holds the one label.
     """
     if n < 1:
         raise ValueError("n must be at least 1")
-    grid = [[None] * n for _ in range(n)]
-    for i in range(n):
-        grid[i][n - 1 - i if anti else i] = s
-    return Pda.from_rows(grid)
+    return (mn if anti else mn_reverse)(n, n - 1, [s])
 
 
 def g_array(n: int, labels: "Sequence[int] | None" = None) -> Pda:

@@ -75,9 +75,9 @@ class Pda(_Frozen):
     """An f x K grid of stars and integer labels, stored row-major.
 
     Rectangularity is enforced at construction; the PDA conditions are not,
-    use :func:`validate`.  A grid builds its label index, column star counts
-    and C3 verdict once, on first use, so repeated :func:`validate` and
-    :func:`params` calls on the same grid do not scan it again.
+    use :func:`validate`.  A grid builds its label index, column star counts,
+    star rows and C3 verdict once, on first use, so repeated :func:`validate`,
+    :func:`params` and compatibility calls on the same grid do not scan it again.
     """
 
     _fields = ("rows", "cols", "cells")
@@ -248,22 +248,24 @@ def _first_blackburn_violation(p: Pda) -> "Violation | None":
 
     A label at rows R and columns C obeys C3 exactly when its R x C
     submatrix is all stars off the diagonal, so one ``_stars_over`` count
-    of g*g - g clears a label of g cells in O(g); only a failing label is
-    walked pair by pair.  The witness is the smallest later cell, then its
-    earliest earlier occurrence, then the (j1, k2) mirror before (j2, k1).
+    of g*g - g clears a label of g cells in O(g).  A failing label goes to
+    ``_failing_pairs``, the compatibility checks' walk, one later cell at a
+    time, up to its first failure: the smallest later cell, then its earliest
+    earlier occurrence, then the (j1, k2) mirror before (j2, k1).
     """
     cells, w, rows = p.cells, p.cols, p._star_rows
     first = None
-    for flat in p._label_index.values():
+    for s, flat in p._label_index.items():
         g = len(flat)
         if _stars_over(rows, flat, w, flat, w) == g * g - g:
             continue
-        found = _first_failing_pair(cells, w, flat)
-        if first is None or found[1] < first[1]:
+        cs = p._cells_of(s)
+        found = next(
+            x for b in range(1, g) for x in _failing_pairs(cells, w, s, cs[:b], cs[b : b + 1], both=True)
+        )
+        if first is None or found[2] < first[2]:
             first = found
-    if first is None:
-        return None
-    return Violation("C3", tuple(divmod(pos, w) for pos in first))
+    return None if first is None else Violation("C3", first[1:4])
 
 
 def _stars_over(rows: tuple, flat0: list, w0: int, flat1: list, w1: int) -> int:
@@ -279,20 +281,20 @@ def _stars_over(rows: tuple, flat0: list, w0: int, flat1: list, w1: int) -> int:
     return stars
 
 
-def _first_failing_pair(cells: tuple, w: int, flat: list) -> tuple:
-    """(earlier cell, later cell, non-star mirror) as flat positions, for a
-    label known to fail C3.  With d the column offset k2 - k1, the mirrors
-    (j1, k2) and (j2, k1) sit at pos1 + d and pos2 - d."""
-    for b in range(1, len(flat)):
-        pos2 = flat[b]
-        k2 = pos2 % w
-        for pos1 in flat[:b]:
-            d = k2 - pos1 % w
-            if cells[pos1 + d] is not None:
-                return pos1, pos2, pos1 + d
-            if cells[pos2 - d] is not None:
-                return pos1, pos2, pos2 - d
-    raise AssertionError("label passed C3")
+def _failing_pairs(ref: tuple, w: int, s: int, cells0, cells1, pair=None, both=False):
+    """The one walk over a failing label's cell pairs, for C3 and every
+    compatibility check: ``(s, c0, c1, mirror, pair)`` for each c0 = (i0, j0)
+    of ``cells0``, then c1 = (i1, j1) of ``cells1``, whose (i0, j1) mirror in
+    ``ref`` (width w) is no star; with ``both``, then also its (i1, j0) one."""
+    for c0 in cells0:
+        i0, j0 = c0
+        row0 = i0 * w
+        for c1 in cells1:
+            i1, j1 = c1
+            if ref[row0 + j1] is not None:
+                yield s, c0, c1, (i0, j1), pair
+            if both and ref[i1 * w + j0] is not None:
+                yield s, c0, c1, (i1, j0), pair
 
 
 class PdaParams(NamedTuple):

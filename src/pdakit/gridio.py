@@ -17,7 +17,7 @@ import json
 import re
 import sys
 
-from .core import Pda, _check_pda, _write_text
+from .core import Pda, _check_kind, _check_pda, _write_text
 from .errors import GridParseError
 
 __all__ = [
@@ -47,7 +47,7 @@ def _check_size(rows: int, cols: int, line: int) -> None:
 
 
 def parse_grid(text: str) -> Pda:
-    lines = text.splitlines()
+    lines = _check_kind(text, "text", str).splitlines()
     header = None
     body = []
     for lineno, raw in enumerate(lines, start=1):

@@ -310,7 +310,8 @@ def shangguan_recursive(n: int, a: int, b: int) -> Pda:
     a + b = n + 1 (reachable once the recursion lowers n).  Otherwise lift
     with members U(n-1, a, b-1), U(n-1, a-1, b) on a shared label set and
     references U(n-1, a, b) fresh plus an all-star block.  Reproduces
-    shangguan_direct(n, a, b) cell for cell.
+    shangguan_direct(n, a, b) cell for cell, except at a + b = n + 1: there
+    it returns the all-star array, which shangguan_direct refuses.
 
     Each distinct (n', a', b') sub-array is built, lifted and validated once
     per call and reused wherever the recursion meets it again; nothing is
@@ -397,8 +398,8 @@ def _exact_div(num: int, den: int, what: str) -> int:
     return num // den
 
 
-def _label_counts(fam: ParamTuple) -> tuple:
-    lm, lr = fam.member_labels, fam.ref_labels
+def _label_counts(fam: ParamTuple, what: str = "family") -> tuple:
+    lm, lr = _check_kind(fam, what, ParamTuple).member_labels, fam.ref_labels
     if lm is None or lr is None:
         raise ValueError("member and reference label counts are required")
     ref_cells = fam.k * (fam.f - fam.z_ref)
@@ -425,7 +426,7 @@ def lifted_params(base: PdaParams, fam: ParamTuple) -> PdaParams:
     regular.
     """
     lm, lr = _label_counts(fam)
-    if base.g is None:
+    if _check_kind(base, "base", PdaParams).g is None:
         raise ValueError("base must be regular for the lifted-parameter calculus")
     if base.g > fam.family_size:
         raise ValueError(
@@ -464,8 +465,8 @@ def lift_family_params(p: ParamTuple, q: ParamTuple) -> ParamTuple:
     compose differently; the new reference regularity multiplies by the
     q-member regularity.
     """
-    lm_p, lr_p = _label_counts(p)
-    lm_q, lr_q = _label_counts(q)
+    lm_p, lr_p = _label_counts(p, "p")
+    lm_q, lr_q = _label_counts(q, "q")
     gc_p = _exact_div(p.k * (p.f - p.z_member), lm_p, "p member regularity")
     if gc_p > q.family_size:
         raise ValueError(

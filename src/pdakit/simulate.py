@@ -131,7 +131,7 @@ def deliver(p: Pda, demands: Sequence[int], lib: Library) -> list:
     _check_split(p, lib)
     _check_per_user(p, demands, "demands")
     for d in demands:
-        if not isinstance(d, int) or not 0 <= d < lib.n_files:
+        if isinstance(d, bool) or not isinstance(d, int) or not 0 <= d < lib.n_files:
             raise ValueError(f"demand {d!r} out of range [0,{lib.n_files})")
     w, size, index, out = p.cols, lib.subfile_size, p._label_index, _Broadcast()
     out.size, out.ints = size, {}
@@ -145,7 +145,7 @@ def deliver(p: Pda, demands: Sequence[int], lib: Library) -> list:
 
 
 def _check_split(p: Pda, lib: Library) -> None:
-    if lib.f != _check_pda(p, "array").rows:
+    if _check_pda(p, "array").rows != _check_kind(lib, "library", Library).f:
         raise ValueError(f"library is split into {lib.f} subfiles but the PDA has {p.rows} rows")
 
 
@@ -180,7 +180,7 @@ def decode(
         raise DecodeError(f"user {user} out of range [0,{p.cols})")
     _check_per_user(p, demands, "demands")
     for d in demands:
-        if not isinstance(d, int):
+        if isinstance(d, bool) or not isinstance(d, int):
             raise ValueError(f"demand {d!r} must be an int, got {type(d).__name__}")
     _check_per_user(p, cache, "caches")
     d = demands[user]

@@ -7,6 +7,14 @@ source tree and diff the two outputs:
 
     PYTHONPATH=path/to/src python tests/sweep_lifts.py > out.txt
 
+``tests/sweep_lifts.sha256`` pins the SHA-256 of this output, and CI
+checks it with ``sha256sum -c``, so a changed outcome or a crash fails the
+build.  A change that alters an outcome on purpose rewrites that file with
+
+    PYTHONPATH=src python tests/sweep_lifts.py | sha256sum > tests/sweep_lifts.sha256
+
+and lists the changed lines in CHANGES.md.
+
 It covers the lifts of the benchmark's compose mix, random basic and
 uniform lifts over ``randgen`` bases, ``lift_family`` with its error
 variants, the recursions, identity-base lifts of random generalized

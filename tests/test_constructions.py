@@ -36,6 +36,18 @@ def test_identity_sweep(n, anti):
     assert (info.k, info.f, info.z, info.s) == (n, n, n - 1, 1)
 
 
+@pytest.mark.parametrize("n", range(1, 13))
+@pytest.mark.parametrize("s", [0, 7, None])
+def test_identity_is_mn_at_t_k_minus_one(n, s):
+    assert identity(n, s, anti=True) == mn(n, n - 1, [s])
+    assert identity(n, s) == mn_reverse(n, n - 1, [s])
+    for anti in (False, True):
+        p = identity(n, s, anti)
+        assert [(j, k) for j in range(n) for k in range(n) if p.cell(j, k) is not None] == (
+            [] if s is None else [(j, n - 1 - j if anti else j) for j in range(n)]
+        )
+
+
 def test_h_array_printed_form():
     assert h_array(3, [0, 1, 2]) == Pda.from_rows(
         [[None, 0, 1], [0, None, 2], [1, 2, None]]

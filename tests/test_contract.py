@@ -15,9 +15,11 @@ be a sequence, got <type>``, and every list of arrays that must not be
 empty refuses an empty one, list or iterator, with one message.  The
 integer offsets and label counts, the reference maps and the family
 arguments get the same exact ``ValueError``: ``<name> must be an int``,
-``a dict``, ``a sequence`` or ``a GenFamily``.  The library stays
-outside both tables, and of the caches and demands only
-their type and per-user count are checked here.
+``a dict``, ``a sequence`` or ``a GenFamily``; the library, grid text
+and parameter tuples get ``a Library``, ``a str``, ``a ParamTuple`` or
+``a PdaParams``, and a bool demand is refused like any other non-int.
+Of the caches and demands otherwise only their type and per-user count
+are checked here.
 """
 
 import os
@@ -35,11 +37,14 @@ from pdakit.compatibility import (
 from pdakit.constructions import all_star, h_array, identity, mn, odd_tiling
 from pdakit.core import canonicalize, disjoint_copy, hstack, params, relabel, validate, vstack
 from pdakit.errors import DecodeError, PdaError
-from pdakit.gridio import pda_to_json, save_pda, serialize_grid
+from pdakit.gridio import parse_grid, pda_to_json, save_pda, serialize_grid
 from pdakit.lifting import (
+    ParamTuple,
     assemble_identity_lift,
     basic_lift,
     lift_family,
+    lift_family_params,
+    lifted_params,
     measure_family,
     nonuniform_lift,
     uniform_lift,
@@ -349,3 +354,38 @@ def test_integer_mapping_and_family_arguments_are_value_errors_naming_them(call,
 
 def test_a_hand_built_empty_family_is_compatible():
     assert is_generalized_family(GenFamily((), {})) == (True, ())
+
+
+_FAM = ParamTuple(6, 6, 1, 5, 3, 6, 15, 1)
+_FAM_Q = ParamTuple(10, 10, 1, 6, 2, 4, 45, 10)
+
+
+@pytest.mark.parametrize(
+    "call, message",
+    [
+        (lambda: place(_P, "lib"), "library must be a Library, got str"),
+        (lambda: deliver(_P, _DEMANDS, None), "library must be a Library, got NoneType"),
+        (lambda: parse_grid(None), "text must be a str, got NoneType"),
+        (lambda: parse_grid(b"0 1"), "text must be a str, got bytes"),
+        (lambda: lifted_params(params(_P), None), "family must be a ParamTuple, got NoneType"),
+        (lambda: lifted_params(params(_P), tuple(_FAM)), "family must be a ParamTuple, got tuple"),
+        (lambda: lifted_params(None, _FAM), "base must be a PdaParams, got NoneType"),
+        (lambda: lifted_params(tuple(params(_P)), _FAM), "base must be a PdaParams, got tuple"),
+        (lambda: lift_family_params(None, _FAM_Q), "p must be a ParamTuple, got NoneType"),
+        (lambda: lift_family_params(tuple(_FAM), _FAM_Q), "p must be a ParamTuple, got tuple"),
+        (lambda: lift_family_params(_FAM, None), "q must be a ParamTuple, got NoneType"),
+        (lambda: lift_family_params(_FAM, tuple(_FAM_Q)), "q must be a ParamTuple, got tuple"),
+        (lambda: deliver(_P, [True, 0, 1, 2], _LIB), "demand True out of range [0,4)"),
+        (lambda: run(_P, 4, 60, [True, 0, 1, 2]), "demand True out of range [0,4)"),
+        (lambda: decode(_P, 0, [True, 0, 1, 2], _CACHES, _SENT), "demand True must be an int, got bool"),
+    ],
+    ids=["place-library", "deliver-library", "parse_grid-None", "parse_grid-bytes",
+         "lifted_params-family-None", "lifted_params-family-tuple", "lifted_params-base-None",
+         "lifted_params-base-tuple", "lift_family_params-p-None", "lift_family_params-p-tuple",
+         "lift_family_params-q-None", "lift_family_params-q-tuple", "deliver-demand-bool",
+         "run-demand-bool", "decode-demand-bool"],
+)
+def test_library_text_parameter_tuples_and_bool_demands_are_value_errors(call, message):
+    with pytest.raises((ValueError, TypeError, AttributeError, PdaError)) as err:
+        call()
+    assert (type(err.value), str(err.value)) == (ValueError, message)

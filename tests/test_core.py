@@ -203,10 +203,12 @@ def test_disjoint_copy():
 
 
 def test_stacking_shape_checks():
-    with pytest.raises(ValueError):
+    with pytest.raises(ValueError) as err:
         hstack([identity(2, 0), identity(3, 0)])
-    with pytest.raises(ValueError):
+    assert (type(err.value), str(err.value)) == (ValueError, "hstack needs equal row counts")
+    with pytest.raises(ValueError) as err:
         vstack([all_star(2, 2), all_star(2, 3)])
+    assert (type(err.value), str(err.value)) == (ValueError, "vstack needs equal column counts")
     assert hstack([identity(2, 0)]) == identity(2, 0)
 
 
@@ -317,6 +319,17 @@ def test_c3_and_star_rows_match_oracles_on_wide_grids():
         assert _c3_violation(validate(p)) == want
         verdicts[want is None] += 1
     assert min(verdicts.values()) >= 15
+
+
+@pytest.mark.parametrize(
+    "shape, witness",
+    [((1, 50_000), ((0, 0), (0, 1), (0, 1))), ((50_000, 1), ((0, 0), (1, 0), (0, 0)))],
+    ids=["row", "column"],
+)
+def test_c3_stops_at_the_first_failing_pair_of_one_long_label(shape, witness):
+    # Walking every pair of the one label would take about 10^9 steps.
+    p = Pda(*shape, (0,) * 50_000)
+    assert _c3_violation(validate(p)) == Violation("C3", witness)
 
 
 def test_params_after_validate_does_not_rescan(monkeypatch):
