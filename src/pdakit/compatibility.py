@@ -1,10 +1,10 @@
 """Decision procedures for Blackburn-compatibility between PDAs.
 
 Two arrays interact only through cells that carry the same label.  The
-checks below index label positions, clear a label of g0 and g1 cells in
-O(g0 + g1) with the star count ``core._stars_over``, and walk only a failing
-label pair by pair with ``core._failing_pairs``; C3 uses both.  Witness
-order is deterministic: lowest label first, then row-major cell pairs.
+checks below read the flat label index: they clear a label of g0 and g1
+cells in O(g0 + g1) with the star count ``core._stars_over``, and walk only a
+failing label's positions pair by pair with ``core._failing_pairs``; C3 uses
+both.  Witness order is deterministic: lowest label first, then row-major cell pairs.
 
 Right compatibility of (p0, p1) with respect to a reference of shape
 rows(p0) x cols(p1) demands a star at (i0, j1) for every equal-label pair
@@ -66,19 +66,19 @@ class CompatReport(NamedTuple):
 
 
 def _right_witnesses(p0: Pda, p1: Pda, pstar: Pda, pair=None, both=False):
-    """Witnesses per shared label in ascending order, each failing label walked
-    lazily by ``core._failing_pairs``; ``both`` adds the (i1, j0) mirror after
-    (i0, j1): full compatibility.  A label ``_stars_over`` clears is not walked."""
-    ref, w, rows, w0 = pstar.cells, pstar.cols, pstar._star_rows, p0.cols
+    """Witnesses per shared label in ascending order, each failing label's flat
+    positions walked lazily by ``core._failing_pairs``; ``both`` adds the (i1, j0)
+    mirror after (i0, j1): full compatibility.  A label ``_stars_over`` clears is not walked."""
+    ref, rows, w0, w1 = pstar.cells, pstar._star_rows, p0.cols, p1.cols
 
     def walks():
         for s in sorted(p0._label_index.keys() & p1._label_index.keys()):
             flat0, flat1 = p0._label_index[s], p1._label_index[s]
-            g = len(flat0) * len(flat1)  # w is p1's width, and p0's too with both
-            if _stars_over(rows, flat0, w0, flat1, w) != g or (
-                both and _stars_over(rows, flat1, w, flat0, w) != g
+            g = len(flat0) * len(flat1)  # the reference is w1 wide, and w0 == w1 with both
+            if _stars_over(rows, flat0, w0, flat1, w1) != g or (
+                both and _stars_over(rows, flat1, w1, flat0, w0) != g
             ):
-                yield _failing_pairs(ref, w, s, p0._cells_of(s), p1._cells_of(s), pair, both)
+                yield _failing_pairs(ref, s, flat0, w0, flat1, w1, pair, both)
 
     return chain.from_iterable(walks())
 

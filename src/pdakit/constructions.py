@@ -23,7 +23,7 @@ from itertools import combinations
 from math import comb
 from typing import NamedTuple, Sequence
 
-from .core import Pda, _assemble_blocks, hstack, vstack
+from .core import Pda, _assemble_blocks, _check_kind, hstack, vstack
 
 __all__ = [
     "identity",
@@ -58,7 +58,7 @@ def identity(n: int, s: int = 0, anti: bool = False) -> Pda:
     mn(n, n-1, [s]), and the main-diagonal form mn_reverse(n, n-1, [s]); each
     row of MN(n, n-1) misses one user, and that cell holds the one label.
     """
-    if n < 1:
+    if _check_kind(n, "n", int) < 1:
         raise ValueError("n must be at least 1")
     return (mn if anti else mn_reverse)(n, n - 1, [s])
 
@@ -98,7 +98,7 @@ def all_star(rows: int, cols: int) -> Pda:
 
 
 def _check_memory_point(k: int, t: int) -> None:
-    if not 0 <= t <= k:
+    if not 0 <= _check_kind(t, "t", int) <= _check_kind(k, "K", int):
         raise ValueError(f"need 0 <= t <= K, got t={t}, K={k}")
 
 
@@ -137,7 +137,7 @@ def shangguan_direct(n: int, a: int, b: int, labels: "Sequence[int] | None" = No
     label ranked by their union among (a+b)-subsets.  mn(K, t) is the b=1
     special case, cell for cell.
     """
-    if a < 0 or b < 0 or a + b > n:
+    if min(_check_kind(a, "a", int), _check_kind(b, "b", int)) < 0 or a + b > _check_kind(n, "n", int):
         raise ValueError(f"need 0 <= a, b and a+b <= n, got a={a}, b={b}, n={n}")
     label_of = dict(zip(_subset_masks(n, a + b), _check_labels(labels, comb(n, a + b))))
     rows, cols = _subset_masks(n, a), _subset_masks(n, b)
@@ -172,7 +172,7 @@ def odd_tiling(g: int) -> OddTilingFamily:
     The internal labels are exactly {0, 1, 2, 3}; relabel via disjoint_copy
     for composition.  pstar carries the fresh label 4 on its diagonal.
     """
-    if g < 3 or g % 2 == 0:
+    if _check_kind(g, "g", int) < 3 or g % 2 == 0:
         raise ValueError(f"g must be odd and at least 3, got {g}")
     n = g // 2
     p0 = vstack(
@@ -203,7 +203,7 @@ def yan_half_memory(g: int) -> Pda:
     g=1 is rejected: the lone block row [* | 0] has unbalanced star counts,
     so no such PDA exists (2^(g-2) is not an integer).
     """
-    if g < 2:
+    if _check_kind(g, "g", int) < 2:
         raise ValueError(f"g must be at least 2, got {g}")
     blocks = []
     start = 0  # where S_i begins

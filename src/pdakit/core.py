@@ -23,7 +23,7 @@ from __future__ import annotations
 import sys
 from fractions import Fraction
 from functools import cached_property
-from itertools import repeat
+from itertools import chain, repeat
 from operator import is_
 from typing import Iterable, Mapping, NamedTuple, Sequence, Sized
 
@@ -140,7 +140,8 @@ class Pda(_Frozen):
 
     def label_positions(self) -> dict:
         """Map each label to its cells as (row, col) pairs in row-major order."""
-        return {s: self._cells_of(s) for s in self._label_index}
+        w = self.cols
+        return {s: [divmod(pos, w) for pos in flat] for s, flat in self._label_index.items()}
 
     def column_star_count(self, k: int) -> int:
         return self._star_counts[self._checked("column", k, self.cols)]
@@ -160,11 +161,6 @@ class Pda(_Frozen):
                 else:
                     flat.append(pos)
         return index
-
-    def _cells_of(self, s: int) -> list:
-        """Label s's cells as (row, col) pairs in row-major order."""
-        w = self.cols
-        return [divmod(pos, w) for pos in self._label_index[s]]
 
     @cached_property
     def _star_counts(self) -> tuple:
@@ -248,10 +244,10 @@ def _first_blackburn_violation(p: Pda) -> "Violation | None":
 
     A label at rows R and columns C obeys C3 exactly when its R x C
     submatrix is all stars off the diagonal, so one ``_stars_over`` count
-    of g*g - g clears a label of g cells in O(g).  A failing label goes to
-    ``_failing_pairs``, the compatibility checks' walk, one later cell at a
-    time, up to its first failure: the smallest later cell, then its earliest
-    earlier occurrence, then the (j1, k2) mirror before (j2, k1).
+    of g*g - g clears a label of g cells in O(g).  A failing label's flat
+    positions go to ``_failing_pairs``, the compatibility checks' walk, one
+    later position at a time, up to its first failure: the smallest later cell,
+    then its earliest earlier occurrence, then the (j1, k2) mirror before (j2, k1).
     """
     cells, w, rows = p.cells, p.cols, p._star_rows
     first = None
@@ -259,10 +255,9 @@ def _first_blackburn_violation(p: Pda) -> "Violation | None":
         g = len(flat)
         if _stars_over(rows, flat, w, flat, w) == g * g - g:
             continue
-        cs = p._cells_of(s)
-        found = next(
-            x for b in range(1, g) for x in _failing_pairs(cells, w, s, cs[:b], cs[b : b + 1], both=True)
-        )
+        found = next(chain.from_iterable(
+            _failing_pairs(cells, s, flat[:b], w, flat[b : b + 1], w, both=True) for b in range(1, g)
+        ))
         if first is None or found[2] < first[2]:
             first = found
     return None if first is None else Violation("C3", first[1:4])
@@ -271,7 +266,8 @@ def _first_blackburn_violation(p: Pda) -> "Violation | None":
 def _stars_over(rows: tuple, flat0: list, w0: int, flat1: list, w1: int) -> int:
     """Stars in the star rows ``rows`` over the row of each flat position in
     ``flat0`` (width w0) by the distinct columns of ``flat1`` (width w1): at
-    most len(flat0) * len(flat1), reached only when every such mirror is a star."""
+    most len(flat0) * len(flat1), reached only when every such mirror of a
+    reference w1 wide is a star."""
     mask = 0
     for pos in flat1:
         mask |= 1 << pos % w1
@@ -281,19 +277,22 @@ def _stars_over(rows: tuple, flat0: list, w0: int, flat1: list, w1: int) -> int:
     return stars
 
 
-def _failing_pairs(ref: tuple, w: int, s: int, cells0, cells1, pair=None, both=False):
+def _failing_pairs(ref: tuple, s: int, flat0, w0: int, flat1, w1: int, pair=None, both=False):
     """The one walk over a failing label's cell pairs, for C3 and every
-    compatibility check: ``(s, c0, c1, mirror, pair)`` for each c0 = (i0, j0)
-    of ``cells0``, then c1 = (i1, j1) of ``cells1``, whose (i0, j1) mirror in
-    ``ref`` (width w) is no star; with ``both``, then also its (i1, j0) one."""
-    for c0 in cells0:
-        i0, j0 = c0
-        row0 = i0 * w
+    compatibility check, on the flat positions ``_stars_over`` reads:
+    ``(s, c0, c1, mirror, pair)`` for each c0 = (i0, j0) of ``flat0`` (width
+    w0), then c1 = (i1, j1) of ``flat1`` (width w1), whose (i0, j1) mirror in
+    ``ref``, w1 wide, is no star; with ``both``, then also its (i1, j0) one.
+    Each cell tuple is built once per call and shared by its witnesses."""
+    cells1 = [divmod(pos, w1) for pos in flat1]
+    for pos in flat0:
+        c0 = i0, j0 = divmod(pos, w0)
+        row0 = i0 * w1
         for c1 in cells1:
             i1, j1 = c1
             if ref[row0 + j1] is not None:
                 yield s, c0, c1, (i0, j1), pair
-            if both and ref[i1 * w + j0] is not None:
+            if both and ref[i1 * w1 + j0] is not None:
                 yield s, c0, c1, (i1, j0), pair
 
 

@@ -317,7 +317,7 @@ def shangguan_recursive(n: int, a: int, b: int) -> Pda:
     per call and reused wherever the recursion meets it again; nothing is
     kept between calls.
     """
-    if a < 0 or b < 0 or a + b > n + 1:
+    if min(_check_kind(a, "a", int), _check_kind(b, "b", int)) < 0 or a + b > _check_kind(n, "n", int) + 1:
         raise ValueError(f"need 0 <= a, b and a+b <= n+1, got a={a}, b={b}, n={n}")
 
     @cache
@@ -342,7 +342,7 @@ def odd_tiling_lift(g: int, n: int) -> Pda:
     Uniform lift of the star-diagonal 2-regular n x n base by the odd
     tiling pair with the diagonal identity reference.
     """
-    if n < 2:
+    if _check_kind(n, "n", int) < 2:
         raise ValueError(f"n must be at least 2, got {n}")
     fam = odd_tiling(g)
     return uniform_lift(h_array(n), [fam.p0, fam.p1], fam.pstar).result

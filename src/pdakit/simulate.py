@@ -66,11 +66,11 @@ class Library(_Frozen):
 def make_library(n_files: int, file_size: int, f: int, seed: int = 0) -> Library:
     """``n_files`` seeded random files of ``file_size`` bytes split into f
     subfiles; ValueError unless n_files >= 1, file_size >= 0 and f >= 1."""
-    if n_files < 1:
+    if _check_kind(n_files, "n_files", int) < 1:
         raise ValueError(f"need at least one file, got {n_files}")
-    if file_size < 0:
+    if _check_kind(file_size, "file_size", int) < 0:
         raise ValueError(f"file size must be non-negative, got {file_size}")
-    if f < 1:
+    if _check_kind(f, "f", int) < 1:
         raise ValueError(f"subpacketization must be positive, got {f}")
     rng = random.Random(seed)
     return Library(

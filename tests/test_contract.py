@@ -13,7 +13,7 @@ sequences (member and part lists, demands, caches, transmissions): each
 value of ``_NOT_SEQUENCES`` must raise exactly ``ValueError: <name> must
 be a sequence, got <type>``, and every list of arrays that must not be
 empty refuses an empty one, list or iterator, with one message.  The
-integer offsets and label counts, the reference maps and the family
+integer offsets, label counts and construction parameters, the reference maps and the family
 arguments get the same exact ``ValueError``: ``<name> must be an int``,
 ``a dict``, ``a sequence`` or ``a GenFamily``; the library, grid text
 and parameter tuples get ``a Library``, ``a str``, ``a ParamTuple`` or
@@ -34,7 +34,16 @@ from pdakit.compatibility import (
     is_left_compatible,
     is_right_compatible,
 )
-from pdakit.constructions import all_star, h_array, identity, mn, odd_tiling
+from pdakit.constructions import (
+    all_star,
+    h_array,
+    identity,
+    mn,
+    mn_reverse,
+    odd_tiling,
+    shangguan_direct,
+    yan_half_memory,
+)
 from pdakit.core import canonicalize, disjoint_copy, hstack, params, relabel, validate, vstack
 from pdakit.errors import DecodeError, PdaError
 from pdakit.gridio import parse_grid, pda_to_json, save_pda, serialize_grid
@@ -46,7 +55,10 @@ from pdakit.lifting import (
     lift_family_params,
     lifted_params,
     measure_family,
+    mn_recursive,
     nonuniform_lift,
+    odd_tiling_lift,
+    shangguan_recursive,
     uniform_lift,
 )
 from pdakit.simulate import decode, deliver, make_library, place, run
@@ -348,6 +360,38 @@ _NOT_A_MAPPING = [None, 3, [(0, 1), (1, 0)]]
 )
 def test_integer_mapping_and_family_arguments_are_value_errors_naming_them(call, message):
     with pytest.raises((ValueError, TypeError, AttributeError, PdaError)) as err:
+        call()
+    assert (type(err.value), str(err.value)) == (ValueError, message)
+
+
+@pytest.mark.parametrize(
+    "call, message",
+    [
+        (lambda: mn(None, 2), "K must be an int, got NoneType"),
+        (lambda: mn(True, 1), "K must be an int, got bool"),
+        (lambda: mn_reverse(4, None), "t must be an int, got NoneType"),
+        (lambda: h_array(2.0), "K must be an int, got float"),
+        (lambda: mn_recursive(5, 2.0), "t must be an int, got float"),
+        (lambda: identity(None), "n must be an int, got NoneType"),
+        (lambda: shangguan_direct(4, 1.0, 1), "a must be an int, got float"),
+        (lambda: shangguan_direct(4, 1, None), "b must be an int, got NoneType"),
+        (lambda: shangguan_recursive(None, 1, 1), "n must be an int, got NoneType"),
+        (lambda: odd_tiling(True), "g must be an int, got bool"),
+        (lambda: yan_half_memory(2.0), "g must be an int, got float"),
+        (lambda: odd_tiling_lift(3.5, 2), "g must be an int, got float"),
+        (lambda: odd_tiling_lift(3, 2.0), "n must be an int, got float"),
+        (lambda: make_library(None, 3, 2), "n_files must be an int, got NoneType"),
+        (lambda: make_library(4, "3", 2), "file_size must be an int, got str"),
+        (lambda: make_library(4, 3, None), "f must be an int, got NoneType"),
+        (lambda: run(_P, 2.0, 3), "n_files must be an int, got float"),
+    ],
+    ids=["mn-K-None", "mn-K-bool", "mn_reverse-t", "h_array-n", "mn_recursive-t", "identity-n",
+         "shangguan_direct-a", "shangguan_direct-b", "shangguan_recursive-n", "odd_tiling-g-bool",
+         "yan_half_memory-g", "odd_tiling_lift-g", "odd_tiling_lift-n", "make_library-n_files",
+         "make_library-file_size", "make_library-f", "run-n_files"],
+)
+def test_integer_parameters_of_the_constructions_are_value_errors_naming_them(call, message):
+    with pytest.raises((ValueError, TypeError, PdaError)) as err:
         call()
     assert (type(err.value), str(err.value)) == (ValueError, message)
 

@@ -1,4 +1,5 @@
 import random
+import tracemalloc
 
 import pytest
 
@@ -330,6 +331,20 @@ def test_c3_stops_at_the_first_failing_pair_of_one_long_label(shape, witness):
     # Walking every pair of the one label would take about 10^9 steps.
     p = Pda(*shape, (0,) * 50_000)
     assert _c3_violation(validate(p)) == Violation("C3", witness)
+
+
+@pytest.mark.parametrize("shape", [(1, 50_000), (50_000, 1)], ids=["row", "column"])
+def test_c3_on_one_long_label_builds_cells_only_for_the_pairs_it_walks(shape):
+    # Converting the label's whole position list to (row, col) pairs peaks near 4.8 MB.
+    p = Pda(*shape, (0,) * 50_000)
+    p._label_index, p._star_rows  # cached first, so only the scan is traced
+    tracemalloc.start()
+    try:
+        pdakit.core._first_blackburn_violation(p)
+        peak = tracemalloc.get_traced_memory()[1]
+    finally:
+        tracemalloc.stop()
+    assert peak < 100_000
 
 
 def test_params_after_validate_does_not_rescan(monkeypatch):
