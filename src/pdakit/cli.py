@@ -194,7 +194,7 @@ def _cmd_lift(args) -> int:
             if not refs:
                 raise _UsageError("--mode uniform needs --ref")
             outcome = lifting.uniform_lift(base, members, refs[0])
-        result, ledger, indent = outcome.result, outcome.ledger_dict(), 2
+        result, ledger, indent = outcome.result, outcome.label_ledger, 2
     save_pda(result, args.out, args.format)
     if args.out:
         _write_text(json.dumps(ledger, indent=indent) + "\n", args.out + ".ledger.json")

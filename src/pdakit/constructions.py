@@ -51,6 +51,13 @@ def _check_labels(labels, count: int) -> list:
     return labels
 
 
+def _check_order(n) -> int:
+    """``n``, the order of an identity, G or H array, when it is an int >= 1."""
+    if _check_kind(n, "n", int) < 1:
+        raise ValueError("n must be at least 1")
+    return n
+
+
 def identity(n: int, s: int = 0, anti: bool = False) -> Pda:
     """The (n, n, n-1, {s}) PDA with s on the main diagonal, stars elsewhere.
 
@@ -58,8 +65,7 @@ def identity(n: int, s: int = 0, anti: bool = False) -> Pda:
     mn(n, n-1, [s]), and the main-diagonal form mn_reverse(n, n-1, [s]); each
     row of MN(n, n-1) misses one user, and that cell holds the one label.
     """
-    if _check_kind(n, "n", int) < 1:
-        raise ValueError("n must be at least 1")
+    _check_order(n)
     return (mn if anti else mn_reverse)(n, n - 1, [s])
 
 
@@ -70,7 +76,7 @@ def g_array(n: int, labels: "Sequence[int] | None" = None) -> Pda:
     cell and its anti-transpose (i, j) -> (n-1-j, n-1-i); the cells strictly
     above the anti-diagonal are enumerated row-major and mirrored below.
     """
-    grid = [[None] * n for _ in range(n)]
+    grid = [[None] * n for _ in range(_check_order(n))]
     pairs = ((i, j) for i in range(n) for j in range(n - 1 - i))
     for s, (i, j) in zip(_check_labels(labels, n * (n - 1) // 2), pairs):
         grid[i][j] = grid[n - 1 - j][n - 1 - i] = s
@@ -83,18 +89,18 @@ def h_array(n: int, labels: "Sequence[int] | None" = None) -> Pda:
     This is mn(n, 1, labels), cell for cell: the cell (i, j) off the
     diagonal carries the label ranked by {i, j} among 2-subsets.
     """
-    return mn(n, 1, labels)
+    return mn(_check_order(n), 1, labels)
 
 
 def filled(rows: int, cols: int, labels: "Sequence[int] | None" = None) -> Pda:
     """The (cols, rows, 0, S) PDA filled row-wise with distinct labels."""
-    labels = _check_labels(labels, rows * cols)
+    labels = _check_labels(labels, _check_kind(rows, "rows", int) * _check_kind(cols, "cols", int))
     return Pda(rows, cols, tuple(labels))
 
 
 def all_star(rows: int, cols: int) -> Pda:
     """The (cols, rows, rows, {}) PDA of stars only."""
-    return Pda(rows, cols, (None,) * (rows * cols))
+    return Pda(rows, cols, (None,) * (_check_kind(rows, "rows", int) * _check_kind(cols, "cols", int)))
 
 
 def _check_memory_point(k: int, t: int) -> None:

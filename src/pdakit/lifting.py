@@ -46,7 +46,6 @@ from .core import _check_shape, _valid, disjoint_copy, params, validate
 from .errors import CompatibilityError, LiftError
 
 __all__ = [
-    "LedgerEntry",
     "LiftOutcome",
     "uniform_lift",
     "basic_lift",
@@ -63,26 +62,14 @@ __all__ = [
 ]
 
 
-class LedgerEntry(NamedTuple):
-    """One allocated label range: kind is "star" (reference copy for the
-    key-th star of the base, row-major) or "label" (shared member set for
-    the base label key)."""
-
-    kind: str
-    key: int
-    start: int
-    stop: int
-
-
 class LiftOutcome(NamedTuple):
-    result: Pda
-    label_ledger: tuple
+    """A lifted array and its label ledger, the dict the CLI saves: "stars"
+    maps str(k) to the half-open range ``[start, stop]`` of the reference
+    copy on base star k (row-major), and "labels" maps str(s) to the range
+    shared by every occurrence of base label s.  Not hashable."""
 
-    def ledger_dict(self) -> dict:
-        out = {"stars": {}, "labels": {}}
-        for e in self.label_ledger:
-            out["stars" if e.kind == "star" else "labels"][str(e.key)] = [e.start, e.stop]
-        return out
+    result: Pda
+    label_ledger: dict
 
 
 def _max_occurrences(p: Pda) -> int:
@@ -121,38 +108,35 @@ def _check_family(members, pstar, what="member"):
 def _lift(base, members, pstar) -> LiftOutcome:
     """Uniform lift of a checked base by a checked family, validated in full.
 
-    Fresh labels go reference ranges first, one per base star (row-major),
-    then one shared range per base label ascending.  The allocation reads
-    only the base's star count and sorted label set, so the members of a
-    family lift, which agree on both, share one allocation.  Each block is
-    its source itself with a map of the source's sorted labels onto its
-    ledger range, one map per base label for all its occurrences, or None
-    for a source without labels.
+    One running counter hands out fresh labels, a reference range per base
+    star (row-major) and then a shared range per base label ascending, and
+    ``onto`` records each range in the ledger as it takes it.  Only the
+    base's star count and sorted labels are read, so the members of a family
+    lift share one allocation.  A block is its source itself with a dict of
+    the source's sorted labels onto its range (one per base label for all
+    its occurrences), or None for a source without labels.
     """
     ref_labels = sorted(pstar.labels())
     member_labels = sorted(members[0].labels()) if members else []
-    labels = sorted(base.labels())
-    n_stars = sum(base._star_counts)
-    sizes = [("star", i, len(ref_labels)) for i in range(n_stars)]
-    sizes += [("label", s, len(member_labels)) for s in labels]
-    stops = accumulate(n for _, _, n in sizes)
-    ledger = [LedgerEntry(kind, key, stop - n, stop) for (kind, key, n), stop in zip(sizes, stops)]
+    ledger = {"stars": {}, "labels": {}}
+    stop = 0
 
-    def onto(source_labels: list, e: LedgerEntry):
-        if source_labels[-1:] == [len(source_labels) - 1]:  # sorted labels 0..n-1
-            return range(e.start, e.stop)
-        return dict(zip(source_labels, range(e.start, e.stop))) or None
+    def onto(kind: str, key: int, source_labels: list):
+        nonlocal stop
+        start, stop = stop, stop + len(source_labels)
+        ledger[kind][str(key)] = [start, stop]
+        return dict(zip(source_labels, range(start, stop))) or None
 
-    stars = (onto(ref_labels, e) for e in ledger[:n_stars])
-    shared = {e.key: onto(member_labels, e) for e in ledger[n_stars:]}
-    unused = {s: iter(members) for s in labels}  # each occurrence takes the next member
+    stars = iter([onto("stars", k, ref_labels) for k in range(sum(base._star_counts))])
+    shared = {s: onto("labels", s, member_labels) for s in sorted(base.labels())}
+    unused = {s: iter(members) for s in shared}  # each occurrence takes the next member
     blocks = [(pstar, next(stars)) if s is None else (next(unused[s]), shared[s]) for s in base.cells]
     w = base.cols
     result = _assemble_blocks([blocks[r : r + w] for r in range(0, len(blocks), w)])
     report = validate(result)
     if not report.ok:
         raise LiftError(f"lifted array failed validation: {report.violations}")
-    return LiftOutcome(result, tuple(ledger))
+    return LiftOutcome(result, ledger)
 
 
 def uniform_lift(base: Pda, members: Sequence[Pda], pstar: Pda) -> LiftOutcome:

@@ -242,7 +242,7 @@ def _relabel_block(p: Pda, source_labels, start: int) -> Pda:
 
 
 def oracle_uniform_lift(base: Pda, members, pstar: Pda) -> tuple:
-    """(lifted array, ledger dict shaped like LiftOutcome.ledger_dict())."""
+    """(lifted array, ledger dict shaped like LiftOutcome.label_ledger)."""
     member_labels = sorted(members[0].labels()) if members else []
     pstar_labels = sorted(pstar.labels())
     ledger = {"stars": {}, "labels": {}}

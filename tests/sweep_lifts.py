@@ -79,7 +79,7 @@ def _outcome(fn, *args) -> str:
     except Exception as exc:  # a bare KeyError or TypeError is an outcome too
         return f"{type(exc).__name__}: {exc}"
     if hasattr(out, "label_ledger"):
-        return _digest(out.result, out.ledger_dict())
+        return _digest(out.result, out.label_ledger)
     if type(out) is tuple:  # lift_family's pair, not a named-tuple record
         members, rstar = out
         return _digest(*members, rstar)

@@ -52,6 +52,8 @@ def test_gen_bad_labels_and_odd_tiling_g_are_usage_errors(tmp_path, capsys, monk
     for argv, message in (
         (["mn", "4", "2", "--labels", "1,x"], "invalid literal"),
         (["odd-tiling", "4"], "g must be odd"),
+        (["h", "0"], "n must be at least 1"),
+        (["g", "0"], "n must be at least 1"),
     ):
         code, out, err = run_cli(capsys, "gen", *argv)
         assert (code, out) == (2, "")
@@ -460,6 +462,21 @@ def test_lift_basic_mode(tmp_path, capsys):
     )
     assert code == 0
     assert parse_grid(out) == basic_lift(identity(3, 0), h_array(4)).result
+
+
+def test_lift_basic_writes_empty_reference_ranges_in_its_ledger(tmp_path, capsys, monkeypatch):
+    # The all-star reference copies take no labels, so each star's range is empty.
+    monkeypatch.chdir(tmp_path)
+    save_pda(h_array(2), "h2.grid")
+    save_pda(h_array(3), "h3.grid")
+    code, _, _ = run_cli(capsys, "lift", "--mode", "basic", "h2.grid", "--member", "h3.grid",
+                         "-o", "b.grid")
+    assert code == 0
+    assert (tmp_path / "b.grid.ledger.json").read_text() == (
+        '{\n  "stars": {\n    "0": [\n      0,\n      0\n    ],\n    "1": [\n      0,\n      0\n'
+        '    ]\n  },\n  "labels": {\n    "0": [\n      0,\n      3\n    ]\n  }\n}\n'
+    )
+    assert run_cli(capsys, "verify", "b.grid")[:2] == (0, "valid (6,6,4,3) g=4 M/N=2/3 R=1/2\n")
 
 
 @pytest.mark.parametrize("fmt", ["grid", "json"])

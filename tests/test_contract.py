@@ -36,6 +36,8 @@ from pdakit.compatibility import (
 )
 from pdakit.constructions import (
     all_star,
+    filled,
+    g_array,
     h_array,
     identity,
     mn,
@@ -370,7 +372,17 @@ def test_integer_mapping_and_family_arguments_are_value_errors_naming_them(call,
         (lambda: mn(None, 2), "K must be an int, got NoneType"),
         (lambda: mn(True, 1), "K must be an int, got bool"),
         (lambda: mn_reverse(4, None), "t must be an int, got NoneType"),
-        (lambda: h_array(2.0), "K must be an int, got float"),
+        (lambda: h_array(2.0), "n must be an int, got float"),
+        (lambda: h_array(0), "n must be at least 1"),
+        (lambda: g_array(None), "n must be an int, got NoneType"),
+        (lambda: g_array(2.0), "n must be an int, got float"),
+        (lambda: g_array(True), "n must be an int, got bool"),
+        (lambda: g_array(0), "n must be at least 1"),
+        (lambda: filled(None, 2), "rows must be an int, got NoneType"),
+        (lambda: filled(2, 2.0), "cols must be an int, got float"),
+        (lambda: all_star(None, 2), "rows must be an int, got NoneType"),
+        (lambda: all_star(2, "2"), "cols must be an int, got str"),
+        (lambda: all_star(True, 2), "rows must be an int, got bool"),
         (lambda: mn_recursive(5, 2.0), "t must be an int, got float"),
         (lambda: identity(None), "n must be an int, got NoneType"),
         (lambda: shangguan_direct(4, 1.0, 1), "a must be an int, got float"),
@@ -385,7 +397,9 @@ def test_integer_mapping_and_family_arguments_are_value_errors_naming_them(call,
         (lambda: make_library(4, 3, None), "f must be an int, got NoneType"),
         (lambda: run(_P, 2.0, 3), "n_files must be an int, got float"),
     ],
-    ids=["mn-K-None", "mn-K-bool", "mn_reverse-t", "h_array-n", "mn_recursive-t", "identity-n",
+    ids=["mn-K-None", "mn-K-bool", "mn_reverse-t", "h_array-n", "h_array-n-zero", "g_array-n-None",
+         "g_array-n-float", "g_array-n-bool", "g_array-n-zero", "filled-rows", "filled-cols",
+         "all_star-rows", "all_star-cols", "all_star-rows-bool", "mn_recursive-t", "identity-n",
          "shangguan_direct-a", "shangguan_direct-b", "shangguan_recursive-n", "odd_tiling-g-bool",
          "yan_half_memory-g", "odd_tiling_lift-g", "odd_tiling_lift-n", "make_library-n_files",
          "make_library-file_size", "make_library-f", "run-n_files"],

@@ -50,7 +50,7 @@ def test_ten_by_ten_example_reproduced_exactly():
 def test_uniform_lift_ledger_ranges():
     fam = odd_tiling(5)
     outcome = uniform_lift(h_array(2), [fam.p0, fam.p1], fam.pstar)
-    ledger = outcome.ledger_dict()
+    ledger = outcome.label_ledger
     # two reference copies (one per base star) then the shared member set
     assert ledger["stars"] == {"0": [0, 1], "1": [1, 2]}
     assert ledger["labels"] == {"0": [2, 6]}
@@ -123,7 +123,7 @@ def test_uniform_lift_matches_per_block_oracle(g, n):
     outcome = uniform_lift(base, [fam.p0, fam.p1], fam.pstar)
     want, ledger = oracle_uniform_lift(base, [fam.p0, fam.p1], fam.pstar)
     assert outcome.result == want
-    assert outcome.ledger_dict() == ledger
+    assert outcome.label_ledger == ledger
 
 
 @pytest.mark.parametrize("k,t,m", [(5, 2, 6), (6, 2, 8), (7, 3, 8)])
@@ -133,7 +133,7 @@ def test_basic_lift_matches_per_block_oracle(k, t, m):
     outcome = basic_lift(base, p)
     want, ledger = oracle_uniform_lift(base, [p] * (t + 1), all_star(m, m))
     assert outcome.result == want
-    assert outcome.ledger_dict() == ledger
+    assert outcome.label_ledger == ledger
 
 
 # ------------------------------------------------------------- basic lifting
@@ -542,7 +542,7 @@ def test_lifted_params_and_oracle_agree_with_random_lifts_property():
         assert predicted == params(outcome.result)
         want, ledger = oracle_uniform_lift(base, members, pstar)
         assert outcome.result == want
-        assert outcome.ledger_dict() == ledger
+        assert outcome.label_ledger == ledger
 
     check()
 
