@@ -6,12 +6,14 @@ tuples element-wise, so for K=4, t=2 the order is 01, 02, 03, 12, 13, 23.
 Reverse lexicographic order is the exact reversal of that enumeration.
 itertools.combinations(range(n), t) already enumerates lexicographically.
 
-One subset construction serves four families and the identity arrays.
+One subset construction serves five families and the identity arrays.
 shangguan_direct holds the body, ranking subsets as bitmasks; identities
-define the rest: mn(K, t) is shangguan_direct(K, t, 1) (t = K aside),
-mn_reverse(K, t, labels) is mn(K, t, labels reversed) with its rows
-reversed, h_array(n, labels) is mn(n, 1, labels), and identity(n, s, anti)
-is mn_reverse(n, n-1, [s]), or mn(n, n-1, [s]) when anti.
+define the rest: mn(K, t) is shangguan_direct(K, t, 1), mn_reverse(K, t,
+labels) is mn(K, t, labels reversed) with its rows reversed, h_array(n,
+labels) is mn(n, 1, labels), g_array(n, labels) is mn_reverse(n, 1) with
+its labels renamed to ``labels`` in order of first appearance, and
+identity(n, s, anti) is mn_reverse(n, n-1, [s]), or mn(n, n-1, [s]) when
+anti.  No construction builds a grid of more than ``MAX_CELLS`` cells.
 
 Label arguments default to range(count); passing explicit labels supports
 disjoint-copy composition in block constructions.
@@ -23,7 +25,7 @@ from itertools import combinations
 from math import comb
 from typing import NamedTuple, Sequence
 
-from .core import Pda, _assemble_blocks, _check_kind, hstack, vstack
+from .core import Pda, _assemble_blocks, _check_cells, _check_kind, hstack, relabel, vstack
 
 __all__ = [
     "identity",
@@ -40,9 +42,9 @@ __all__ = [
 ]
 
 
-def _check_labels(labels, count: int) -> list:
+def _check_labels(labels, count: int) -> "list | range":
     if labels is None:
-        return list(range(count))
+        return range(count)
     labels = list(labels)
     if len(labels) != count:
         raise ValueError(f"expected {count} labels, got {len(labels)}")
@@ -72,15 +74,12 @@ def identity(n: int, s: int = 0, anti: bool = False) -> Pda:
 def g_array(n: int, labels: "Sequence[int] | None" = None) -> Pda:
     """A 2-regular (n, n, 1, n(n-1)/2) PDA with stars on the anti-diagonal.
 
-    The Blackburn property forces the two occurrences of a label to sit at a
-    cell and its anti-transpose (i, j) -> (n-1-j, n-1-i); the cells strictly
-    above the anti-diagonal are enumerated row-major and mirrored below.
+    This is mn_reverse(n, 1), labels renamed to ``labels`` in row-major
+    order of first appearance: row i is user n-1-i, and a label sits at a
+    cell and its anti-transpose (i, j) -> (n-1-j, n-1-i).
     """
-    grid = [[None] * n for _ in range(_check_order(n))]
-    pairs = ((i, j) for i in range(n) for j in range(n - 1 - i))
-    for s, (i, j) in zip(_check_labels(labels, n * (n - 1) // 2), pairs):
-        grid[i][j] = grid[n - 1 - j][n - 1 - i] = s
-    return Pda.from_rows(grid)
+    p = mn_reverse(_check_order(n), 1)
+    return relabel(p, dict(zip(p._label_index, _check_labels(labels, comb(n, 2)))))
 
 
 def h_array(n: int, labels: "Sequence[int] | None" = None) -> Pda:
@@ -94,13 +93,14 @@ def h_array(n: int, labels: "Sequence[int] | None" = None) -> Pda:
 
 def filled(rows: int, cols: int, labels: "Sequence[int] | None" = None) -> Pda:
     """The (cols, rows, 0, S) PDA filled row-wise with distinct labels."""
-    labels = _check_labels(labels, _check_kind(rows, "rows", int) * _check_kind(cols, "cols", int))
-    return Pda(rows, cols, tuple(labels))
+    _check_cells(_check_kind(rows, "rows", int), _check_kind(cols, "cols", int))
+    return Pda(rows, cols, tuple(_check_labels(labels, rows * cols)))
 
 
 def all_star(rows: int, cols: int) -> Pda:
     """The (cols, rows, rows, {}) PDA of stars only."""
-    return Pda(rows, cols, (None,) * (_check_kind(rows, "rows", int) * _check_kind(cols, "cols", int)))
+    _check_cells(_check_kind(rows, "rows", int), _check_kind(cols, "cols", int))
+    return Pda(rows, cols, (None,) * (rows * cols))
 
 
 def _check_memory_point(k: int, t: int) -> None:
@@ -117,9 +117,6 @@ def mn(k: int, t: int, labels: "Sequence[int] | None" = None) -> Pda:
     t=0 is a filled single row, t=K a single all-star row.
     """
     _check_memory_point(k, t)
-    if t == k:
-        _check_labels(labels, 0)
-        return all_star(1, k)
     return shangguan_direct(k, t, 1, labels)
 
 
@@ -135,16 +132,24 @@ def _subset_masks(n: int, t: int) -> list:
     return [sum(s) for s in combinations([1 << i for i in range(n)], t)]
 
 
+def _check_subset_point(n: int, a: int, b: int) -> None:
+    """The one domain of the subset construction, direct and recursive:
+    ints with 0 <= a, b and a + b <= n + 1, and C(n,a) x C(n,b) cells at
+    most ``MAX_CELLS``, checked before any subset is enumerated."""
+    if min(_check_kind(a, "a", int), _check_kind(b, "b", int)) < 0 or a + b > _check_kind(n, "n", int) + 1:
+        raise ValueError(f"need 0 <= a, b and a+b <= n+1, got a={a}, b={b}, n={n}")
+    _check_cells(comb(n, a), comb(n, b))
+
+
 def shangguan_direct(n: int, a: int, b: int, labels: "Sequence[int] | None" = None) -> Pda:
     """The C(a+b,a)-regular (C(n,b), C(n,a), C(n,a)-C(n-b,a), C(n,a+b)) PDA.
 
     Rows are a-subsets and columns b-subsets of [n], both lexicographic; a
     cell is a star when row and column subsets intersect, and otherwise the
-    label ranked by their union among (a+b)-subsets.  mn(K, t) is the b=1
-    special case, cell for cell.
+    label ranked by their union among (a+b)-subsets, so it is all stars at
+    a + b = n + 1.  mn(K, t) is the b=1 case, cell for cell.
     """
-    if min(_check_kind(a, "a", int), _check_kind(b, "b", int)) < 0 or a + b > _check_kind(n, "n", int):
-        raise ValueError(f"need 0 <= a, b and a+b <= n, got a={a}, b={b}, n={n}")
+    _check_subset_point(n, a, b)
     label_of = dict(zip(_subset_masks(n, a + b), _check_labels(labels, comb(n, a + b))))
     rows, cols = _subset_masks(n, a), _subset_masks(n, b)
     cells = [None if r & c else label_of[r | c] for r in rows for c in cols]

@@ -43,6 +43,10 @@ __all__ = [
     "vstack",
 ]
 
+# About 19 times the largest array the package builds here, mn(18, 9) with
+# 875,160 cells.  Neither the readers nor the constructions make a larger grid.
+MAX_CELLS = 1 << 24
+
 class _Frozen:
     """Value semantics for the records that are not tuples: equality with
     an instance of the same class over ``_fields``, a hash over them, a
@@ -212,31 +216,18 @@ def validate(p: Pda, expected_labels: "int | None" = None) -> ValidationReport:
     appear; an ``expected_labels`` that is no int is a ValueError.
     Witnesses are the first violation in row-major scan order.
     """
-    violations = []
-
     counts = _check_pda(p, "array")._star_counts
     if expected_labels is not None:
         _check_kind(expected_labels, "expected_labels", int)
-    c1_ok = True
-    for k in range(1, p.cols):
-        if counts[k] != counts[0]:
-            c1_ok = False
-            violations.append(Violation("C1", (k, counts[k], counts[0])))
-            break
+    z = counts[0]
+    c1 = next((Violation("C1", (k, c, z)) for k, c in enumerate(counts) if c != z), None)
 
-    present = p._label_index
-    c2_ok = True
+    present, c2 = p._label_index, None
     if expected_labels is not None and len(present) < expected_labels:
-        c2_ok = False
-        missing = next(s for s in range(expected_labels) if s not in present)
-        violations.append(Violation("C2", (missing,)))
+        c2 = Violation("C2", (next(s for s in range(expected_labels) if s not in present),))
 
     c3 = p._c3
-    c3_ok = c3 is None
-    if c3 is not None:
-        violations.append(c3)
-
-    return ValidationReport(c1_ok, c2_ok, c3_ok, tuple(violations))
+    return ValidationReport(c1 is None, c2 is None, c3 is None, tuple(filter(None, (c1, c2, c3))))
 
 
 def _first_blackburn_violation(p: Pda) -> "Violation | None":
@@ -327,6 +318,13 @@ def _check_kind(x, what: str, kind=Iterable):
         noun = _NOUNS.get(kind, f"a {kind.__name__}")
         raise ValueError(f"{what} must be {noun}, got {type(x).__name__}")
     return x
+
+
+def _check_cells(rows: int, cols: int) -> None:
+    """ValueError when a rows x cols grid would exceed ``MAX_CELLS`` cells;
+    the message leaves out the sizes, which may have thousands of digits."""
+    if rows * cols > MAX_CELLS:
+        raise ValueError(f"grid would exceed the limit of {MAX_CELLS} cells")
 
 
 def _check_pda(x, what: str) -> Pda:
@@ -428,14 +426,15 @@ def _assemble_blocks(
     None, else each label s becomes ``labels[s]`` (any indexable map).  The
     blocks of a block row share its first block's row count and the blocks
     of a block column its top block's column count, else
-    ValueError(mismatch).  The result's cells are emitted row-major into
-    one flat tuple.
+    ValueError(mismatch), and the result may not exceed ``MAX_CELLS``
+    cells.  The result's cells are emitted row-major into one flat tuple.
     """
     widths = [q.cols for q, _ in blocks[0]]
     for block_row in blocks:
         height = block_row[0][0].rows
         if [q.shape for q, _ in block_row] != [(height, w) for w in widths]:
             raise ValueError(mismatch)
+    _check_cells(rows := sum(r[0][0].rows for r in blocks), cols := sum(widths))
     cells = []
     for block_row in blocks:
         for j in range(block_row[0][0].rows):
@@ -444,7 +443,7 @@ def _assemble_blocks(
                 if labels is not None:
                     row = [None if c is None else labels[c] for c in row]
                 cells += row
-    return Pda(sum(r[0][0].rows for r in blocks), sum(widths), cells)
+    return Pda(rows, cols, cells)
 
 
 def hstack(parts: Sequence[Pda]) -> Pda:

@@ -17,7 +17,7 @@ import json
 import re
 import sys
 
-from .core import Pda, _check_kind, _check_pda, _write_text
+from .core import MAX_CELLS, Pda, _check_kind, _check_pda, _write_text
 from .errors import GridParseError
 
 __all__ = [
@@ -28,10 +28,6 @@ __all__ = [
     "load_pda",
     "save_pda",
 ]
-
-# About 19 times the largest array the package builds here, mn(18, 9) with
-# 875,160 cells.
-MAX_CELLS = 1 << 24
 
 _HEADER_RE = re.compile(r"#\s*pda\s+f=([0-9]+)\s+K=([0-9]+)\s*$")
 # A stripped body line: stars and ASCII decimals separated by the same

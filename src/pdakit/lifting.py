@@ -40,7 +40,7 @@ from math import comb
 from typing import Mapping, NamedTuple, Sequence
 
 from .compatibility import _check_pair_refs, check_condition_cstar, is_blackburn_compatible
-from .constructions import _check_memory_point, all_star, filled, h_array, odd_tiling
+from .constructions import _check_memory_point, _check_subset_point, all_star, filled, h_array, odd_tiling
 from .core import Pda, PdaParams, _assemble_blocks, _check_kind, _check_members, _check_pda
 from .core import _check_shape, _valid, disjoint_copy, params, validate
 from .errors import CompatibilityError, LiftError
@@ -135,7 +135,7 @@ def _lift(base, members, pstar) -> LiftOutcome:
     result = _assemble_blocks([blocks[r : r + w] for r in range(0, len(blocks), w)])
     report = validate(result)
     if not report.ok:
-        raise LiftError(f"lifted array failed validation: {report.violations}")
+        raise LiftError(f"lifted array failed validation: {report.violations}", report)
     return LiftOutcome(result, ledger)
 
 
@@ -189,7 +189,7 @@ def lift_family(
     if not cstar.ok:
         raise LiftError(
             f"reference carries a label at a member star position: "
-            f"{cstar.witnesses[0].mirror}"
+            f"{cstar.witnesses[0].mirror}", cstar
         )
     _check_family(members, pstar)
 
@@ -265,13 +265,13 @@ def nonuniform_lift(
     starts = list(accumulate((m.cols for m in members[:-1]), initial=0))
     if not report.c1_ok:
         counts = [result._star_counts[c] for c in starts]
-        raise LiftError(f"per-column-block star counts differ: {counts}; C1 would fail")
+        raise LiftError(f"per-column-block star counts differ: {counts}; C1 would fail", report)
     # C2 is not checked without an expected label count, so this is C3.
     a, b, mirror = report.violations[0].witness
     raise LiftError(
         f"assembly violates the Blackburn property between members "
         f"{bisect_right(starts, a[1]) - 1} and {bisect_right(starts, b[1]) - 1}: "
-        f"cells {a} and {b} share a label but {mirror} is not a star"
+        f"cells {a} and {b} share a label but {mirror} is not a star", report
     )
 
 
@@ -291,18 +291,17 @@ def shangguan_recursive(n: int, a: int, b: int) -> Pda:
     """Build the subset-indexed Shangguan PDA by anti-diagonal lifting.
 
     Base cases: a filled array when min(a, b) = 0, an all-star array when
-    a + b = n + 1 (reachable once the recursion lowers n).  Otherwise lift
+    a + b = n + 1.  Otherwise lift
     with members U(n-1, a, b-1), U(n-1, a-1, b) on a shared label set and
     references U(n-1, a, b) fresh plus an all-star block.  Reproduces
-    shangguan_direct(n, a, b) cell for cell, except at a + b = n + 1: there
-    it returns the all-star array, which shangguan_direct refuses.
+    shangguan_direct(n, a, b) cell for cell, and takes its arguments under
+    the same rule and messages.
 
     Each distinct (n', a', b') sub-array is built, lifted and validated once
     per call and reused wherever the recursion meets it again; nothing is
     kept between calls.
     """
-    if min(_check_kind(a, "a", int), _check_kind(b, "b", int)) < 0 or a + b > _check_kind(n, "n", int) + 1:
-        raise ValueError(f"need 0 <= a, b and a+b <= n+1, got a={a}, b={b}, n={n}")
+    _check_subset_point(n, a, b)
 
     @cache
     def build(n: int, a: int, b: int) -> Pda:

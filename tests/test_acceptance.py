@@ -225,11 +225,11 @@ def test_criterion_6_recursive_equals_direct():
             count += 1
     for n in range(1, 8):
         for a in range(n + 1):
-            for b in range(n - a + 1):
+            for b in range(n - a + 1 + (a > 0)):  # a + b = n + 1 is all stars
                 assert shangguan_recursive(n, a, b) == shangguan_direct(n, a, b), (n, a, b)
                 count += 1
     for n in range(1, 9):
-        for a in range(n):
+        for a in range(n + 1):
             assert shangguan_direct(n, a, 1) == mn(n, a), (n, a)
             count += 1
     _passed(6, f"{count} recursive-vs-direct identities, all cell-exact")

@@ -61,6 +61,20 @@ def test_gen_bad_labels_and_odd_tiling_g_are_usage_errors(tmp_path, capsys, monk
     assert list(tmp_path.iterdir()) == []
 
 
+def test_gen_shangguan_at_a_plus_b_equal_to_n_plus_one_is_all_stars(capsys):
+    want = (0, "* * * * * *\n" * 4, "")
+    assert run_cli(capsys, "gen", "shangguan", "4", "3", "2") == want
+    assert run_cli(capsys, "gen", "shangguan-recursive", "4", "3", "2") == want
+
+
+def test_gen_past_the_cell_limit_is_refused_before_any_subset_is_built(capsys):
+    # C(100000, 50000) has about 30,000 digits, so neither it nor its
+    # subsets may be formatted or enumerated.
+    message = "bad parameters: grid would exceed the limit of 16777216 cells\n"
+    for argv in (["mn", "100000", "50000"], ["mnrev", "100000", "50000"], ["g", "100000"]):
+        assert run_cli(capsys, "gen", *argv) == (2, "", message)
+
+
 def test_gen_option_the_generator_does_not_take_is_a_usage_error(tmp_path, capsys, monkeypatch):
     monkeypatch.chdir(tmp_path)
     for name, params, option in (

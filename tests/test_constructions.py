@@ -15,8 +15,10 @@ from pdakit.constructions import (
     shangguan_direct,
     yan_half_memory,
 )
-from pdakit.core import Pda, params, relabel, validate
+import pdakit.core
+from pdakit.core import Pda, hstack, params, relabel, validate, vstack
 from pdakit.gridio import parse_grid
+from pdakit.lifting import basic_lift, mn_recursive, shangguan_recursive
 
 import printed
 from oracles import brute_force_full_ok, oracle_mn, oracle_mn_reverse, oracle_shangguan
@@ -78,6 +80,22 @@ def test_g_array_matches_pictured_corners():
     p = g_array(4)
     assert p.row(0) == (0, 1, 2, None)
     assert p.row(3) == (None, 5, 3, 0)
+
+
+@pytest.mark.parametrize("explicit", [False, True], ids=["default", "reversed"])
+def test_g_array_mirrors_each_label_across_the_star_anti_diagonal(explicit):
+    for n in range(1, 31):
+        want = list(range(n * (n - 1) // 2))
+        if explicit:
+            want = [100 + s for s in reversed(want)]
+        p = g_array(n, want if explicit else None)
+        for i in range(n):
+            for j in range(n):
+                assert (p.cell(i, j) is None) == (i + j == n - 1), (n, i, j)
+                assert p.cell(i, j) == p.cell(n - 1 - j, n - 1 - i), (n, i, j)
+        positions = p.label_positions()
+        assert list(positions) == want  # row-major order of first appearance
+        assert {len(cells) for cells in positions.values()} <= {2}
 
 
 def test_filled_printed_and_errors():
@@ -157,7 +175,7 @@ def test_shangguan_b1_equals_mn():
 
 def test_shangguan_rejects_overfull():
     with pytest.raises(ValueError):
-        shangguan_direct(4, 3, 2)
+        shangguan_direct(4, 3, 3)
 
 
 def _default_and_reversed_labels(count):
@@ -176,15 +194,41 @@ def test_subset_constructions_match_set_based_oracle(k):
                 assert shangguan_direct(k, a, b, labels) == oracle_shangguan(k, a, b, labels)
 
 
+def test_no_construction_builds_more_than_max_cells(monkeypatch):
+    monkeypatch.setattr(pdakit.core, "MAX_CELLS", 11)
+    # At the limit, and every part of the arrays refused below, builds.
+    assert filled(1, 11).shape == (1, 11) and all_star(11, 1).shape == (11, 1)
+    assert mn(3, 1) == mn_recursive(3, 1) and params(yan_half_memory(2)).k == 4
+    for call in (
+        lambda: mn(4, 2),
+        lambda: mn_reverse(4, 2),
+        lambda: h_array(4),
+        lambda: g_array(4),
+        lambda: identity(4),
+        lambda: shangguan_direct(4, 1, 2),
+        lambda: filled(3, 4),
+        lambda: all_star(4, 3),
+        lambda: mn_recursive(4, 2),
+        lambda: shangguan_recursive(4, 1, 2),
+        lambda: hstack([all_star(2, 3)] * 2),
+        lambda: vstack([filled(1, 3)] * 4),
+        lambda: yan_half_memory(3),
+        lambda: basic_lift(h_array(2), h_array(3)),
+    ):
+        with pytest.raises(ValueError) as err:
+            call()
+        assert str(err.value) == "grid would exceed the limit of 11 cells"
+
+
 def test_subset_constructions_keep_their_error_messages():
     for call, message in (
         (lambda: mn(4, 5), "need 0 <= t <= K, got t=5, K=4"),
         (lambda: mn(4, -1), "need 0 <= t <= K, got t=-1, K=4"),
         (lambda: mn_reverse(3, 4), "need 0 <= t <= K, got t=4, K=3"),
         (lambda: mn_reverse(3, -2), "need 0 <= t <= K, got t=-2, K=3"),
-        (lambda: shangguan_direct(4, 3, 2), "need 0 <= a, b and a+b <= n, got a=3, b=2, n=4"),
-        (lambda: shangguan_direct(4, -1, 2), "need 0 <= a, b and a+b <= n, got a=-1, b=2, n=4"),
-        (lambda: shangguan_direct(4, 1, -1), "need 0 <= a, b and a+b <= n, got a=1, b=-1, n=4"),
+        (lambda: shangguan_direct(4, 3, 3), "need 0 <= a, b and a+b <= n+1, got a=3, b=3, n=4"),
+        (lambda: shangguan_direct(4, -1, 2), "need 0 <= a, b and a+b <= n+1, got a=-1, b=2, n=4"),
+        (lambda: shangguan_direct(4, 1, -1), "need 0 <= a, b and a+b <= n+1, got a=1, b=-1, n=4"),
         (lambda: mn(4, 2, [0, 1]), "expected 4 labels, got 2"),
         (lambda: mn(4, 4, [0]), "expected 0 labels, got 1"),
         (lambda: mn_reverse(4, 1, [0] * 6), "labels must be distinct"),

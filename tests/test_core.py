@@ -102,6 +102,28 @@ def test_validate_declared_label_count():
     assert report.violations[0].witness == (1,)
 
 
+def test_report_flags_read_off_its_violations():
+    # Valid arrays and their one-cell corruptions; a declared label count of
+    # S, S + 1 or S + 2 puts C2 in play.
+    rng = random.Random(2026)
+    failed = {"C1": 0, "C2": 0, "C3": 0}
+    for _ in range(400):
+        p = random_valid_pda(rng, max_cells=120)
+        if rng.random() < 0.8:
+            cells = list(p.cells)
+            cells[rng.randrange(len(cells))] = rng.choice([None, 0, 1, 99, *sorted(p.labels())])
+            p = Pda(p.rows, p.cols, tuple(cells))
+        report = validate(p, len(p.labels()) + rng.randrange(3))
+        conditions = [v.condition for v in report.violations]
+        assert conditions == sorted(set(conditions))  # at most one each, in order
+        flags = (report.c1_ok, report.c2_ok, report.c3_ok)
+        assert flags == tuple(c not in conditions for c in ("C1", "C2", "C3"))
+        assert report.ok == (not report.violations)
+        for c in conditions:
+            failed[c] += 1
+    assert min(failed.values()) > 20, failed
+
+
 def test_params_mn_4_2():
     info = params(mn(4, 2))
     assert (info.k, info.f, info.z, info.s, info.g) == (4, 6, 3, 4, 3)

@@ -4,6 +4,7 @@ import sys
 import pytest
 
 from pdakit import gridio
+import pdakit.core
 from pdakit.core import Pda
 from pdakit.errors import GridParseError
 from pdakit.gridio import MAX_CELLS, parse_grid, pda_from_json, pda_to_json, serialize_grid
@@ -121,7 +122,7 @@ def test_overlong_label_reports_its_position():
 
 
 def test_grid_over_the_cell_limit_is_refused_before_its_cells():
-    assert MAX_CELLS == 4096 * 4096
+    assert MAX_CELLS == 4096 * 4096 and MAX_CELLS is pdakit.core.MAX_CELLS
     # The body's bad token is never reached: the header alone is refused.
     with pytest.raises(GridParseError, match=r"grid of 4097x4096 cells exceeds the limit of 16777216 at \(2,1\)"):
         parse_grid("\n# pda f=4097 K=4096\nx y\n")

@@ -106,8 +106,10 @@ def test_bypassing_the_compatibility_check_breaks_blackburn():
     base = h_array(2)
     member = identity(2, 0)
     pstar = identity(2, 7)
-    with pytest.raises(LiftError, match="lifted array failed validation: .*'C3'"):
+    with pytest.raises(LiftError, match="lifted array failed validation: .*'C3'") as err:
         _lift(base, [member, member], pstar)
+    report = err.value.report
+    assert not report.c3_ok and str(err.value).endswith(str(report.violations))
 
 
 def _shuffled(n, seed):
@@ -283,8 +285,10 @@ def test_lift_family_names_its_q_reference(qstar, kind, message):
 def test_lift_family_rejects_cstar_violation():
     p0, p1 = _transpose_family(3)
     q0, q1 = _transpose_family(3)
-    with pytest.raises(LiftError):
+    with pytest.raises(LiftError) as err:
         lift_family([p0, p1], identity(3, 50), [q0, q1], h_array(3))
+    report = err.value.report
+    assert not report.ok and str(err.value).endswith(str(report.witnesses[0].mirror))
 
 
 def test_lift_family_checks_its_result_like_its_inputs(monkeypatch):
@@ -337,6 +341,8 @@ def test_nonuniform_invalid_reference_names_the_pair():
     with pytest.raises(LiftError) as err:
         nonuniform_lift([p0, p1], refs, "main")
     assert "members 0 and 1" in str(err.value)
+    (violation,) = err.value.report.violations
+    assert violation.condition == "C3" and str(violation.witness[2]) in str(err.value)
 
 
 def test_nonuniform_z_mismatch_detected():
@@ -345,6 +351,7 @@ def test_nonuniform_z_mismatch_detected():
     with pytest.raises(LiftError) as err:
         nonuniform_lift([p0, p1], refs, "main")
     assert "star counts" in str(err.value)
+    assert not err.value.report.c1_ok
 
 
 def test_nonuniform_label_overlap_detected():
@@ -389,11 +396,27 @@ def test_shangguan_recursive_printed(n, a, b, grid):
     assert shangguan_recursive(n, a, b) == parse_grid(grid)
 
 
+def _outcome(build, *args):
+    """The array ``build(*args)`` returns, or the type and message of its error."""
+    try:
+        return build(*args)
+    except Exception as exc:
+        return type(exc), str(exc)
+
+
 def test_shangguan_recursive_equals_direct():
-    for n in range(1, 7):
-        for a in range(n + 1):
-            for b in range(n - a + 1):
-                assert shangguan_recursive(n, a, b) == shangguan_direct(n, a, b)
+    # One domain for both: the same array, or the same error, up to one past it.
+    refused = []
+    for n in range(9):
+        for a in range(n + 3):
+            for b in range(n + 3 - a):
+                direct = _outcome(shangguan_direct, n, a, b)
+                assert _outcome(shangguan_recursive, n, a, b) == direct, (n, a, b)
+                if type(direct) is tuple:
+                    refused.append(direct[1])
+    assert "need 0 <= a, b and a+b <= n+1, got a=4, b=6, n=8" in refused
+    assert "grid must be at least 1x1, got 0x1" in refused
+    assert "grid must be at least 1x1, got 1x0" in refused
 
 
 def _distinct_lifts(key, children, is_base):
@@ -447,6 +470,7 @@ def test_recursion_lifts_each_sub_problem_once_per_call(
 
 def test_shangguan_recursive_all_star_case():
     assert shangguan_recursive(4, 2, 3) == all_star(comb(4, 2), comb(4, 3))
+    assert shangguan_direct(4, 2, 3) == all_star(comb(4, 2), comb(4, 3))
 
 
 # ------------------------------------------------------------ odd-tiling lift
