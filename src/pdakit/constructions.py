@@ -25,7 +25,7 @@ from itertools import combinations
 from math import comb
 from typing import NamedTuple, Sequence
 
-from .core import Pda, _assemble_blocks, _check_cells, _check_kind, hstack, relabel, vstack
+from .core import Pda, _assemble_blocks, _check_cells, _check_kind, _comb_capped, hstack, relabel, vstack
 
 __all__ = [
     "identity",
@@ -123,6 +123,7 @@ def mn(k: int, t: int, labels: "Sequence[int] | None" = None) -> Pda:
 def mn_reverse(k: int, t: int, labels: "Sequence[int] | None" = None) -> Pda:
     """The MN PDA variant with rows and labels in reverse lexicographic order."""
     _check_memory_point(k, t)
+    _check_subset_point(k, t, 1)  # refuses a huge order before comb(k, t + 1)
     p = mn(k, t, _check_labels(labels, comb(k, t + 1))[::-1])
     return Pda(p.rows, p.cols, [c for j in reversed(range(p.rows)) for c in p.row(j)])
 
@@ -135,10 +136,10 @@ def _subset_masks(n: int, t: int) -> list:
 def _check_subset_point(n: int, a: int, b: int) -> None:
     """The one domain of the subset construction, direct and recursive:
     ints with 0 <= a, b and a + b <= n + 1, and C(n,a) x C(n,b) cells at
-    most ``MAX_CELLS``, checked before any subset is enumerated."""
+    most ``MAX_CELLS``, checked before a subset or a huge count is built."""
     if min(_check_kind(a, "a", int), _check_kind(b, "b", int)) < 0 or a + b > _check_kind(n, "n", int) + 1:
         raise ValueError(f"need 0 <= a, b and a+b <= n+1, got a={a}, b={b}, n={n}")
-    _check_cells(comb(n, a), comb(n, b))
+    _check_cells(_comb_capped(n, a), _comb_capped(n, b))
 
 
 def shangguan_direct(n: int, a: int, b: int, labels: "Sequence[int] | None" = None) -> Pda:
@@ -174,14 +175,9 @@ def odd_tiling(g: int) -> OddTilingFamily:
         [ 2       *...*   1   ]
         [ *       I_n(2)  I_n(3) ]
 
-    and p1 the anti-diagonal variant
-
-        [ *       I~_n(3) I~_n(1) ]
-        [ 3       *...*   0   ]
-        [ I~_n(2) I~_n(0)  *  ]
-
-    The internal labels are exactly {0, 1, 2, 3}; relabel via disjoint_copy
-    for composition.  pstar carries the fresh label 4 on its diagonal.
+    and p1 is p0 with each row reversed and labels renamed {0: 1, 1: 3,
+    2: 0, 3: 2}.  Their labels are exactly {0, 1, 2, 3} (relabel via
+    disjoint_copy to compose); pstar carries the fresh label 4 on its diagonal.
     """
     if _check_kind(g, "g", int) < 3 or g % 2 == 0:
         raise ValueError(f"g must be odd and at least 3, got {g}")
@@ -193,13 +189,7 @@ def odd_tiling(g: int) -> OddTilingFamily:
             hstack([all_star(n, 1), identity(n, 2), identity(n, 3)]),
         ]
     )
-    p1 = vstack(
-        [
-            hstack([all_star(n, 1), identity(n, 3, anti=True), identity(n, 1, anti=True)]),
-            hstack([filled(1, 1, [3]), all_star(1, g - 2), filled(1, 1, [0])]),
-            hstack([identity(n, 2, anti=True), identity(n, 0, anti=True), all_star(n, 1)]),
-        ]
-    )
+    p1 = relabel(Pda(g, g, [c for j in range(g) for c in reversed(p0.row(j))]), {0: 1, 1: 3, 2: 0, 3: 2})
     return OddTilingFamily(p0=p0, p1=p1, pstar=identity(g, 4))
 
 

@@ -327,6 +327,14 @@ def _check_cells(rows: int, cols: int) -> None:
         raise ValueError(f"grid would exceed the limit of {MAX_CELLS} cells")
 
 
+def _comb_capped(n: int, k: int) -> int:
+    """C(n, k), or the first C(n, i) past ``MAX_CELLS`` (they grow up to i = n/2)."""
+    c, i = int(0 <= k <= n), 0
+    while i < min(k, n - k) and c <= MAX_CELLS:
+        c, i = c * (n - i) // (i + 1), i + 1
+    return c
+
+
 def _check_pda(x, what: str) -> Pda:
     """``x`` when it is a :class:`Pda`, else ValueError naming ``what``."""
     return _check_kind(x, what, Pda)

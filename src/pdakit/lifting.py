@@ -20,9 +20,9 @@ Non-uniform lifting drops the equal-size requirement: members sit on the
 (anti-)diagonal of a block matrix and per-pair references fill the rest;
 validity of the assembly is equivalent to generalized compatibility of the
 family.  The Shangguan construction is a recursive instance, and the MN
-construction is its b = 1 case: mn_recursive(K, t) is
-shangguan_recursive(K, t, 1).  Each call builds every distinct sub-array
-of its recursion once and reuses it.
+construction is its b = 1 case: mn_recursive(K, t) is shangguan_recursive(K,
+t, 1).  Like the uniform lift, the recursion places its sources with label
+maps and validates each step once, building each sub-array once per call.
 
 Fresh labels are handed out by a single monotone allocator in emission
 order: reference copies first (star cells, row-major), then one shared set
@@ -42,7 +42,7 @@ from typing import Mapping, NamedTuple, Sequence
 from .compatibility import _check_pair_refs, check_condition_cstar, is_blackburn_compatible
 from .constructions import _check_memory_point, _check_subset_point, all_star, filled, h_array, odd_tiling
 from .core import Pda, PdaParams, _assemble_blocks, _check_kind, _check_members, _check_pda
-from .core import _check_shape, _valid, disjoint_copy, params, validate
+from .core import _check_shape, _valid, params, validate
 from .errors import CompatibilityError, LiftError
 
 __all__ = [
@@ -105,6 +105,15 @@ def _check_family(members, pstar, what="member"):
             )
 
 
+def _assemble_valid(blocks) -> Pda:
+    """``_assemble_blocks(blocks)``, validated once in full (C1-C3)."""
+    result = _assemble_blocks(blocks)
+    report = validate(result)
+    if not report.ok:
+        raise LiftError(f"lifted array failed validation: {report.violations}", report)
+    return result
+
+
 def _lift(base, members, pstar) -> LiftOutcome:
     """Uniform lift of a checked base by a checked family, validated in full.
 
@@ -130,13 +139,9 @@ def _lift(base, members, pstar) -> LiftOutcome:
     stars = iter([onto("stars", k, ref_labels) for k in range(sum(base._star_counts))])
     shared = {s: onto("labels", s, member_labels) for s in sorted(base.labels())}
     unused = {s: iter(members) for s in shared}  # each occurrence takes the next member
-    blocks = [(pstar, next(stars)) if s is None else (next(unused[s]), shared[s]) for s in base.cells]
-    w = base.cols
-    result = _assemble_blocks([blocks[r : r + w] for r in range(0, len(blocks), w)])
-    report = validate(result)
-    if not report.ok:
-        raise LiftError(f"lifted array failed validation: {report.violations}", report)
-    return LiftOutcome(result, ledger)
+    blocks = [[(pstar, next(stars)) if s is None else (next(unused[s]), shared[s]) for s in base.row(j)]
+              for j in range(base.rows)]
+    return LiftOutcome(_assemble_valid(blocks), ledger)
 
 
 def uniform_lift(base: Pda, members: Sequence[Pda], pstar: Pda) -> LiftOutcome:
@@ -291,15 +296,11 @@ def shangguan_recursive(n: int, a: int, b: int) -> Pda:
     """Build the subset-indexed Shangguan PDA by anti-diagonal lifting.
 
     Base cases: a filled array when min(a, b) = 0, an all-star array when
-    a + b = n + 1.  Otherwise lift
-    with members U(n-1, a, b-1), U(n-1, a-1, b) on a shared label set and
-    references U(n-1, a, b) fresh plus an all-star block.  Reproduces
-    shangguan_direct(n, a, b) cell for cell, and takes its arguments under
-    the same rule and messages.
-
-    Each distinct (n', a', b') sub-array is built, lifted and validated once
-    per call and reused wherever the recursion meets it again; nothing is
-    kept between calls.
+    a + b = n + 1.  Otherwise lift with members U(n-1, a, b-1), U(n-1, a-1,
+    b) on a shared label set, an all-star block, and U(n-1, a, b) as
+    reference on fresh labels.  Reproduces shangguan_direct(n, a, b) cell
+    for cell, under the same argument rule and messages.  Each distinct
+    sub-array is built and validated once per call and reused, not kept.
     """
     _check_subset_point(n, a, b)
 
@@ -309,12 +310,12 @@ def shangguan_recursive(n: int, a: int, b: int) -> Pda:
             return filled(comb(n, a), comb(n, b), range(comb(n, a) * comb(n, b)))
         if a + b == n + 1:
             return all_star(comb(n, a), comb(n, b))
-        shared = comb(n - 1, a + b - 1)
-        p0 = build(n - 1, a, b - 1)
-        p1 = build(n - 1, a - 1, b)
-        pstar = disjoint_copy(build(n - 1, a, b), shared)
         phash = all_star(comb(n - 1, a - 1), comb(n - 1, b - 1))
-        return nonuniform_lift([p0, p1], {(0, 1): pstar, (1, 0): phash}, "anti")
+        fresh = range(comb(n - 1, a + b - 1), comb(n, a + b))  # U's 0..S-1, past the shared set
+        return _assemble_valid([
+            [(phash, None), (build(n - 1, a - 1, b), None)],
+            [(build(n - 1, a, b - 1), None), (build(n - 1, a, b), fresh)],
+        ])
 
     return build(n, a, b)
 

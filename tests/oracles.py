@@ -178,6 +178,29 @@ def oracle_shangguan(n: int, a: int, b: int, labels=None) -> Pda:
     )
 
 
+def oracle_odd_tiling_p1(g: int) -> Pda:
+    """P1 of the odd-tiling pair from its block picture, n = g // 2:
+
+        [ *       I~_n(3) I~_n(1) ]
+        [ 3       *...*   0       ]
+        [ I~_n(2) I~_n(0) *       ]
+
+    where I~_n(s) holds s on its anti-diagonal and stars elsewhere."""
+    n = g // 2
+
+    def anti(s):
+        return [[s if i + j == n - 1 else None for j in range(n)] for i in range(n)]
+
+    def side_by_side(*blocks):
+        return [[c for block in blocks for c in block[i]] for i in range(n)]
+
+    stars = [[None]] * n
+    middle = [[3] + [None] * (g - 2) + [0]]
+    return Pda.from_rows(
+        side_by_side(stars, anti(3), anti(1)) + middle + side_by_side(anti(2), anti(0), stars)
+    )
+
+
 # The pairwise byte path the simulator used before it sliced each subfile
 # once and folded each XOR into one integer: a fresh subfile copy per user
 # and cell, and one bytes -> int -> bytes round trip per XOR-ed pair.

@@ -69,9 +69,14 @@ def test_gen_shangguan_at_a_plus_b_equal_to_n_plus_one_is_all_stars(capsys):
 
 def test_gen_past_the_cell_limit_is_refused_before_any_subset_is_built(capsys):
     # C(100000, 50000) has about 30,000 digits, so neither it nor its
-    # subsets may be formatted or enumerated.
+    # subsets may be formatted or enumerated; C(10^7, 5 * 10^6) may not
+    # even be computed.
     message = "bad parameters: grid would exceed the limit of 16777216 cells\n"
-    for argv in (["mn", "100000", "50000"], ["mnrev", "100000", "50000"], ["g", "100000"]):
+    for argv in (
+        ["mn", "100000", "50000"], ["mnrev", "100000", "50000"], ["g", "100000"],
+        ["mn", "10000000", "5000000"], ["mnrev", "10000000", "5000000"],
+        ["shangguan", "10000000", "2500000", "2500000"],
+    ):
         assert run_cli(capsys, "gen", *argv) == (2, "", message)
 
 

@@ -21,7 +21,13 @@ from pdakit.gridio import parse_grid
 from pdakit.lifting import basic_lift, mn_recursive, shangguan_recursive
 
 import printed
-from oracles import brute_force_full_ok, oracle_mn, oracle_mn_reverse, oracle_shangguan
+from oracles import (
+    brute_force_full_ok,
+    oracle_mn,
+    oracle_mn_reverse,
+    oracle_odd_tiling_p1,
+    oracle_shangguan,
+)
 
 
 def test_identity_printed_forms():
@@ -220,6 +226,29 @@ def test_no_construction_builds_more_than_max_cells(monkeypatch):
         assert str(err.value) == "grid would exceed the limit of 11 cells"
 
 
+def test_huge_orders_are_refused_before_their_counts_are_computed(monkeypatch):
+    # C(10^7, 5 * 10^6) has millions of digits; each call must be refused
+    # by its size alone, long before such a count could be computed.
+    for call in (
+        lambda: mn(10**7, 5 * 10**6),
+        lambda: mn_reverse(10**7, 5 * 10**6),
+        lambda: mn_reverse(10**7, 5 * 10**6, [0]),
+        lambda: shangguan_direct(10**7, 25 * 10**5, 25 * 10**5),
+        lambda: mn_recursive(10**7, 5 * 10**6),
+        lambda: shangguan_recursive(10**7, 25 * 10**5, 25 * 10**5),
+    ):
+        with pytest.raises(ValueError) as err:
+            call()
+        assert str(err.value) == "grid would exceed the limit of 16777216 cells"
+    # The capped count is exact up to the limit and past it beyond.
+    for limit in (11, 1 << 24):
+        monkeypatch.setattr(pdakit.core, "MAX_CELLS", limit)
+        for n in range(40):
+            for k in range(n + 2):
+                capped = pdakit.core._comb_capped(n, k)
+                assert capped == comb(n, k) if comb(n, k) <= limit else capped > limit
+
+
 def test_subset_constructions_keep_their_error_messages():
     for call, message in (
         (lambda: mn(4, 5), "need 0 <= t <= K, got t=5, K=4"),
@@ -258,6 +287,11 @@ def test_odd_tiling_sweep(g):
     assert len(fam.p0.label_positions()[2]) == n + 1
     assert params(fam.pstar).notation() == f"{g}-({g},{g},{g - 1},1)"
     assert brute_force_full_ok(fam.p0, fam.p1, fam.pstar)
+
+
+@pytest.mark.parametrize("g", range(3, 26, 2))
+def test_odd_tiling_p1_matches_its_block_picture(g):
+    assert odd_tiling(g).p1 == oracle_odd_tiling_p1(g)
 
 
 def test_odd_tiling_rejects_even_or_small():

@@ -4,6 +4,7 @@ from math import comb
 
 import pytest
 
+from pdakit.compatibility import GenFamily, is_generalized_family
 from pdakit.constructions import (
     all_star,
     filled,
@@ -14,7 +15,7 @@ from pdakit.constructions import (
     odd_tiling,
     shangguan_direct,
 )
-from pdakit.core import Pda, params, relabel, validate
+from pdakit.core import Pda, disjoint_copy, params, relabel, validate
 from pdakit.errors import CompatibilityError, InvalidPdaError, LiftError, PdaError
 from pdakit.gridio import parse_grid
 import pdakit.lifting
@@ -451,13 +452,13 @@ def test_recursion_lifts_each_sub_problem_once_per_call(
     monkeypatch, build, direct, key, children, is_base
 ):
     calls = []
-    lift = pdakit.lifting.nonuniform_lift
+    step = pdakit.lifting._assemble_valid
 
-    def counted(members, refs, orientation="main"):
-        calls.append((members[0].shape, members[1].shape))
-        return lift(members, refs, orientation)
+    def counted(blocks):
+        calls.append(tuple(tuple(q.shape for q, _ in row) for row in blocks))
+        return step(blocks)
 
-    monkeypatch.setattr(pdakit.lifting, "nonuniform_lift", counted)
+    monkeypatch.setattr(pdakit.lifting, "_assemble_valid", counted)
     want = len(_distinct_lifts(key, children, is_base))
     first = build(*key)
     assert len(calls) == want
@@ -466,6 +467,22 @@ def test_recursion_lifts_each_sub_problem_once_per_call(
     assert len(calls) == 2 * want
     assert calls[:want] == calls[want:]
     assert first == second == direct(*key)
+
+
+@pytest.mark.parametrize("n", range(2, 8))
+def test_each_recursion_step_is_the_public_anti_diagonal_lift_of_its_family(n):
+    # The paper's claim that Shangguan (and MN at b = 1) is a lift, checked
+    # through the public non-uniform lift and the generalized-family check.
+    for a in range(1, n):
+        for b in range(1, n - a + 1):
+            members = [shangguan_direct(n - 1, a, b - 1), shangguan_direct(n - 1, a - 1, b)]
+            refs = {
+                (0, 1): disjoint_copy(shangguan_direct(n - 1, a, b), comb(n - 1, a + b - 1)),
+                (1, 0): all_star(comb(n - 1, a - 1), comb(n - 1, b - 1)),
+            }
+            lifted = nonuniform_lift(members, refs, "anti")
+            assert lifted == shangguan_recursive(n, a, b) == shangguan_direct(n, a, b)
+            assert is_generalized_family(GenFamily.of(members, refs)).ok
 
 
 def test_shangguan_recursive_all_star_case():
