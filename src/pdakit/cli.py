@@ -10,10 +10,9 @@ from __future__ import annotations
 
 import argparse
 import sys
-from fractions import Fraction
 from itertools import permutations
 
-from .core import PdaParams, _write_text, params
+from .core import PdaParams, _params_of, _write_text, params
 from .errors import InvalidPdaError, PdaError
 
 __all__ = ["main"]
@@ -160,40 +159,45 @@ def _cmd_lift(args) -> int:
 
     members = [load_pda(f) for f in args.member]
     refs = [load_pda(f) for f in args.ref]
-    if args.mode == "family":
+    mode = args.mode
+    if mode == "family":
         if len(refs) != 1 or len(args.q_member) < 1 or args.q_ref is None:
-            raise _UsageError(
-                "--mode family takes --member..., one --ref, --q-member... and --q-ref"
-            )
+            raise _UsageError("--mode family takes --member..., one --ref, --q-member... and --q-ref")
+    elif mode == "nonuniform":
+        pair_refs = _pair_refs("nonuniform", members, refs)
+    elif args.base is None or len(refs) > 1:
+        raise _UsageError(f"--mode {mode} takes a base file and at most one --ref")
+    else:
+        base = load_pda(args.base)
+        if mode == "basic" and len(members) != 1:
+            raise _UsageError("--mode basic takes exactly one --member")
+        if mode == "uniform" and not refs:
+            raise _UsageError("--mode uniform needs --ref")
+    # Every input besides --member, -o and --format, with the modes that read it.
+    for name, given, modes in (("base file", args.base, "uniform basic"),
+                               ("--ref", args.ref, "uniform family nonuniform"),
+                               ("--q-member", args.q_member, "family"), ("--q-ref", args.q_ref, "family"),
+                               ("--orientation", args.orientation, "nonuniform")):
+        if given not in (None, []) and mode not in modes.split():
+            raise _UsageError(f"lift --mode {mode} takes no {name}")
+    if mode == "family":
         q_members = [load_pda(f) for f in args.q_member]
-        qstar = load_pda(args.q_ref)
-        lifted, rstar = lifting.lift_family(members, refs[0], q_members, qstar)
+        lifted, rstar = lifting.lift_family(members, refs[0], q_members, load_pda(args.q_ref))
         prefix, ext = args.out or "lifted", args.format or "grid"
         for i, r in enumerate(lifted):
             save_pda(r, f"{prefix}.r{i}.{ext}")
         save_pda(rstar, f"{prefix}.rstar.{ext}")
-        _write_text(
-            json.dumps({"members": len(lifted), "reference": f"{prefix}.rstar.{ext}"}) + "\n",
-            f"{prefix}.ledger.json",
-        )
+        ledger = {"members": len(lifted), "reference": f"{prefix}.rstar.{ext}"}
+        _write_text(json.dumps(ledger) + "\n", f"{prefix}.ledger.json")
         print(f"wrote {prefix}.r0..r{len(lifted) - 1} and {prefix}.rstar", file=sys.stderr)
         return 0
-    if args.mode == "nonuniform":
-        pair_refs = _pair_refs("nonuniform", members, refs)
-        result = lifting.nonuniform_lift(members, pair_refs, args.orientation)
-        ledger, indent = {"orientation": args.orientation, "members": len(members)}, None
+    if mode == "nonuniform":
+        orientation = args.orientation or "main"
+        result = lifting.nonuniform_lift(members, pair_refs, orientation)
+        ledger, indent = {"orientation": orientation, "members": len(members)}, None
     else:
-        if args.base is None or len(refs) > 1:
-            raise _UsageError(f"--mode {args.mode} takes a base file and at most one --ref")
-        base = load_pda(args.base)
-        if args.mode == "basic":
-            if len(members) != 1:
-                raise _UsageError("--mode basic takes exactly one --member")
-            outcome = lifting.basic_lift(base, members[0])
-        else:
-            if not refs:
-                raise _UsageError("--mode uniform needs --ref")
-            outcome = lifting.uniform_lift(base, members, refs[0])
+        outcome = (lifting.basic_lift(base, members[0]) if mode == "basic"
+                   else lifting.uniform_lift(base, members, refs[0]))
         result, ledger, indent = outcome.result, outcome.label_ledger, 2
     save_pda(result, args.out, args.format)
     if args.out:
@@ -218,10 +222,9 @@ def _parse_base(text: str) -> PdaParams:
     parts = [int(x) for x in text.split(",")]
     if len(parts) != 5:
         raise ValueError("base tuple is K,f,Z,S,g")
-    k, f, z, s, g = parts
-    if f < 1:
+    if parts[1] < 1:
         raise ValueError("base subpacketization f must be positive")
-    return PdaParams(k, f, z, s, g, Fraction(z, f), Fraction(s, f))
+    return _params_of(*parts)
 
 
 def _cmd_params(args) -> int:
@@ -334,7 +337,7 @@ def build_parser() -> argparse.ArgumentParser:
     l.add_argument("--ref", action="append", default=[], help="reference grid (repeatable)")
     l.add_argument("--q-member", action="append", default=[], help="lifting family member")
     l.add_argument("--q-ref", help="lifting family reference")
-    l.add_argument("--orientation", choices=("main", "anti"), default="main")
+    l.add_argument("--orientation", choices=("main", "anti"), help="nonuniform only; default main")
     l.add_argument("-o", "--out")
     l.add_argument("--format", choices=("grid", "json"))
     l.set_defaults(func=_cmd_lift)

@@ -379,15 +379,12 @@ def params(p: Pda, expected_labels: "int | None" = None) -> PdaParams:
     index = p._label_index
     occurrences = {len(v) for v in index.values()}
     g = occurrences.pop() if len(occurrences) == 1 else None
-    return PdaParams(
-        k=p.cols,
-        f=p.rows,
-        z=z,
-        s=len(index),
-        g=g,
-        memory_ratio=Fraction(z, p.rows),
-        rate=Fraction(len(index), p.rows),
-    )
+    return _params_of(p.cols, p.rows, z, len(index), g)
+
+
+def _params_of(k: int, f: int, z: int, s: int, g: "int | None") -> PdaParams:
+    """The one place a ``PdaParams`` is made: (K, f, Z, S) and g, with M/N = Z/f and R = S/f."""
+    return PdaParams(k, f, z, s, g, Fraction(z, f), Fraction(s, f))
 
 
 def relabel(p: Pda, mapping: Mapping[int, int]) -> Pda:

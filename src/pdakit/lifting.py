@@ -33,7 +33,6 @@ published example arrays digit for digit.
 from __future__ import annotations
 
 from bisect import bisect_right
-from fractions import Fraction
 from functools import cache
 from itertools import accumulate, combinations, permutations
 from math import comb
@@ -42,7 +41,7 @@ from typing import Mapping, NamedTuple, Sequence
 from .compatibility import _check_pair_refs, check_condition_cstar, is_blackburn_compatible
 from .constructions import _check_memory_point, _check_subset_point, all_star, filled, h_array, odd_tiling
 from .core import Pda, PdaParams, _assemble_blocks, _check_kind, _check_members, _check_pda
-from .core import _check_shape, _valid, params, validate
+from .core import _check_shape, _params_of, _valid, params, validate
 from .errors import CompatibilityError, LiftError
 
 __all__ = [
@@ -398,16 +397,25 @@ def _label_counts(fam: ParamTuple, what: str = "family") -> tuple:
     return lm, lr
 
 
+def _lift_counts(k: int, f: int, z: int, s: int, fam: ParamTuple) -> tuple:
+    """(K, f, Z, S) of the uniform lift of a (k, f, z, s) array by ``fam``:
+    each star takes a reference copy on fresh labels, and each label cell a
+    member on the label's shared set."""
+    return (k * fam.k, f * fam.f, z * fam.z_ref + (f - z) * fam.z_member,
+            k * z * fam.ref_labels + s * fam.member_labels)
+
+
 def lifted_params(base: PdaParams, fam: ParamTuple) -> PdaParams:
     """Parameters of the uniform lift of a regular base by a family tuple.
 
     Pure arithmetic, no arrays needed, so prior published family tuples can
-    be consumed as opaque inputs.  The member and reference label counts
-    come from the tuple's ``member_labels`` and ``ref_labels``.
-    Member-derived labels appear base.g * (family total multiplicity per
-    label) times, computed as base.g * K(f - Z_member) / member_labels,
-    which stays exact even for families whose individual members are not
-    regular.
+    be consumed as opaque inputs.  (K, f, Z, S) are the uniform-lift
+    counts, the ones ``lift_family_params`` gives each member, with the
+    member and reference label counts the tuple's ``member_labels`` and
+    ``ref_labels``.  Member-derived labels appear base.g * (family total
+    multiplicity per label) times, computed as base.g * K(f - Z_member) /
+    member_labels, which stays exact even for families whose individual
+    members are not regular.
     """
     lm, lr = _label_counts(fam)
     if _check_kind(base, "base", PdaParams).g is None:
@@ -416,11 +424,6 @@ def lifted_params(base: PdaParams, fam: ParamTuple) -> PdaParams:
         raise ValueError(
             f"base regularity {base.g} exceeds family size {fam.family_size}"
         )
-    k2 = base.k * fam.k
-    f2 = base.f * fam.f
-    z2 = base.z * fam.z_ref + (base.f - base.z) * fam.z_member
-    s2 = base.k * base.z * lr + base.s * lm
-
     # Regular when the member-derived and the reference-derived labels that
     # occur share one multiplicity.
     regularities = set()
@@ -430,40 +433,28 @@ def lifted_params(base: PdaParams, fam: ParamTuple) -> PdaParams:
         )
     if base.z > 0 and lr > 0:
         regularities.add(fam.ref_regularity)
-    return PdaParams(
-        k=k2,
-        f=f2,
-        z=z2,
-        s=s2,
-        g=regularities.pop() if len(regularities) == 1 else None,
-        memory_ratio=Fraction(z2, f2),
-        rate=Fraction(s2, f2),
-    )
+    g = regularities.pop() if len(regularities) == 1 else None
+    return _params_of(*_lift_counts(*base[:4], fam), g)
 
 
 def lift_family_params(p: ParamTuple, q: ParamTuple) -> ParamTuple:
     """Family tuple of lifting family p by family q, label counts included.
 
-    Members lift uniformly (reference q-star on their stars), the reference
-    lifts basically (all-star blocks on its stars), so the two star counts
-    compose differently; the new reference regularity multiplies by the
-    q-member regularity.
+    As ``lift_family`` builds the arrays: the members' counts are their
+    uniform-lift counts by q (reference q-star on their stars), and the
+    reference's are its basic-lift counts, the uniform lift by q's basic
+    family (all-star reference, no reference labels).  The new reference
+    regularity multiplies by the q-member regularity.
     """
     lm_p, lr_p = _label_counts(p, "p")
-    lm_q, lr_q = _label_counts(q, "q")
+    lm_q = _label_counts(q, "q")[0]
     gc_p = _exact_div(p.k * (p.f - p.z_member), lm_p, "p member regularity")
     if gc_p > q.family_size:
         raise ValueError(
             f"p members are {gc_p}-regular but q has only {q.family_size} members"
         )
     gc_q = _exact_div(q.k * (q.f - q.z_member), lm_q, "q member regularity")
-    return ParamTuple(
-        k=p.k * q.k,
-        f=p.f * q.f,
-        z_member=p.z_member * q.z_ref + (p.f - p.z_member) * q.z_member,
-        z_ref=p.z_ref * q.f + (p.f - p.z_ref) * q.z_member,
-        family_size=p.family_size,
-        ref_regularity=p.ref_regularity * gc_q,
-        member_labels=lm_p * lm_q + p.k * p.z_member * lr_q,
-        ref_labels=lr_p * lm_q,
-    )
+    k, f, z_member, member_labels = _lift_counts(p.k, p.f, p.z_member, lm_p, q)
+    *_, z_ref, ref_labels = _lift_counts(p.k, p.f, p.z_ref, lr_p, q._replace(z_ref=q.f, ref_labels=0))
+    return ParamTuple(k, f, z_member, z_ref, p.family_size, p.ref_regularity * gc_q,
+                      member_labels, ref_labels)

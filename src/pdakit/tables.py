@@ -16,7 +16,7 @@ from fractions import Fraction
 from typing import NamedTuple
 
 from .constructions import h_array, mn, odd_tiling
-from .core import params
+from .core import _params_of, params
 from .lifting import ParamTuple, lift_family_params, lifted_params, measure_family
 
 __all__ = [
@@ -96,24 +96,24 @@ def new_scheme_rows() -> list:
 
 def table1_rows() -> list:
     """The computed rows interleaved with the comparison rows as printed.
-    The comparison schemes are reference data, not constructed; the
-    cheng2020 rate is stored as printed even though it differs from S/f."""
+    The comparison schemes are reference data, not constructed: each is its
+    published (K, f, Z, S, g) with M/N and R derived, except cheng2020,
+    whose rate is stored as printed even though it differs from S/f."""
     new = new_scheme_rows()
-    f = Fraction
     return [
         new[0],
-        TradeoffRow("prior-lifting", 11, 22, 22, 20, 4, f(20, 22), f(4, 22)),
+        _row("prior-lifting", _params_of(22, 22, 20, 4, 11)),
         new[1],
         new[2],
-        TradeoffRow("prior-lifting", 12, 240, 960, 588, 7440, f(588, 960), f(7440, 960)),
-        TradeoffRow("cheng2020", 12, 240, 64, 60, 80, f(60, 64), f(1)),
-        TradeoffRow("huang2021", 10, 240, 64, 48, 384, f(48, 64), f(384, 64)),
+        _row("prior-lifting", _params_of(240, 960, 588, 7440, 12)),
+        TradeoffRow("cheng2020", 12, 240, 64, 60, 80, Fraction(60, 64), Fraction(1)),
+        _row("huang2021", _params_of(240, 64, 48, 384, 10)),
         new[3],
-        TradeoffRow("prior-lifting", 8, 240, 240, 78, 4860, f(78, 240), f(4860, 240)),
+        _row("prior-lifting", _params_of(240, 240, 78, 4860, 8)),
         new[4],
-        TradeoffRow("prior-lifting", 8, 256, 256, 80, 5632, f(80, 256), f(5632, 256)),
+        _row("prior-lifting", _params_of(256, 256, 80, 5632, 8)),
         new[5],
-        TradeoffRow("prior-lifting", 16, 256, 256, 160, 1536, f(160, 256), f(1536, 256)),
+        _row("prior-lifting", _params_of(256, 256, 160, 1536, 16)),
     ]
 
 

@@ -568,6 +568,28 @@ _CLI_BRANCHES = [
       "--ref", "s2.grid", "--ref", "s2.grid", "-o", "nu.grid"], 0, "", ""),
     (["params", "--family", "6,6,1,5,3,6", "--family", "8,8,1,5,2,4", "--member-labels", "15"], 2, "",
      "--member-labels/--ref-labels apply to a single --family\n"),
+    # An input the mode does not read is refused once the mode's own checks pass.
+    (["lift", "--mode", "uniform", "h2.grid", "--member", "odd5.p0.grid", "--member", "odd5.p1.grid",
+      "--ref", "odd5.pstar.grid", "--orientation", "anti", "--q-member", "nope.grid",
+      "--q-ref", "nonexist.grid", "-o", "refused.grid"], 2, "",
+     "lift --mode uniform takes no --q-member\n"),
+    (["lift", "--mode", "uniform", "h2.grid", "--member", "odd5.p0.grid", "--member", "odd5.p1.grid",
+      "--ref", "odd5.pstar.grid", "--orientation", "main"], 2, "",
+     "lift --mode uniform takes no --orientation\n"),
+    (["lift", "--mode", "basic", "h2.grid", "--member", "h2.grid", "--ref", "s2.grid"], 2, "",
+     "lift --mode basic takes no --ref\n"),
+    (["lift", "--mode", "basic", "h2.grid", "--member", "h2.grid", "--q-ref", "s2.grid"], 2, "",
+     "lift --mode basic takes no --q-ref\n"),
+    (["lift", "--mode", "family", "h2.grid", "--member", "h2.grid", "--ref", "s2.grid",
+      "--q-member", "h2.grid", "--q-ref", "s2.grid"], 2, "",
+     "lift --mode family takes no base file\n"),
+    (["lift", "--mode", "family", "--member", "h2.grid", "--ref", "s2.grid", "--q-member", "h2.grid",
+      "--q-ref", "s2.grid", "--orientation", "anti"], 2, "",
+     "lift --mode family takes no --orientation\n"),
+    (["lift", "--mode", "nonuniform", "h2.grid", "--member", "i2.grid"], 2, "",
+     "lift --mode nonuniform takes no base file\n"),
+    (["lift", "--mode", "nonuniform", "--member", "i2.grid", "--q-member", "i2.grid"], 2, "",
+     "lift --mode nonuniform takes no --q-member\n"),
 ]
 
 
@@ -581,3 +603,4 @@ def test_cli_branches_exact_output(tmp_path, capsys, monkeypatch):
         assert run_cli(capsys, *argv) == (code, out, err), argv
     assert (tmp_path / "nu.grid").read_text() == "0 * * *\n* 0 * *\n* * 0 *\n* * * 0\n"
     assert (tmp_path / "nu.grid.ledger.json").read_text() == '{"orientation": "main", "members": 2}\n'
+    assert not (tmp_path / "refused.grid").exists()

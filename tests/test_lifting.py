@@ -313,6 +313,29 @@ def test_lift_family_parameter_chain_eq6():
     assert (r.member_labels, r.ref_labels) == (735, 45)
 
 
+def _star_diagonal_family(n):
+    return list(_transpose_family(n)), h_array(n, range(n * n, n * n + n * (n - 1) // 2))
+
+
+# Two stars a column, so the reference copies a member's stars take count in its labels.
+_TWO_STARS = Pda.from_rows([[None, None, 0, 1], [None, None, 2, 3], [0, 2, None, None], [1, 3, None, None]])
+
+
+@pytest.mark.parametrize(
+    "p, q",
+    [*((_star_diagonal_family(n), _star_diagonal_family(m))
+       for n, m in [(3, 3), (4, 5), (5, 4), (6, 6), (3, 7)]),
+     (([h_array(3), h_array(3, [2, 1, 0])], all_star(3, 3)), ([h_array(2)] * 2, all_star(2, 2))),
+     (([_TWO_STARS, relabel(_TWO_STARS, {0: 3, 1: 2, 2: 1, 3: 0})], all_star(4, 4)),
+      _star_diagonal_family(3))],
+    ids=["transpose-3-3", "transpose-4-5", "transpose-5-4", "transpose-6-6", "transpose-3-7",
+         "h3-by-h2", "two-stars-by-transpose-3"],
+)
+def test_lift_family_params_describes_the_lifted_family(p, q):
+    predicted = lift_family_params(measure_family(*p), measure_family(*q))
+    assert predicted == measure_family(*lift_family(*p, *q))
+
+
 # --------------------------------------------------------- nonuniform lifting
 
 def _worked_members():

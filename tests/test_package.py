@@ -176,6 +176,19 @@ def test_public_surface():
         pdakit.no_such_name
 
 
+def test_dir_lists_every_export_sorted_without_importing():
+    listed = dir(pdakit)
+    assert listed == sorted(listed)
+    assert set(pdakit.__all__) <= set(listed)
+    code = (
+        "import sys, pdakit\n"
+        "before = sorted(sys.modules)\n"
+        "listed = dir(pdakit)\n"
+        "print(sorted(set(sys.modules) - set(before)), sorted(set(pdakit.__all__) - set(listed)))\n"
+    )
+    assert _run(code) == "[] []\n"
+
+
 def test_every_package_error_carries_a_report():
     kinds = [
         cls
