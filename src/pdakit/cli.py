@@ -110,7 +110,7 @@ def _cmd_verify(args) -> int:
 # ----------------------------------------------------------------- compat
 
 def _pair_refs(mode: str, members: list, refs: list) -> dict:
-    """The --ref arrays keyed by ordered member pair (0,1),(0,2),...,(1,0),...;
+    """The --ref entries keyed by ordered member pair (0,1),(0,2),...,(1,0),...;
     a usage error when their count is not g(g-1)."""
     g = len(members)
     if len(refs) != g * (g - 1):
@@ -125,25 +125,29 @@ def _cmd_compat(args) -> int:
     from . import compatibility as compat
     from .gridio import load_pda
 
-    members = [load_pda(f) for f in args.files]
-    refs = [load_pda(f) for f in args.ref]
+    # Usage checks read only the argument lists; files load once they pass.
     mode = args.mode
     if mode in ("full", "right", "left"):
-        if len(members) != 2 or len(refs) != 1:
+        if len(args.files) != 2 or len(args.ref) != 1:
             raise _UsageError(f"--mode {mode} takes two arrays and one --ref")
+    elif mode == "cstar":
+        if len(args.ref) != 1:
+            raise _UsageError("--mode cstar takes one --ref")
+    else:
+        pairs = _pair_refs("family", args.files, args.ref)
+    members = [load_pda(f) for f in args.files]
+    refs = [load_pda(f) for f in args.ref]
+    if mode == "cstar":
+        report = compat.check_condition_cstar(members, refs[0])
+    elif mode == "family":
+        report = compat.is_generalized_family(compat.GenFamily.of(members, dict(zip(pairs, refs))))
+    else:
         check = {
             "full": compat.is_blackburn_compatible,
             "right": compat.is_right_compatible,
             "left": compat.is_left_compatible,
         }[mode]
         report = check(members[0], members[1], refs[0])
-    elif mode == "cstar":
-        if len(refs) != 1:
-            raise _UsageError("--mode cstar takes one --ref")
-        report = compat.check_condition_cstar(members, refs[0])
-    else:
-        pair_refs = _pair_refs("family", members, refs)
-        report = compat.is_generalized_family(compat.GenFamily.of(members, pair_refs))
     for w in report.witnesses:
         print(_witness_line(*w[:4]))
     return 0 if report.ok else 1
@@ -157,22 +161,19 @@ def _cmd_lift(args) -> int:
     from . import lifting
     from .gridio import load_pda, save_pda
 
-    members = [load_pda(f) for f in args.member]
-    refs = [load_pda(f) for f in args.ref]
+    # Usage checks read only the argument lists; files load once they pass.
     mode = args.mode
     if mode == "family":
-        if len(refs) != 1 or len(args.q_member) < 1 or args.q_ref is None:
+        if len(args.ref) != 1 or len(args.q_member) < 1 or args.q_ref is None:
             raise _UsageError("--mode family takes --member..., one --ref, --q-member... and --q-ref")
     elif mode == "nonuniform":
-        pair_refs = _pair_refs("nonuniform", members, refs)
-    elif args.base is None or len(refs) > 1:
+        pairs = _pair_refs("nonuniform", args.member, args.ref)
+    elif args.base is None or len(args.ref) > 1:
         raise _UsageError(f"--mode {mode} takes a base file and at most one --ref")
-    else:
-        base = load_pda(args.base)
-        if mode == "basic" and len(members) != 1:
-            raise _UsageError("--mode basic takes exactly one --member")
-        if mode == "uniform" and not refs:
-            raise _UsageError("--mode uniform needs --ref")
+    elif mode == "basic" and len(args.member) != 1:
+        raise _UsageError("--mode basic takes exactly one --member")
+    elif mode == "uniform" and not args.ref:
+        raise _UsageError("--mode uniform needs --ref")
     # Every input besides --member, -o and --format, with the modes that read it.
     for name, given, modes in (("base file", args.base, "uniform basic"),
                                ("--ref", args.ref, "uniform family nonuniform"),
@@ -180,6 +181,8 @@ def _cmd_lift(args) -> int:
                                ("--orientation", args.orientation, "nonuniform")):
         if given not in (None, []) and mode not in modes.split():
             raise _UsageError(f"lift --mode {mode} takes no {name}")
+    members = [load_pda(f) for f in args.member]
+    refs = [load_pda(f) for f in args.ref]
     if mode == "family":
         q_members = [load_pda(f) for f in args.q_member]
         lifted, rstar = lifting.lift_family(members, refs[0], q_members, load_pda(args.q_ref))
@@ -193,9 +196,10 @@ def _cmd_lift(args) -> int:
         return 0
     if mode == "nonuniform":
         orientation = args.orientation or "main"
-        result = lifting.nonuniform_lift(members, pair_refs, orientation)
+        result = lifting.nonuniform_lift(members, dict(zip(pairs, refs)), orientation)
         ledger, indent = {"orientation": orientation, "members": len(members)}, None
     else:
+        base = load_pda(args.base)
         outcome = (lifting.basic_lift(base, members[0]) if mode == "basic"
                    else lifting.uniform_lift(base, members, refs[0]))
         result, ledger, indent = outcome.result, outcome.label_ledger, 2

@@ -7,6 +7,11 @@ ASCII decimal digits otherwise.  Output uses LF line endings.
 JSON format: an object with fields ``rows``, ``cols`` and ``cells``, the
 latter a flat row-major list where stars encode as null.
 
+Text in serialize_grid's exact form, with or without its header, is read by
+one json.loads.  Every other text goes through the per-line reader, which
+alone defines the format and locates errors; the fast path only hands such
+text on, so both accept the same texts and give the same errors.
+
 Both readers refuse a grid of more than ``MAX_CELLS`` cells before building
 any of them, so a hostile header or shape cannot make them allocate more.
 """
@@ -16,6 +21,7 @@ from __future__ import annotations
 import json
 import re
 import sys
+from itertools import chain
 
 from .core import MAX_CELLS, Pda, _check_kind, _check_pda, _write_text
 from .errors import GridParseError
@@ -33,6 +39,8 @@ _HEADER_RE = re.compile(r"#\s*pda\s+f=([0-9]+)\s+K=([0-9]+)\s*$")
 # A stripped body line: stars and ASCII decimals separated by the same
 # whitespace str.split() separates on.
 _ROW_RE = re.compile(r"(?:\*|[0-9]+)(?:\s+(?:\*|[0-9]+))*")
+_PLAIN_HEADER_RE = re.compile(r"# pda f=([0-9]+) K=([0-9]+)\n")  # serialize_grid's own
+_NOT_PLAIN = str.maketrans("", "", "0123456789* \n")
 
 
 def _check_size(rows: int, cols: int, line: int) -> None:
@@ -42,8 +50,26 @@ def _check_size(rows: int, cols: int, line: int) -> None:
         )
 
 
+def _parse_plain(text: str) -> "Pda | None":
+    """``text`` by one json.loads if serialize_grid could have written it, else None."""
+    m = _PLAIN_HEADER_RE.match(text)
+    body = text[m.end() if m else 0 :].rstrip("\n")
+    f, k = body.count("\n") + 1, body.partition("\n")[0].count(" ") + 1
+    if (len(body) > 2 * MAX_CELLS or f * k > MAX_CELLS or body.translate(_NOT_PLAIN)
+            or m and (m[1], m[2]) != (str(f), str(k))):
+        return None
+    try:
+        rows = json.loads("[[" + body.replace("*", "null").replace(" ", ",").replace("\n", "],[") + "]]")
+    except ValueError:  # leading zeros, "**", "1*", stray spaces, overlong labels
+        return None
+    return Pda(f, k, tuple(chain.from_iterable(rows))) if set(map(len, rows)) == {k} else None
+
+
 def parse_grid(text: str) -> Pda:
-    lines = _check_kind(text, "text", str).splitlines()
+    plain = _parse_plain(_check_kind(text, "text", str))
+    if plain is not None:
+        return plain
+    lines = text.splitlines()
     header = None
     body = []
     for lineno, raw in enumerate(lines, start=1):

@@ -71,6 +71,13 @@ class LiftOutcome(NamedTuple):
     label_ledger: dict
 
 
+# The witness a LiftError carries as ``report`` when a precondition fails: too
+# few members, the members whose label set is not member 0's, a reused label.
+MemberCount = NamedTuple("MemberCount", [("needed", int), ("given", int)])
+LabelSetMismatch = NamedTuple("LabelSetMismatch", [("members", tuple)])
+RefOverlap = NamedTuple("RefOverlap", [("key", tuple), ("labels", tuple)])
+
+
 def _max_occurrences(p: Pda) -> int:
     return max(map(len, p._label_index.values()), default=0)
 
@@ -79,7 +86,8 @@ def _check_member_count(bases, members, needs: str) -> None:
     """Each occurrence of a label in ``bases`` takes its own member of the family."""
     need = max(map(_max_occurrences, bases))
     if len(members) < need:
-        raise LiftError(f"{needs.format(need)} (max label occurrences), got {len(members)}")
+        raise LiftError(f"{needs.format(need)} (max label occurrences), got {len(members)}",
+                        MemberCount(need, len(members)))
 
 
 def _check_family(members, pstar, what="member"):
@@ -91,9 +99,10 @@ def _check_family(members, pstar, what="member"):
         _check_shape(q, *members[0].shape, f"{what} {i}")
     if members:
         _check_shape(pstar, *members[0].shape, ref)
-    label_sets = {q.labels() for q in members}
-    if len(label_sets) > 1:
-        raise LiftError(f"{what}s must share one label set")
+    label_sets = [q.labels() for q in members]
+    differ = tuple(i for i, s in enumerate(label_sets) if s != label_sets[0])
+    if differ:
+        raise LiftError(f"{what}s must share one label set", LabelSetMismatch(differ))
     for i, j in combinations(range(len(members)), 2):
         report = is_blackburn_compatible(members[i], members[j], pstar)
         if not report.ok:
@@ -260,7 +269,8 @@ def nonuniform_lift(
         if overlap:
             raise LiftError(
                 f"reference {key} reuses labels {sorted(overlap)}; reference "
-                "label sets must be disjoint from each other and from members"
+                "label sets must be disjoint from each other and from members",
+                RefOverlap(key, tuple(sorted(overlap))),
             )
         taken |= ref_labels
     report = validate(result)

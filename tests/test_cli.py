@@ -590,6 +590,20 @@ _CLI_BRANCHES = [
      "lift --mode nonuniform takes no base file\n"),
     (["lift", "--mode", "nonuniform", "--member", "i2.grid", "--q-member", "i2.grid"], 2, "",
      "lift --mode nonuniform takes no --q-member\n"),
+    # A usage error is reported before any named file is read.
+    (["lift", "--mode", "family", "--member", "nope.grid"], 2, "",
+     "--mode family takes --member..., one --ref, --q-member... and --q-ref\n"),
+    (["compat", "--mode", "full", "nope.grid"], 2, "", "--mode full takes two arrays and one --ref\n"),
+    (["compat", "--mode", "family", "nope.grid", "nope.grid"], 2, "",
+     f"--mode family with 2 members takes 2 --ref {_PAIRS}\n"),
+    (["lift", "--mode", "basic", "nope.grid", "--member", "nope.grid", "--member", "nope.grid"], 2, "",
+     "--mode basic takes exactly one --member\n"),
+    (["lift", "--mode", "nonuniform", "--member", "nope.grid", "--ref", "nope.grid"], 2, "",
+     f"--mode nonuniform with 1 members takes 0 --ref {_PAIRS}\n"),
+    (["lift", "--mode", "uniform", "h2.grid", "--member", "nope.grid", "--ref", "nope.grid",
+      "--q-ref", "nope.grid"], 2, "", "lift --mode uniform takes no --q-ref\n"),
+    (["lift", "--mode", "uniform", "h2.grid", "--member", "nope.grid", "--ref", "odd5.pstar.grid"], 1, "",
+     "error: [Errno 2] No such file or directory: 'nope.grid'\n"),
 ]
 
 

@@ -165,3 +165,101 @@ def test_save_pda_takes_the_format_from_the_path_when_given_none(tmp_path):
         assert (tmp_path / name).read_text() == text
         if fmt is None:
             assert gridio.load_pda(tmp_path / name) == p
+
+
+# ------------------------------------------- one json.loads against the loop
+
+_LIMIT = getattr(sys, "get_int_max_str_digits", lambda: 4300)() or 4300
+# Whitespace that str.split() or splitlines() sees and serialize_grid never
+# writes, then tokens: digits that are not ASCII, JSON syntax, bad labels.
+_SPACES = (" ", "  ", "\t", "\r", "\r\n", "\n", "\n\n", "\x0c", "\x85", "\u00a0", "\u3000")
+_TOKENS = ("\u0663", "\uff11", "0", "00", "01", "7", "123", "*", "**", "1*", "-1", "1e3", "[", ",",
+           "null", "1" * (_LIMIT + 1))
+_HEADERS = (
+    "# pda f={f} K={k}\n", "# pda f={k} K={f}\n", "# pda f=0{f} K={k}\n", "# pda\r f={f} K={k}\n",
+    "#\x0c pda f={f} K={k}\n", "# pda f={f} K={k}\r\n", "# pda f={f}  K={k}\n", "\n# pda f={f} K={k}\n",
+    "# pda f={f} K={k} \n", "#pda f={f} K={k}\n", "# pda f=" + "1" * (_LIMIT + 1) + " K={k}\n",
+)
+
+
+def _outcome(text):
+    """parse_grid's Pda for ``text``, or its error's message, line and column."""
+    try:
+        return parse_grid(text)
+    except GridParseError as exc:
+        return (str(exc), exc.line, exc.column)
+
+
+def _loop_outcome(text):
+    with pytest.MonkeyPatch.context() as mp:
+        mp.setattr(gridio, "_parse_plain", lambda text: None)
+        return _outcome(text)
+
+
+def _mutate(text: str, f: int, k: int, rng: random.Random) -> str:
+    kind = rng.randrange(7)
+    if kind == 0:  # splice a snippet in anywhere
+        at = rng.randint(0, len(text))
+        return text[:at] + rng.choice(_SPACES + _TOKENS) + text[at:]
+    lines = text.split("\n")
+    row = rng.randrange(len(lines))
+    tokens = lines[row].split(" ")
+    col = rng.randrange(len(tokens))
+    if kind == 1:  # replace one token
+        tokens[col] = rng.choice(_TOKENS)
+    elif kind == 2:  # swap two tokens
+        other = rng.randrange(len(tokens))
+        tokens[col], tokens[other] = tokens[other], tokens[col]
+    elif kind == 3:  # ragged: drop or double a token
+        tokens[col:col + 1] = [] if rng.random() < 0.5 else [tokens[col]] * 2
+    elif kind == 4:  # a leading zero
+        tokens[col] = "0" + tokens[col]
+    elif kind == 5:
+        return text.replace("\n", "\r\n")
+    else:
+        return rng.choice(_HEADERS).format(f=f, k=k) + text
+    lines[row] = " ".join(tokens)
+    return "\n".join(lines)
+
+
+def test_one_json_loads_reads_what_the_loop_reads_property():
+    hypothesis = pytest.importorskip("hypothesis")
+    st = hypothesis.strategies
+
+    @hypothesis.settings(max_examples=400, deadline=None, derandomize=True, database=None)
+    @hypothesis.given(st.randoms(use_true_random=False), st.booleans(), st.integers(0, 3))
+    def check(rng, header, mutations):
+        p = random_grid(rng, n_labels=rng.choice((3, 150, 20_000)))
+        text = serialize_grid(p, header=header)
+        assert gridio._parse_plain(text) == p
+        for _ in range(mutations):
+            text = _mutate(text, p.rows, p.cols, rng)
+        plain, loop = gridio._parse_plain(text), _loop_outcome(text)
+        assert plain is None or plain == loop
+        assert _outcome(text) == loop
+
+    check()
+
+
+_EXPECTED_READS = [
+    ("* 0\n0 *\n", Pda(2, 2, (None, 0, 0, None))),
+    ("# pda f=2 K=2\n* 0\n0 *\n\n\n", Pda(2, 2, (None, 0, 0, None))),
+    ("# pda f=02 K=2\n* 0\n0 *\n", Pda(2, 2, (None, 0, 0, None))),
+    # A header cut at "\n" alone would accept these two; splitlines() does not.
+    ("# pda\r f=2 K=2\n* 0\n0 *\n", ("malformed header at (1,1)", 1, 1)),
+    ("#\x0c pda f=2 K=2\n* 0\n0 *\n", ("malformed header at (1,1)", 1, 1)),
+    ("# pda f=1 K=2\n* 0\n0 *\n", ("header says f=1 K=2 but body is 2x2 at (1,1)", 1, 1)),
+    ("* 00\n0 *\n", Pda(2, 2, (None, 0, 0, None))),
+    ("* 0\n\n0 *\n", Pda(2, 2, (None, 0, 0, None))),
+    ("* 0\r\n0 *\r\n", Pda(2, 2, (None, 0, 0, None))),
+    ("* 0\n0 **\n", ("invalid token '**' at (2,2)", 2, 2)),
+    ("* 0\n0\n", ("ragged row: 1 tokens, expected 2 at (2,1)", 2, 1)),
+    ("* 0\n0 " + "1" * (_LIMIT + 1) + "\n", (f"label longer than {_LIMIT} digits at (2,2)", 2, 2)),
+]
+
+
+@pytest.mark.parametrize("text, expected", _EXPECTED_READS)
+def test_both_readers_give_the_expected_outcome(text, expected):
+    if "label longer" in str(expected) and not getattr(sys, "get_int_max_str_digits", lambda: 0)():
+        pytest.skip("int() has no digit limit here")
+    assert _outcome(text) == _loop_outcome(text) == expected

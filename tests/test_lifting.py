@@ -20,8 +20,11 @@ from pdakit.errors import CompatibilityError, InvalidPdaError, LiftError, PdaErr
 from pdakit.gridio import parse_grid
 import pdakit.lifting
 from pdakit.lifting import (
+    LabelSetMismatch,
     LiftOutcome,
+    MemberCount,
     ParamTuple,
+    RefOverlap,
     _lift,
     assemble_identity_lift,
     basic_lift,
@@ -91,6 +94,22 @@ def test_uniform_lift_argument_errors():
     assert (type(err.value), str(err.value)) == (ValueError, "member 1 must be 5x5, got 3x3")
     with pytest.raises(LiftError):
         uniform_lift(h_array(2), [fam.p0, identity(5, 9)], fam.pstar)
+
+
+def test_member_count_error_carries_the_counts():
+    fam = odd_tiling(5)
+    with pytest.raises(LiftError) as err:
+        uniform_lift(h_array(2), [fam.p0], fam.pstar)
+    assert str(err.value) == "base needs 2 family members (max label occurrences), got 1"
+    assert err.value.report == MemberCount(needed=2, given=1)
+
+
+def test_label_set_error_carries_the_differing_members():
+    fam = odd_tiling(5)
+    with pytest.raises(LiftError) as err:
+        uniform_lift(h_array(2), [fam.p0, identity(5, 9), fam.p1, identity(5, 3)], fam.pstar)
+    assert str(err.value) == "members must share one label set"
+    assert err.value.report == LabelSetMismatch(members=(1, 3))
 
 
 def test_uniform_lift_rejects_incompatible_members():
@@ -384,6 +403,18 @@ def test_nonuniform_label_overlap_detected():
     with pytest.raises(LiftError) as err:
         nonuniform_lift([p0, p1], refs, "main")
     assert "labels" in str(err.value)
+
+
+def test_reference_overlap_error_carries_the_key_and_labels():
+    p0, p1 = _worked_members()
+    refs = {(0, 1): all_star(4, 4), (1, 0): identity(2, 1)}
+    with pytest.raises(LiftError) as err:
+        nonuniform_lift([p0, p1], refs, "main")
+    assert str(err.value) == (
+        "reference (1, 0) reuses labels [1]; reference label sets must be disjoint "
+        "from each other and from members"
+    )
+    assert err.value.report == RefOverlap(key=(1, 0), labels=(1,))
 
 
 def test_assemble_identity_lift_missing_ref():
