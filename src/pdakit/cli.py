@@ -164,9 +164,11 @@ def _cmd_lift(args) -> int:
     # Usage checks read only the argument lists; files load once they pass.
     mode = args.mode
     if mode == "family":
-        if len(args.ref) != 1 or len(args.q_member) < 1 or args.q_ref is None:
+        if not args.member or len(args.ref) != 1 or not args.q_member or args.q_ref is None:
             raise _UsageError("--mode family takes --member..., one --ref, --q-member... and --q-ref")
     elif mode == "nonuniform":
+        if not args.member:
+            raise _UsageError("--mode nonuniform takes at least one --member")
         pairs = _pair_refs("nonuniform", args.member, args.ref)
     elif args.base is None or len(args.ref) > 1:
         raise _UsageError(f"--mode {mode} takes a base file and at most one --ref")

@@ -97,6 +97,14 @@ class RunReport(NamedTuple):
         return all(self.decode_ok)
 
 
+# The witness a DecodeError carries as ``report``; a missing own subfile has ``label`` None.
+UserOutOfRange = NamedTuple("UserOutOfRange", [("user", int), ("cols", int)])
+MissingSubfile = NamedTuple("MissingSubfile",
+                            [("user", int), ("file", int), ("subfile", int), ("label", "int | None")])
+MissingTransmission = NamedTuple("MissingTransmission", [("user", int), ("label", int)])
+WrongLength = NamedTuple("WrongLength", [("key", object), ("length", int), ("expected", int)])
+
+
 class _Broadcast(list):
     """One round's transmissions, their subfile ``size`` and :func:`decode`'s memo ``ints``."""
 
@@ -177,11 +185,10 @@ def decode(
     or its first cached value, has a length most of its cached values and payloads do not.
     """
     if not 0 <= _check_kind(user, "user", int) < _check_pda(p, "array").cols:
-        raise DecodeError(f"user {user} out of range [0,{p.cols})")
+        raise DecodeError(f"user {user} out of range [0,{p.cols})", UserOutOfRange(user, p.cols))
     _check_per_user(p, demands, "demands")
     for d in demands:
-        if isinstance(d, bool) or not isinstance(d, int):
-            raise ValueError(f"demand {d!r} must be an int, got {type(d).__name__}")
+        _check_kind(d, f"demand {d!r}", int)
     _check_per_user(p, cache, "caches")
     d = demands[user]
     _check_kind(transmissions, "transmissions")
@@ -200,16 +207,16 @@ def decode(
             if s is None:
                 sub = own.get((d, j))
                 if sub is None:
-                    raise DecodeError(
-                        f"user {user} misses its own cached subfile (file {d}, subfile {j})"
-                    )
+                    raise DecodeError(f"user {user} misses its own cached subfile (file {d}, subfile {j})",
+                                      MissingSubfile(user, d, j, None))
                 if len(sub) != size:
                     raise _length_error(user, own, by_label, (d, j), len(sub), size)
                 parts.append(sub)
                 continue
             piece = by_label.get(s)
             if piece is None:
-                raise DecodeError(f"user {user} received no transmission for label {s}")
+                raise DecodeError(f"user {user} received no transmission for label {s}",
+                                  MissingTransmission(user, s))
             if (acc := ints.get(piece)) is None:
                 if len(piece) != size:
                     raise _length_error(user, own, by_label, s, len(piece), size)
@@ -220,10 +227,9 @@ def decode(
                     continue
                 peer = own.get((demands[k2], j2))
                 if peer is None:
-                    raise DecodeError(
-                        f"user {user} misses peer subfile (file {demands[k2]}, "
-                        f"subfile {j2}) needed to decode label {s}"
-                    )
+                    raise DecodeError(f"user {user} misses peer subfile (file {demands[k2]}, "
+                                      f"subfile {j2}) needed to decode label {s}",
+                                      MissingSubfile(user, demands[k2], j2, s))
                 if (x := ints.get(peer)) is None:
                     if len(peer) != size:
                         raise _length_error(user, own, by_label, (demands[k2], j2), len(peer), size)
@@ -252,10 +258,9 @@ def _length_error(user, own, by_label, key, n, size) -> DecodeError:
     lengths = [len(v) for v in (*own.values(), *by_label.values())]
     if max(set(lengths), key=lengths.count) == n:
         key, n, size = next(iter(own or by_label)), size, n
-    name = f"label {key} payload"
-    if type(key) is tuple:
-        name = f"user {user} cached subfile (file {key[0]}, subfile {key[1]})"
-    return DecodeError(f"{name} has {n} bytes, not {size}")
+    name = (f"user {user} cached subfile (file {key[0]}, subfile {key[1]})" if type(key) is tuple
+            else f"label {key} payload")
+    return DecodeError(f"{name} has {n} bytes, not {size}", WrongLength(key, n, size))
 
 
 def run(

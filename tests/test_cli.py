@@ -604,6 +604,12 @@ _CLI_BRANCHES = [
       "--q-ref", "nope.grid"], 2, "", "lift --mode uniform takes no --q-ref\n"),
     (["lift", "--mode", "uniform", "h2.grid", "--member", "nope.grid", "--ref", "odd5.pstar.grid"], 1, "",
      "error: [Errno 2] No such file or directory: 'nope.grid'\n"),
+    # A missing --member is a usage error where the mode's member count needs no file;
+    # a uniform lift needs as many as its base's labels occur, none for an all-star base.
+    (["lift", "--mode", "nonuniform", "-o", "x.grid"], 2, "", "--mode nonuniform takes at least one --member\n"),
+    (["lift", "--mode", "family", "--ref", "s2.grid", "--q-member", "h2.grid", "--q-ref", "s2.grid"], 2, "",
+     "--mode family takes --member..., one --ref, --q-member... and --q-ref\n"),
+    (["lift", "--mode", "uniform", "s2.grid", "--ref", "s2.grid", "-o", "u.grid"], 0, "", ""),
 ]
 
 
@@ -618,3 +624,5 @@ def test_cli_branches_exact_output(tmp_path, capsys, monkeypatch):
     assert (tmp_path / "nu.grid").read_text() == "0 * * *\n* 0 * *\n* * 0 *\n* * * 0\n"
     assert (tmp_path / "nu.grid.ledger.json").read_text() == '{"orientation": "main", "members": 2}\n'
     assert not (tmp_path / "refused.grid").exists()
+    assert not (tmp_path / "x.grid").exists()
+    assert (tmp_path / "u.grid").read_text() == "* * * *\n" * 4

@@ -255,6 +255,10 @@ _EXPECTED_READS = [
     ("* 0\n0 **\n", ("invalid token '**' at (2,2)", 2, 2)),
     ("* 0\n0\n", ("ragged row: 1 tokens, expected 2 at (2,1)", 2, 1)),
     ("* 0\n0 " + "1" * (_LIMIT + 1) + "\n", (f"label longer than {_LIMIT} digits at (2,2)", 2, 2)),
+    # Every token of a row is checked before any is converted.
+    ("* 0\n" + "1" * (_LIMIT + 1) + " x\n", ("invalid token 'x' at (2,2)", 2, 2)),
+    ("*\t007\n0 *\n", Pda(2, 2, (None, 7, 0, None))),
+    ("# pda  f=2   K=2 \n*\t0\n0\t*\n", Pda(2, 2, (None, 0, 0, None))),
 ]
 
 

@@ -11,7 +11,11 @@ from pdakit.gridio import parse_grid
 from pdakit.lifting import odd_tiling_lift
 from pdakit.simulate import (
     Library,
+    MissingSubfile,
+    MissingTransmission,
     Transmission,
+    UserOutOfRange,
+    WrongLength,
     decode,
     deliver,
     make_library,
@@ -248,6 +252,44 @@ def test_decode_user_outside_the_columns_raises_decode_error():
     for user in (4, 7, -1):
         with pytest.raises(DecodeError, match=rf"user {user} out of range \[0,4\)"):
             decode(p, user, demands, caches, sent)
+
+
+# User 0 caches files 0..3 at rows 0..2 and demands file 2; user 1 reads label 0
+# at row 1 first, and user 2 reads it at row 0 with user 1's (1, 1) as its peer.
+@pytest.mark.parametrize(
+    "user, cache_cut, payload_cut, message, witness",
+    [
+        (7, {}, None, "user 7 out of range [0,4)", UserOutOfRange(7, 4)),
+        (0, {(2, 0): None}, None, "user 0 misses its own cached subfile (file 2, subfile 0)",
+         MissingSubfile(0, 2, 0, None)),
+        (1, {}, "drop", "user 1 received no transmission for label 0", MissingTransmission(1, 0)),
+        (2, {(1, 1): None}, None, "user 2 misses peer subfile (file 1, subfile 1) needed to decode label 0",
+         MissingSubfile(2, 1, 1, 0)),
+        (1, {}, 3, "label 0 payload has 3 bytes, not 10", WrongLength(0, 3, 10)),
+        (0, {(2, 0): 4}, None, "user 0 cached subfile (file 2, subfile 0) has 4 bytes, not 10",
+         WrongLength((2, 0), 4, 10)),
+        (0, {(0, 0): 4}, None, "user 0 cached subfile (file 0, subfile 0) has 4 bytes, not 10",
+         WrongLength((0, 0), 4, 10)),
+    ],
+    ids=["user", "own-subfile", "transmission", "peer-subfile", "payload-length", "cached-length",
+         "first-value-length"],
+)
+def test_each_decode_error_carries_its_witness(user, cache_cut, payload_cut, message, witness):
+    p, demands = mn(4, 2), [2, 1, 0, 3]
+    lib = make_library(4, 60, p.rows, seed=3)
+    caches, sent = place(p, lib), deliver(p, demands, lib)
+    for key, n in cache_cut.items():
+        if n is None:
+            del caches[user][key]
+        else:
+            caches[user][key] = caches[user][key][:n]
+    if payload_cut == "drop":
+        del sent[0]
+    elif payload_cut is not None:
+        sent[0] = Transmission(0, sent[0].payload[:payload_cut])
+    with pytest.raises(DecodeError) as err:
+        decode(p, user, demands, caches, sent)
+    assert (str(err.value), err.value.report) == (message, witness)
 
 
 def test_decode_demand_vector_of_wrong_length_raises_value_error_as_deliver_does():
