@@ -78,10 +78,14 @@ class _Frozen:
 class Pda(_Frozen):
     """An f x K grid of stars and integer labels, stored row-major.
 
-    Rectangularity is enforced at construction; the PDA conditions are not,
-    use :func:`validate`.  A grid builds its label index, column star counts,
-    star rows and C3 verdict once, on first use, so repeated :func:`validate`,
-    :func:`params` and compatibility calls on the same grid do not scan it again.
+    ``Pda(...)`` checks the shape and every cell; the PDA conditions are
+    not checked, use :func:`validate`.  Grids pdakit reads from grid text,
+    assembles from blocks or relabels are not checked a second time, as
+    their cells are ints by construction; JSON input and the constructions
+    that build their own cells are checked.  A grid builds its label index,
+    star flags, column star counts, star rows and C3 verdict once, on first
+    use, so repeated :func:`validate`, :func:`params` and compatibility calls
+    on the same grid do not scan it again.
     """
 
     _fields = ("rows", "cols", "cells")
@@ -105,6 +109,17 @@ class Pda(_Frozen):
                     raise ValueError(f"cells must be None or non-negative int, got {c!r}")
         d = self.__dict__
         d["rows"], d["cols"], d["cells"] = rows, cols, cells
+
+    @classmethod
+    def _of(cls, rows: int, cols: int, cells: tuple) -> "Pda":
+        """A grid built without any check.  The caller has proven that rows
+        and cols are ints of at least 1, that ``cells`` is a tuple of
+        rows * cols cells, and that each cell is None or a non-negative
+        ``int`` (the type itself, so no bool)."""
+        p = object.__new__(cls)
+        d = p.__dict__
+        d["rows"], d["cols"], d["cells"] = rows, cols, cells
+        return p
 
     @classmethod
     def from_rows(cls, rows: Iterable[Sequence]) -> "Pda":
@@ -167,15 +182,21 @@ class Pda(_Frozen):
         return index
 
     @cached_property
+    def _star_flags(self) -> bytearray:
+        """One byte per cell, row-major, 1 for a star and 0 for a label: the
+        one star scan both star tables read."""
+        return bytearray(map(is_, self.cells, repeat(None)))
+
+    @cached_property
     def _star_counts(self) -> tuple:
-        cells, w = self.cells, self.cols
-        return tuple(cells[k::w].count(None) for k in range(w))
+        flags, w = self._star_flags, self.cols
+        return tuple(flags[k::w].count(1) for k in range(w))
 
     @cached_property
     def _star_rows(self) -> tuple:
         """One int per row, bit k set when column k is a star, built at C level."""
-        flags, w = bytearray(map(is_, self.cells, repeat(None))), self.cols
-        bits = flags.translate(bytes.maketrans(b"\0\1", b"01"))
+        w = self.cols
+        bits = self._star_flags.translate(bytes.maketrans(b"\0\1", b"01"))
         return tuple(int(bits[i : i + w][::-1], 2) for i in range(0, len(bits), w))
 
     @cached_property
@@ -400,7 +421,13 @@ def relabel(p: Pda, mapping: Mapping[int, int]) -> Pda:
     images = [mapping[s] for s in present]
     if len(set(images)) != len(images):
         raise ValueError("mapping is not injective on the present labels")
-    cells = tuple(None if c is None else mapping[c] for c in p.cells)
+    lookup = dict(zip(present, images))
+    cells = tuple(None if c is None else lookup[c] for c in p.cells)
+    # The cells take exactly the images checked here, so plain non-negative
+    # ints need no second check per cell; any other image goes through
+    # Pda(...), which names the first bad cell.
+    if all(type(i) is int and i >= 0 for i in images):
+        return Pda._of(p.rows, p.cols, cells)
     return Pda(p.rows, p.cols, cells)
 
 
@@ -433,6 +460,10 @@ def _assemble_blocks(
     of a block column its top block's column count, else
     ValueError(mismatch), and the result may not exceed ``MAX_CELLS``
     cells.  The result's cells are emitted row-major into one flat tuple.
+
+    Every block is a ``Pda`` and every label map is one of the package's
+    own ranges or dicts onto non-negative ints, so the result's cells are
+    not checked again.
     """
     widths = [q.cols for q, _ in blocks[0]]
     for block_row in blocks:
@@ -448,7 +479,7 @@ def _assemble_blocks(
                 if labels is not None:
                     row = [None if c is None else labels[c] for c in row]
                 cells += row
-    return Pda(rows, cols, cells)
+    return Pda._of(rows, cols, tuple(cells))
 
 
 def hstack(parts: Sequence[Pda]) -> Pda:

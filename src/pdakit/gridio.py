@@ -60,7 +60,11 @@ def _parse_plain(text: str) -> "Pda | None":
         rows = json.loads("[[" + body.replace("*", "null").replace(" ", ",").replace("\n", "],[") + "]]")
     except ValueError:  # leading zeros, "**", "1*", stray spaces, overlong labels
         return None
-    return Pda(f, k, tuple(chain.from_iterable(rows))) if set(map(len, rows)) == {k} else None
+    if set(map(len, rows)) != {k}:
+        return None
+    # json.loads of digits, null, commas and brackets yields only None and
+    # non-negative ints, so the cells need no second check.
+    return Pda._of(f, k, tuple(chain.from_iterable(rows)))
 
 
 def parse_grid(text: str) -> Pda:
@@ -68,7 +72,7 @@ def parse_grid(text: str) -> Pda:
     if plain is not None:
         return plain
     lines = text.splitlines()
-    header = None
+    header = header_line = None
     body = []
     for lineno, raw in enumerate(lines, start=1):
         line = raw.strip()
@@ -85,6 +89,7 @@ def parse_grid(text: str) -> Pda:
             except ValueError:  # more digits than int() converts
                 raise GridParseError("malformed header", lineno, 1) from None
             _check_size(*header, lineno)
+            header_line = lineno
             continue
         body.append((lineno, line))
 
@@ -112,9 +117,12 @@ def parse_grid(text: str) -> Pda:
 
     if header is not None and header != (len(body), width):
         raise GridParseError(
-            f"header says f={header[0]} K={header[1]} but body is {len(body)}x{width}", 1, 1
+            f"header says f={header[0]} K={header[1]} but body is {len(body)}x{width}",
+            header_line, 1,
         )
-    return Pda(len(body), width, tuple(cells))
+    # Every token passed the "*"-or-ASCII-digits rule above, so every cell
+    # is None or a non-negative int.
+    return Pda._of(len(body), width, tuple(cells))
 
 
 def serialize_grid(p: Pda, header: bool = False) -> str:

@@ -15,6 +15,16 @@ def _coords(p: Pda):
     return [(j, k) for j in range(p.rows) for k in range(p.cols)]
 
 
+def brute_force_star_counts(p: Pda) -> tuple:
+    """Each column's star count, one cell at a time."""
+    return tuple(sum(p.cell(j, k) is None for j in range(p.rows)) for k in range(p.cols))
+
+
+def brute_force_star_rows(p: Pda) -> tuple:
+    """One int per row, bit k set when column k is a star."""
+    return tuple(sum(1 << k for k in range(p.cols) if p.cell(j, k) is None) for j in range(p.rows))
+
+
 def brute_force_blackburn_ok(p: Pda) -> bool:
     """C3 by scanning all cell pairs of one array."""
     cells = _coords(p)

@@ -1,5 +1,7 @@
 import random
 import tracemalloc
+from enum import IntEnum
+from itertools import product
 
 import pytest
 
@@ -18,11 +20,13 @@ from pdakit.core import (
     vstack,
 )
 from pdakit.errors import GridParseError, InvalidPdaError
-from pdakit.gridio import parse_grid
+from pdakit.gridio import parse_grid, serialize_grid
+from pdakit.lifting import assemble_identity_lift, odd_tiling_lift, shangguan_recursive
 
 import printed
-from oracles import brute_force_first_c3
-from randgen import WIDE_COLS, random_grid, random_valid_pda
+from oracles import brute_force_first_c3, brute_force_star_counts, brute_force_star_rows
+from randgen import WIDE_COLS, random_full_triple, random_gen_family, random_grid, random_valid_pda
+from test_gridio import _loop_outcome, _mutate, _outcome
 
 
 def test_grid_must_be_rectangular():
@@ -390,6 +394,105 @@ def test_star_counts_and_labels_do_not_build_the_index():
     assert p.column_star_count(0) == 4
     assert len(p.labels()) == 10
     assert "_label_index" not in vars(p)
+
+
+def test_column_star_count_builds_the_star_flags_but_not_the_index():
+    p = Pda(2, 3, (None, 0, 1, 2, None, None))
+    assert p.column_star_count(2) == 1
+    assert p._star_flags == bytearray((1, 0, 0, 0, 1, 1))
+    assert "_label_index" not in vars(p)
+
+
+def test_every_3x3_grid_over_two_labels_matches_the_oracles():
+    failing = 0
+    for cells in product((None, 0, 1), repeat=9):
+        p = Pda(3, 3, cells)
+        assert p._star_counts == brute_force_star_counts(p)
+        assert p._star_rows == brute_force_star_rows(p)
+        report, want = validate(p), _oracle_violation(p)
+        assert report.c3_ok is (want is None)
+        assert _c3_violation(report) == want
+        failing += want is not None
+    assert 0 < failing < 3 ** 9
+
+
+# ------------------------------------------ grids built without a cell check
+
+def _recording_unchecked(monkeypatch) -> list:
+    """A list that gains every grid built through ``Pda._of`` from now on."""
+    made, of = [], Pda._of.__func__
+
+    def recording(cls, *args):
+        made.append(of(cls, *args))
+        return made[-1]
+
+    monkeypatch.setattr(Pda, "_of", classmethod(recording))
+    return made
+
+
+def _assert_checked_rebuild_agrees(grids) -> None:
+    for q in grids:
+        assert type(q.cells) is tuple
+        assert Pda(q.rows, q.cols, q.cells) == q
+
+
+def test_unchecked_grids_pass_the_full_cell_check(monkeypatch):
+    made = _recording_unchecked(monkeypatch)
+    rng = random.Random(31_2026)
+    by_loop = 0
+    for _ in range(2_000):  # both readers on the mutated grid-text corpus
+        p = random_grid(rng, n_labels=rng.choice((3, 150, 20_000)))
+        text = serialize_grid(p, header=rng.random() < 0.5)
+        for _ in range(rng.randrange(4)):
+            text = _mutate(text, p.rows, p.cols, rng)
+        read, before = _outcome(text), len(made)
+        assert _loop_outcome(text) == read
+        by_loop += len(made) - before
+    assert min(by_loop, len(made) - by_loop) > 900
+    _assert_checked_rebuild_agrees(made)
+
+    made.clear()  # assembled lifts and stacks, and relabels
+    for _ in range(150):
+        random_valid_pda(rng)
+        random_full_triple(rng)
+        fam = random_gen_family(rng)
+        for orientation in ("main", "anti"):
+            assemble_identity_lift(fam.members, fam.refs, orientation)
+        q = random_grid(rng, n_labels=rng.randint(1, 12))
+        labels = sorted(q.labels())
+        relabel(q, dict(zip(labels, rng.sample(range(1 << 40), len(labels)))))
+        disjoint_copy(canonicalize(q), rng.randrange(100))
+        hstack([q, q])
+        vstack([q, q])
+    made += [odd_tiling_lift(5, 3), shangguan_recursive(6, 2, 2)]
+    assert len(made) > 1_000
+    _assert_checked_rebuild_agrees(made)
+
+
+class _Label(IntEnum):
+    THREE = 3
+
+
+@pytest.mark.parametrize(
+    "mapping, message",
+    [
+        ({0: 2, 1: -1}, "got -1"),
+        ({0: True, 1: 2}, "got True"),
+        ({0: 2, 1: 1.5}, "got 1.5"),
+        ({0: -1, 1: 1.5}, "got 1.5"),  # label 1 comes first in row-major order
+        ({0: 1.5, 1: True}, "got True"),
+    ],
+)
+def test_relabel_names_the_first_bad_image_in_row_major_order(mapping, message):
+    with pytest.raises(ValueError) as err:
+        relabel(Pda(1, 3, (None, 1, 0)), mapping)
+    assert str(err.value) == "cells must be None or non-negative int, " + message
+
+
+def test_relabel_accepts_an_int_enum_image():
+    q = relabel(Pda(1, 3, (None, 1, 0)), {0: _Label.THREE, 1: 4})
+    assert q == Pda(1, 3, (None, 4, 3))
+    assert type(q.cell(0, 2)) is _Label
 
 
 def test_unreached_error_paths_keep_type_and_message():

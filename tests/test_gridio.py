@@ -249,6 +249,7 @@ _EXPECTED_READS = [
     ("# pda\r f=2 K=2\n* 0\n0 *\n", ("malformed header at (1,1)", 1, 1)),
     ("#\x0c pda f=2 K=2\n* 0\n0 *\n", ("malformed header at (1,1)", 1, 1)),
     ("# pda f=1 K=2\n* 0\n0 *\n", ("header says f=1 K=2 but body is 2x2 at (1,1)", 1, 1)),
+    ("\n\n# pda f=3 K=2\n* 0\n0 *\n", ("header says f=3 K=2 but body is 2x2 at (3,1)", 3, 1)),
     ("* 00\n0 *\n", Pda(2, 2, (None, 0, 0, None))),
     ("* 0\n\n0 *\n", Pda(2, 2, (None, 0, 0, None))),
     ("* 0\r\n0 *\r\n", Pda(2, 2, (None, 0, 0, None))),

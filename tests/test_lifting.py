@@ -192,14 +192,20 @@ def test_basic_lift_runs_no_compatibility_check(monkeypatch):
 
 
 def _count_constructions(monkeypatch) -> list:
-    """A list that gains one entry per ``Pda`` built from now on."""
-    built, init = [], Pda.__init__
+    """A list that gains one entry per ``Pda`` built from now on, through
+    the checked ``Pda(...)`` or the unchecked ``Pda._of``."""
+    built, init, of = [], Pda.__init__, Pda._of.__func__
 
     def counting(self, *args):
         built.append(args[:2])
         init(self, *args)
 
+    def counting_of(cls, *args):
+        built.append(args[:2])
+        return of(cls, *args)
+
     monkeypatch.setattr(Pda, "__init__", counting)
+    monkeypatch.setattr(Pda, "_of", classmethod(counting_of))
     return built
 
 
