@@ -8,12 +8,16 @@ is |S| transmissions for a rate of |S|/f.  A user recovers a missing
 subfile by XOR-ing its transmission with the peer subfiles, all of which
 the Blackburn property guarantees are in its cache.
 
-Each cached subfile is sliced from the library once per round, and every
-user that caches it holds that one read-only ``bytes`` object, so the
-caches take Z/f of the library once rather than once per user.  An XOR is
-one integer fold per transmission.  Decoding reads each subfile and payload
-as a big-endian integer once per round, through one memo keyed by ``bytes``
-value that all users share and that the broadcast ``deliver`` returns carries.
+A library splits each file into its subfiles once, on first use, and
+:meth:`Library.subfile`, the caches and the broadcast's memo all hold those
+same read-only ``bytes`` objects, so the caches take Z/f of the library
+once rather than once per user.  An XOR is one integer fold per
+transmission.  :func:`deliver` reads each distinct subfile as a big-endian
+integer once, into a memo keyed by ``bytes`` value that also holds each
+payload's integer, and sends with each transmission its header: the
+(column, (file, subfile)) components it XOR-ed.  The broadcast carries both,
+so every user decoding from it converts nothing already converted and
+derives no header already sent.
 
 Decoding deliberately uses only the cache and the transmissions (plus the
 announced demand vector), never the library, so a byte-for-byte match is an
@@ -24,6 +28,8 @@ from __future__ import annotations
 
 import random
 from fractions import Fraction
+from functools import cached_property
+from itertools import repeat
 from typing import Mapping, NamedTuple, Sequence, Sized
 
 from .core import Pda, _check_kind, _check_pda, _Frozen, params
@@ -42,11 +48,22 @@ __all__ = [
 
 
 class Library(_Frozen):
-    """N files of ``file_size`` bytes, each split into f equal subfiles."""
+    """N files of ``file_size`` bytes, each split into f equal subfiles.
+
+    ValueError unless ``files`` is a tuple of at least one ``bytes`` file,
+    ``file_size`` an int >= 0 that is every file's length, and ``f`` an
+    int >= 1.  The files are split once, on first use.
+    """
 
     _fields = ("files", "file_size", "f")
 
     def __init__(self, files: tuple, file_size: int, f: int):
+        _check_sizes(len(_check_kind(files, "files", tuple)), file_size, f)
+        for i, data in enumerate(files):
+            if not isinstance(data, bytes):
+                raise ValueError(f"files must hold bytes, got {type(data).__name__} for file {i}")
+            if len(data) != file_size:
+                raise ValueError(f"file {i} has {len(data)} bytes, not {file_size}")
         self.__dict__.update(files=files, file_size=file_size, f=f)
 
     @property
@@ -57,21 +74,40 @@ class Library(_Frozen):
     def subfile_size(self) -> int:
         return -(-self.file_size // self.f)
 
+    @cached_property
+    def _subfiles(self) -> tuple:
+        """Each file's f subfiles, zero padded; a subfile that needs no
+        padding is the file's slice, and the file itself when f is 1."""
+        size, f = self.subfile_size, self.f
+        return tuple(
+            tuple(data[j * size : (j + 1) * size].ljust(size, b"\x00") for j in range(f))
+            for data in self.files
+        )
+
     def subfile(self, i: int, j: int) -> bytes:
-        """Subfile j of file i, zero padded to the subfile size."""
-        size = self.subfile_size
-        return self.files[i][j * size : (j + 1) * size].ljust(size, b"\x00")
+        """Subfile j of file i, zero padded to the subfile size; ValueError
+        when ``i`` is no file or ``j`` no subfile of the library."""
+        for what, index, bound in (("file", i, self.n_files), ("subfile", j, self.f)):
+            if not 0 <= index < bound:
+                raise ValueError(f"{what} {index} is out of range for a library of "
+                                 f"{self.n_files} files split into {self.f} subfiles")
+        return self._subfiles[i][j]
 
 
-def make_library(n_files: int, file_size: int, f: int, seed: int = 0) -> Library:
-    """``n_files`` seeded random files of ``file_size`` bytes split into f
-    subfiles; ValueError unless n_files >= 1, file_size >= 0 and f >= 1."""
+def _check_sizes(n_files: int, file_size: int, f: int) -> None:
+    """ValueError naming the first of ``n_files``, ``file_size`` and ``f`` no library takes."""
     if _check_kind(n_files, "n_files", int) < 1:
         raise ValueError(f"need at least one file, got {n_files}")
     if _check_kind(file_size, "file_size", int) < 0:
         raise ValueError(f"file size must be non-negative, got {file_size}")
     if _check_kind(f, "f", int) < 1:
         raise ValueError(f"subpacketization must be positive, got {f}")
+
+
+def make_library(n_files: int, file_size: int, f: int, seed: int = 0) -> Library:
+    """``n_files`` seeded random files of ``file_size`` bytes split into f
+    subfiles; ValueError unless n_files >= 1, file_size >= 0 and f >= 1."""
+    _check_sizes(n_files, file_size, f)
     rng = random.Random(seed)
     return Library(
         files=tuple(rng.randbytes(file_size) for _ in range(n_files)),
@@ -106,50 +142,66 @@ WrongLength = NamedTuple("WrongLength", [("key", object), ("length", int), ("exp
 
 
 class _Broadcast(list):
-    """One round's transmissions, their subfile ``size`` and :func:`decode`'s memo ``ints``."""
+    """One round's transmissions and what :func:`deliver` hands :func:`decode`:
+    the subfile ``size``, the memo ``ints`` from each subfile or payload it
+    read to its integer, the array ``pda`` it served, its ``demands`` tuple,
+    and ``headers``, each label's (column, (file, subfile)) components."""
 
 
 def place(p: Pda, lib: Library) -> tuple:
     """Per-user cache contents: subfile (i, j) for every file i and star row j.
 
-    Returns a plain tuple of per-user dicts.  Each subfile is sliced once,
-    and every user caching (i, j) maps it to that same ``bytes`` object;
-    callers must treat the caches as read-only.
+    Returns a plain tuple of per-user dicts, keys in file-major then row
+    order.  Every user caching (i, j) maps it to the library's one ``bytes``
+    object for that subfile; callers must treat the caches as read-only.
     """
     _check_split(p, lib)
-    star_users = []
-    for j in range(p.rows):
-        users = [k for k, c in enumerate(p.row(j)) if c is None]
-        if users:
-            star_users.append((j, users))
     caches = tuple({} for _ in range(p.cols))
-    for i in range(lib.n_files):
-        for j, users in star_users:
-            key, sub = (i, j), lib.subfile(i, j)
-            for k in users:
-                caches[k][key] = sub
+    star_caches = []
+    for j in range(p.rows):
+        holders = [caches[k] for k, c in enumerate(p.row(j)) if c is None]
+        if holders:
+            star_caches.append((j, holders))
+    for i, subs in enumerate(lib._subfiles):
+        for j, holders in star_caches:
+            key, sub = (i, j), subs[j]
+            for cache in holders:
+                cache[key] = sub
     return caches
 
 
 def deliver(p: Pda, demands: Sequence[int], lib: Library) -> list:
     """The broadcast: one transmission per label in ascending order, the XOR
     over the label's cells of the subfile each cell's user demanded, folded as
-    one integer.  The list carries the subfile size and :func:`decode`'s memo.
+    one integer.  Each distinct subfile becomes an integer once; the list
+    carries those integers and each payload's in :func:`decode`'s memo, with
+    each label's header, the subfile size, the array and the demands.
     ValueError unless ``demands`` is sized, with one int in range per column."""
     _check_split(p, lib)
     _check_per_user(p, demands, "demands")
     for d in demands:
         if isinstance(d, bool) or not isinstance(d, int) or not 0 <= d < lib.n_files:
             raise ValueError(f"demand {d!r} out of range [0,{lib.n_files})")
-    w, size, index, out = p.cols, lib.subfile_size, p._label_index, _Broadcast()
-    out.size, out.ints = size, {}
+    w, size, index, subs = p.cols, lib.subfile_size, p._label_index, lib._subfiles
+    out, ints, headers = _Broadcast(), {}, {}
+    out.size, out.ints, out.pda, out.demands, out.headers = size, ints, p, tuple(demands), headers
     for s in sorted(index):
-        acc = 0
-        for pos in index[s]:
-            j, k = divmod(pos, w)
-            acc ^= int.from_bytes(lib.subfile(demands[k], j), "big")
-        out.append(Transmission(s, acc.to_bytes(size, "big")))
+        acc, header = 0, _header(index[s], w, demands)
+        headers[s] = header
+        for _, (i, j) in header:
+            sub = subs[i][j]
+            if (x := ints.get(sub)) is None:
+                x = ints[sub] = int.from_bytes(sub, "big")
+            acc ^= x
+        payload = acc.to_bytes(size, "big")
+        ints[payload] = acc
+        out.append(Transmission(s, payload))
     return out
+
+
+def _header(flat: list, w: int, demands: Sequence[int]) -> tuple:
+    """A label's components, one (column, (file, subfile)) per cell in label-index order."""
+    return tuple((k, (demands[k], j)) for j, k in map(divmod, flat, repeat(w)))
 
 
 def _check_split(p: Pda, lib: Library) -> None:
@@ -174,6 +226,8 @@ def decode(
 
     Peers and payloads become integers through a memo keyed by ``bytes`` value: the one
     :func:`deliver`'s list carries when the user expects its subfile size, else a fresh one.
+    Each label's components are the header that list carries when it was delivered for
+    this same ``p`` and equal demands, else they are derived from ``p`` for this call.
 
     Raises ValueError when ``user`` or a demand is not an int, ``demands`` or ``cache`` is
     not sized with one entry per column of ``p``, ``transmissions`` is not (label, payload) pairs,
@@ -199,8 +253,10 @@ def decode(
     own = cache[user]
     try:
         size = len(next(iter(own.values()), next(iter(by_label.values()), b"")))
-        shared = type(transmissions) is _Broadcast and transmissions.size == size
-        ints = transmissions.ints if shared else {}
+        shared = type(transmissions) is _Broadcast
+        ints = transmissions.ints if shared and transmissions.size == size else {}
+        headers = (transmissions.headers if shared and transmissions.pda is p
+                   and transmissions.demands == tuple(demands) else None)
         w, index = p.cols, p._label_index
         parts = []
         for j, s in enumerate(p.column(user)):
@@ -221,18 +277,17 @@ def decode(
                 if len(piece) != size:
                     raise _length_error(user, own, by_label, s, len(piece), size)
                 acc = ints[piece] = int.from_bytes(piece, "big")
-            for pos in index[s]:
-                j2, k2 = divmod(pos, w)
+            for k2, key in headers[s] if headers is not None else _header(index[s], w, demands):
                 if k2 == user:
                     continue
-                peer = own.get((demands[k2], j2))
+                peer = own.get(key)
                 if peer is None:
-                    raise DecodeError(f"user {user} misses peer subfile (file {demands[k2]}, "
-                                      f"subfile {j2}) needed to decode label {s}",
-                                      MissingSubfile(user, demands[k2], j2, s))
+                    raise DecodeError(f"user {user} misses peer subfile (file {key[0]}, "
+                                      f"subfile {key[1]}) needed to decode label {s}",
+                                      MissingSubfile(user, *key, s))
                 if (x := ints.get(peer)) is None:
                     if len(peer) != size:
-                        raise _length_error(user, own, by_label, (demands[k2], j2), len(peer), size)
+                        raise _length_error(user, own, by_label, key, len(peer), size)
                     x = ints[peer] = int.from_bytes(peer, "big")
                 acc ^= x
             parts.append(acc.to_bytes(size, "big"))

@@ -450,6 +450,54 @@ def test_make_library_rejects_unusable_sizes():
     assert make_library(2, 0, 3).files == (b"", b"")
 
 
+@pytest.mark.parametrize(
+    "i, j, message",
+    [
+        (0, 3, "subfile 3 is out of range"),
+        (0, -1, "subfile -1 is out of range"),
+        (0, 7, "subfile 7 is out of range"),
+        (-1, 0, "file -1 is out of range"),
+        (2, 0, "file 2 is out of range"),
+        (2, 3, "file 2 is out of range"),
+    ],
+    ids=["subfile-f", "subfile-negative", "subfile-past-f", "file-negative", "file-n", "both"],
+)
+def test_subfile_index_out_of_range_raises_value_error_naming_it(i, j, message):
+    lib = make_library(2, 10, 3)
+    with pytest.raises(ValueError) as err:
+        lib.subfile(i, j)
+    assert (type(err.value), str(err.value)) == (
+        ValueError, f"{message} for a library of 2 files split into 3 subfiles"
+    )
+
+
+@pytest.mark.parametrize(
+    "files, file_size, f, message",
+    [
+        (None, 1, 1, "files must be a tuple, got NoneType"),
+        ([b"a"], 1, 1, "files must be a tuple, got list"),
+        ((), 0, 1, "need at least one file, got 0"),
+        ((), -1, 0, "need at least one file, got 0"),
+        ((b"abc",), -1, 0, "file size must be non-negative, got -1"),
+        ((b"abc",), 3.0, 2, "file_size must be an int, got float"),
+        ((b"abc",), True, 2, "file_size must be an int, got bool"),
+        ((b"abc",), 3, 0, "subpacketization must be positive, got 0"),
+        ((b"abc",), 3, "2", "f must be an int, got str"),
+        ((b"abc",), 10, 2, "file 0 has 3 bytes, not 10"),
+        ((b"abc", b"ab"), 3, 2, "file 1 has 2 bytes, not 3"),
+        ((b"abc", "abc"), 3, 2, "files must hold bytes, got str for file 1"),
+        ((b"abc", bytearray(b"abc")), 3, 2, "files must hold bytes, got bytearray for file 1"),
+    ],
+    ids=["files-None", "files-list", "no-files", "no-files-first", "size-before-f", "size-float",
+         "size-bool", "f-zero", "f-str", "short-file", "second-file-short", "str-file",
+         "bytearray-file"],
+)
+def test_library_refuses_files_and_sizes_that_disagree(files, file_size, f, message):
+    with pytest.raises(ValueError) as err:
+        Library(files, file_size, f)
+    assert (type(err.value), str(err.value)) == (ValueError, message)
+
+
 def test_byte_path_matches_pairwise_oracle():
     rng = random.Random(29)
     for _ in range(40):
@@ -531,19 +579,89 @@ def test_every_user_decodes_through_the_one_memo_its_broadcast_carries(make_cach
     assert type(caches) is tuple
     sent = deliver(p, demands, lib)
     memo = sent.ints
-    assert (sent.size, memo) == (10, {})
+    at_labels = {
+        lib.subfile(demands[k], j) for cells in p.label_positions().values() for j, k in cells
+    }
+    converted = {b: int.from_bytes(b, "big") for b in at_labels | {t.payload for t in sent}}
+    assert (sent.size, memo) == (10, converted)
     for k in range(p.cols):
         assert decode(p, k, demands, caches, sent)[:60] == lib.files[demands[k]]
     assert sent.ints is memo
-    peers = {
-        lib.subfile(demands[k2], j2)
-        for cells in p.label_positions().values()
-        for _, k in cells
-        for j2, k2 in cells
-        if k2 != k
-    }
-    assert memo == {b: int.from_bytes(b, "big") for b in peers | {t.payload for t in sent}}
-    assert deliver(p, demands, lib).ints == {}
+    assert memo == converted
+    again = deliver(p, demands, lib)
+    assert again.ints == converted and again.ints is not memo
+
+
+def test_the_library_caches_and_broadcast_share_one_object_per_subfile():
+    p, demands = mn(4, 2), [2, 1, 0, 3]
+    lib = make_library(4, 59, p.rows, seed=3)
+    caches, sent = place(p, lib), deliver(p, demands, lib)
+    for cache in caches:
+        for (i, j), sub in cache.items():
+            assert sub is lib.subfile(i, j)
+    keys = {b: b for b in sent.ints}
+    for s, cells in p.label_positions().items():
+        assert sent.headers[s] == tuple((k, (demands[k], j)) for j, k in cells)
+        for j, k in cells:
+            assert keys[lib.subfile(demands[k], j)] is lib.subfile(demands[k], j)
+    assert (sent.pda, sent.demands) == (p, tuple(demands))
+
+
+def _outcome(call):
+    """What ``call()`` returns, or the type, message and witness of the error it raises."""
+    try:
+        return call()
+    except (DecodeError, ValueError) as err:
+        return type(err), str(err), getattr(err, "report", None)
+
+
+def _tamper(rng, caches):
+    """Caches with one value of one user flipped, cut short, dropped or left alone."""
+    caches = tuple(dict(c) for c in caches)
+    users = [k for k, cache in enumerate(caches) if cache]
+    kind = rng.choice(["flip", "cut", "drop", "none"])
+    if users and kind != "none":
+        cache = caches[rng.choice(users)]
+        key = rng.choice(sorted(cache))
+        if kind == "drop":
+            del cache[key]
+        else:
+            value = cache[key]
+            cache[key] = bytes(b ^ 0x5A for b in value) if kind == "flip" else value[:-1]
+    return caches
+
+
+def test_decode_agrees_with_the_oracle_whatever_header_and_memo_it_reads_property():
+    rng = random.Random(47)
+    paths = 0
+    for _ in range(60):
+        p, lib, demands, caches, sent = _round_with_labels(rng)
+        caches = _tamper(rng, caches)
+        other = [rng.randrange(lib.n_files) for _ in range(p.cols)]
+        if other == demands:
+            other[rng.randrange(p.cols)] = lib.n_files  # a file the library lacks
+        q = Pda.from_rows(p.row(j)[1:] + p.row(j)[:1] for j in range(p.rows))
+        assert validate(q).ok and q.labels() == p.labels()
+        elsewhere = deliver(q, demands, lib)
+        order = list(range(p.cols))
+        rng.shuffle(order)
+        for k, (wanted, transmissions) in product(
+            order, [(demands, sent), (other, sent), (demands, elsewhere)]
+        ):
+            via_broadcast = _outcome(lambda: decode(p, k, wanted, caches, transmissions))
+            fresh = _outcome(lambda: decode(p, k, wanted, caches, list(transmissions)))
+            assert via_broadcast == fresh
+            try:
+                reference = oracle_decode(p, k, wanted, caches, transmissions)
+            except KeyError:
+                assert type(fresh) is tuple and fresh[0] is DecodeError
+                continue
+            if type(fresh) is bytes:
+                assert fresh == reference
+            else:  # the oracle XORs values of any length
+                assert fresh[0] is DecodeError and type(fresh[2]) is WrongLength
+            paths += 1
+    assert paths > 500
 
 
 def _round_with_labels(rng):
