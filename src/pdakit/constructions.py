@@ -125,7 +125,10 @@ def mn_reverse(k: int, t: int, labels: "Sequence[int] | None" = None) -> Pda:
     _check_memory_point(k, t)
     _check_subset_point(k, t, 1)  # refuses a huge order before comb(k, t + 1)
     p = mn(k, t, _check_labels(labels, comb(k, t + 1))[::-1])
-    return Pda(p.rows, p.cols, [c for j in reversed(range(p.rows)) for c in p.row(j)])
+    cells, w = [], p.cols
+    for i in range(len(p.cells) - w, -1, -w):  # mn's checked rows, last first
+        cells += p.cells[i : i + w]
+    return Pda._of(p.rows, w, tuple(cells))
 
 
 def _subset_masks(n: int, t: int) -> list:
@@ -153,7 +156,10 @@ def shangguan_direct(n: int, a: int, b: int, labels: "Sequence[int] | None" = No
     _check_subset_point(n, a, b)
     label_of = dict(zip(_subset_masks(n, a + b), _check_labels(labels, comb(n, a + b))))
     rows, cols = _subset_masks(n, a), _subset_masks(n, b)
-    cells = [None if r & c else label_of[r | c] for r in rows for c in cols]
+    cells = tuple([None if r & c else label_of[r | c] for r in rows for c in cols])
+    # Cells are stars or labels, so the labels' check clears them; else Pda(...) names the first bad one.
+    if rows and cols and all(type(s) is int and s >= 0 for s in label_of.values()):
+        return Pda._of(len(rows), len(cols), cells)
     return Pda(len(rows), len(cols), cells)
 
 

@@ -24,8 +24,8 @@ import sys
 from fractions import Fraction
 from functools import cached_property
 from itertools import chain, repeat
-from operator import is_
-from typing import Iterable, Mapping, NamedTuple, Sequence, Sized
+from operator import is_, itemgetter
+from typing import Iterable, Mapping, NamedTuple, Sequence
 
 from .errors import InvalidPdaError
 
@@ -80,9 +80,9 @@ class Pda(_Frozen):
 
     ``Pda(...)`` checks the shape and every cell; the PDA conditions are
     not checked, use :func:`validate`.  Grids pdakit reads from grid text,
-    assembles from blocks or relabels are not checked a second time, as
-    their cells are ints by construction; JSON input and the constructions
-    that build their own cells are checked.  A grid builds its label index,
+    assembles from blocks, relabels or reverses are not checked a second
+    time, as their cells are ints by construction; JSON input is checked,
+    and the subset constructions check their labels.  A grid builds its label index,
     star flags, column star counts, star rows and C3 verdict once, on first
     use, so repeated :func:`validate`, :func:`params` and compatibility calls
     on the same grid do not scan it again.
@@ -329,7 +329,7 @@ class PdaParams(NamedTuple):
         return f"{tag}({self.k},{self.f},{self.z},{self.s})"
 
 
-_NOUNS = dict.fromkeys((Iterable, Sized, Sequence), "a sequence") | {Mapping: "a dict", int: "an int"}
+_NOUNS = dict.fromkeys((Iterable, Sequence), "a sequence") | {Mapping: "a dict", int: "an int"}
 
 
 def _check_kind(x, what: str, kind=Iterable):
@@ -412,7 +412,7 @@ def relabel(p: Pda, mapping: Mapping[int, int]) -> Pda:
     """Replace every label through ``mapping``; star positions unchanged.
 
     The mapping must be a dict (any ``Mapping``) that covers every label of
-    ``p`` and is injective on them, else ValueError.
+    ``p``, is injective on them and sends none to None, else ValueError.
     """
     present = _check_pda(p, "array").labels()
     missing = present - _check_kind(mapping, "mapping", Mapping).keys()
@@ -421,8 +421,10 @@ def relabel(p: Pda, mapping: Mapping[int, int]) -> Pda:
     images = [mapping[s] for s in present]
     if len(set(images)) != len(images):
         raise ValueError("mapping is not injective on the present labels")
-    lookup = dict(zip(present, images))
-    cells = tuple(None if c is None else lookup[c] for c in p.cells)
+    starred = [s for s, i in zip(present, images) if i is None]
+    if starred:
+        raise ValueError(f"mapping sends label {starred[0]} to None, a star")
+    cells = _gather(dict(zip(present, images)) | {None: None}, p.cells)
     # The cells take exactly the images checked here, so plain non-negative
     # ints need no second check per cell; any other image goes through
     # Pda(...), which names the first bad cell.
@@ -445,7 +447,7 @@ def disjoint_copy(p: Pda, offset: int) -> Pda:
     present = _check_pda(p, "array").labels()
     if present != frozenset(range(len(present))):
         raise ValueError("disjoint_copy requires canonical labels 0..S-1")
-    return _assemble_blocks([[(p, range(offset, offset + len(present)))]])
+    return _assemble_blocks([[(p, dict(enumerate(range(offset, offset + len(present)))) | {None: None})]])
 
 
 def _assemble_blocks(
@@ -454,16 +456,17 @@ def _assemble_blocks(
     """The one block layout every composite grid is built with.
 
     ``blocks[r][c]`` is a ``(grid, labels)`` pair that lands at block row r
-    and block column c.  Its rows are copied unchanged when ``labels`` is
-    None, else each label s becomes ``labels[s]`` (any indexable map).  The
-    blocks of a block row share its first block's row count and the blocks
-    of a block column its top block's column count, else
-    ValueError(mismatch), and the result may not exceed ``MAX_CELLS``
-    cells.  The result's cells are emitted row-major into one flat tuple.
+    and block column c.  Its cells are copied unchanged when ``labels`` is
+    None, else mapped by one :func:`_gather` through ``labels``, a dict of
+    None to None and of every label of the grid, which the blocks that use it
+    share.  The blocks of a block row share its first block's row count and the
+    blocks of a block column its top block's column count, else
+    ValueError(mismatch), and the result may not exceed ``MAX_CELLS`` cells.
+    Each block row's rows are copied as slices of its mapped blocks.
 
     Every block is a ``Pda`` and every label map is one of the package's
-    own ranges or dicts onto non-negative ints, so the result's cells are
-    not checked again.
+    own dicts onto non-negative ints, so the result's cells are not checked
+    again.
     """
     widths = [q.cols for q, _ in blocks[0]]
     for block_row in blocks:
@@ -473,13 +476,19 @@ def _assemble_blocks(
     _check_cells(rows := sum(r[0][0].rows for r in blocks), cols := sum(widths))
     cells = []
     for block_row in blocks:
+        parts = [(q.cells if m is None else _gather(m, q.cells), q.cols) for q, m in block_row]
         for j in range(block_row[0][0].rows):
-            for q, labels in block_row:
-                row = q.cells[j * q.cols : (j + 1) * q.cols]
-                if labels is not None:
-                    row = [None if c is None else labels[c] for c in row]
-                cells += row
+            for src, w in parts:
+                cells += src[j * w : j * w + w]
     return Pda._of(rows, cols, tuple(cells))
+
+
+def _gather(table, keys: Sequence) -> tuple:
+    """``tuple(table[k] for k in keys)`` by one C-level ``itemgetter`` call; fewer than
+    two keys take the plain path, as ``itemgetter`` gives one key's bare value and refuses none."""
+    if len(keys) < 2:
+        return tuple(table[k] for k in keys)
+    return itemgetter(*keys)(table)
 
 
 def hstack(parts: Sequence[Pda]) -> Pda:

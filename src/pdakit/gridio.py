@@ -24,7 +24,7 @@ import re
 import sys
 from itertools import chain
 
-from .core import MAX_CELLS, Pda, _check_kind, _check_pda, _write_text
+from .core import MAX_CELLS, Pda, _check_kind, _check_pda, _gather, _write_text
 from .errors import GridParseError
 
 __all__ = [
@@ -126,10 +126,12 @@ def parse_grid(text: str) -> Pda:
 
 
 def serialize_grid(p: Pda, header: bool = False) -> str:
-    _check_pda(p, "array")
+    # Each label's digits once, by int.__repr__ (an IntEnum's str is its name on 3.10).
+    labels = _check_pda(p, "array").labels()
+    tokens = dict(zip(labels, map(int.__repr__, labels))) | {None: "*"}
     out = [f"# pda f={p.rows} K={p.cols}"] if header else []
-    for j in range(p.rows):
-        out.append(" ".join("*" if c is None else str(c) for c in p.row(j)))
+    cells, w = p.cells, p.cols
+    out += [" ".join(_gather(tokens, cells[i : i + w])) for i in range(0, len(cells), w)]
     return "\n".join(out) + "\n"
 
 

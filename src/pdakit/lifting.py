@@ -142,7 +142,7 @@ def _lift(base, members, pstar) -> LiftOutcome:
         nonlocal stop
         start, stop = stop, stop + len(source_labels)
         ledger[kind][str(key)] = [start, stop]
-        return dict(zip(source_labels, range(start, stop))) or None
+        return dict(zip(source_labels, range(start, stop))) | {None: None} if source_labels else None
 
     stars = iter([onto("stars", k, ref_labels) for k in range(sum(base._star_counts))])
     shared = {s: onto("labels", s, member_labels) for s in sorted(base.labels())}
@@ -320,7 +320,8 @@ def shangguan_recursive(n: int, a: int, b: int) -> Pda:
         if a + b == n + 1:
             return all_star(comb(n, a), comb(n, b))
         phash = all_star(comb(n - 1, a - 1), comb(n - 1, b - 1))
-        fresh = range(comb(n - 1, a + b - 1), comb(n, a + b))  # U's 0..S-1, past the shared set
+        # U's 0..S-1 onto the fresh labels past the shared set
+        fresh = dict(enumerate(range(comb(n - 1, a + b - 1), comb(n, a + b)))) | {None: None}
         return _assemble_valid([
             [(phash, None), (build(n - 1, a - 1, b), None)],
             [(build(n - 1, a, b - 1), None), (build(n - 1, a, b), fresh)],

@@ -30,7 +30,7 @@ import random
 from fractions import Fraction
 from functools import cached_property
 from itertools import repeat
-from typing import Mapping, NamedTuple, Sequence, Sized
+from typing import Mapping, NamedTuple, Sequence
 
 from .core import Pda, _check_kind, _check_pda, _Frozen, params
 from .errors import DecodeError
@@ -176,7 +176,7 @@ def deliver(p: Pda, demands: Sequence[int], lib: Library) -> list:
     one integer.  Each distinct subfile becomes an integer once; the list
     carries those integers and each payload's in :func:`decode`'s memo, with
     each label's header, the subfile size, the array and the demands.
-    ValueError unless ``demands`` is sized, with one int in range per column."""
+    ValueError unless ``demands`` is a sequence, with one int in range per column."""
     _check_split(p, lib)
     _check_per_user(p, demands, "demands")
     for d in demands:
@@ -210,7 +210,7 @@ def _check_split(p: Pda, lib: Library) -> None:
 
 
 def _check_per_user(p: Pda, values: Sequence, what: str) -> None:
-    if len(_check_kind(values, what, Sized)) != p.cols:
+    if len(_check_kind(values, what, Sequence)) != p.cols:
         raise ValueError(f"need {p.cols} {what}, got {len(values)}")
 
 
@@ -230,7 +230,7 @@ def decode(
     this same ``p`` and equal demands, else they are derived from ``p`` for this call.
 
     Raises ValueError when ``user`` or a demand is not an int, ``demands`` or ``cache`` is
-    not sized with one entry per column of ``p``, ``transmissions`` is not (label, payload) pairs,
+    not a sequence with one entry per column of ``p``, ``transmissions`` is not (label, payload) pairs,
     or the user's cache is no dict, or a cached value or payload that is not bytes stops it.
     Raises :class:`DecodeError` when ``user`` is not a column of ``p``, when a subfile or
     transmission it needs is missing: a peer subfile that the Blackburn property promises

@@ -308,3 +308,37 @@ def oracle_uniform_lift(base: Pda, members, pstar: Pda) -> tuple:
         for row in range(pstar.rows):
             grid.append([c for q in blocks for c in q.row(row)])
     return Pda.from_rows(grid), ledger
+
+
+# --------------------------------------------------- block assembly and grid text
+# The package maps each block and each row of grid text with one C-level
+# gather; these place and write one cell at a time.
+
+
+def brute_force_assemble(blocks) -> Pda:
+    """``blocks[r][c] = (grid, labels)`` laid out cell by cell: cell (j, k) of
+    a block lands below the block rows above it and right of the blocks to its
+    left, a label c becoming ``labels[c]`` unless ``labels`` is None."""
+    heights = [block_row[0][0].rows for block_row in blocks]
+    widths = [q.cols for q, _ in blocks[0]]
+    grid = [[None] * sum(widths) for _ in range(sum(heights))]
+    top = 0
+    for height, block_row in zip(heights, blocks):
+        left = 0
+        for q, labels in block_row:
+            for j in range(q.rows):
+                for k in range(q.cols):
+                    c = q.cell(j, k)
+                    grid[top + j][left + k] = c if c is None or labels is None else labels[c]
+            left += q.cols
+        top += height
+    return Pda.from_rows(grid)
+
+
+def brute_force_serialize(p: Pda, header: bool = False) -> str:
+    """Grid text written one cell at a time: ``*`` or the label's digits."""
+    lines = [f"# pda f={p.rows} K={p.cols}"] if header else []
+    for j in range(p.rows):
+        cells = [p.cell(j, k) for k in range(p.cols)]
+        lines.append(" ".join("*" if c is None else "%d" % c for c in cells))
+    return "".join(line + "\n" for line in lines)

@@ -203,12 +203,16 @@ def test_check_condition_cstar_member_list_replaced_whole(members, message):
          "demands must be a sequence, got generator"),
         (lambda: decode(_P, 0, _DEMANDS, (c for c in _CACHES), _SENT),
          "caches must be a sequence, got generator"),
+        (lambda: deliver(_P, set(_DEMANDS), _LIB), "demands must be a sequence, got set"),
+        (lambda: decode(_P, 0, set(_DEMANDS), _CACHES, _SENT), "demands must be a sequence, got set"),
+        (lambda: decode(_P, 0, _DEMANDS, set(range(4)), _SENT), "caches must be a sequence, got set"),
         (lambda: run(_P, 4, 60, demands="0123"), "demand '0' out of range [0,4)"),
         (lambda: deliver(_P, [0, 1, 2.0, 3], _LIB), "demand 2.0 out of range [0,4)"),
         (lambda: decode(_P, 0, _DEMANDS, _CACHES, "ab"), "transmissions must be (label, payload) pairs"),
         (lambda: decode(_P, 0, _DEMANDS, _CACHES, [None]), "transmissions must be (label, payload) pairs"),
     ],
-    ids=["deliver-demands", "run-demands", "decode-demands", "decode-caches", "run-str-demands",
+    ids=["deliver-demands", "run-demands", "decode-demands", "decode-caches",
+         "deliver-set-demands", "decode-set-demands", "decode-set-caches", "run-str-demands",
          "deliver-float-demand", "decode-str", "decode-None"],
 )
 def test_simulator_sequences_that_are_not_sized_or_hold_the_wrong_items(call, message):

@@ -6,7 +6,16 @@ from itertools import product
 import pytest
 
 from pdakit.compatibility import check_condition_cstar
-from pdakit.constructions import all_star, filled, identity, mn
+from pdakit.constructions import (
+    all_star,
+    filled,
+    g_array,
+    identity,
+    mn,
+    mn_reverse,
+    shangguan_direct,
+    yan_half_memory,
+)
 import pdakit.core
 from pdakit.core import (
     Pda,
@@ -24,7 +33,7 @@ from pdakit.gridio import parse_grid, serialize_grid
 from pdakit.lifting import assemble_identity_lift, odd_tiling_lift, shangguan_recursive
 
 import printed
-from oracles import brute_force_first_c3, brute_force_star_counts, brute_force_star_rows
+from oracles import brute_force_assemble, brute_force_first_c3, brute_force_star_counts, brute_force_star_rows
 from randgen import WIDE_COLS, random_full_triple, random_gen_family, random_grid, random_valid_pda
 from test_gridio import _loop_outcome, _mutate, _outcome
 
@@ -167,6 +176,19 @@ def test_relabel_rejects_bad_mappings():
         relabel(p, {0: 5, 1: 5, 2: 6})
 
 
+def test_relabel_refuses_a_label_sent_to_a_star():
+    for p, mapping, message in [
+        (identity(3), {0: None}, "mapping sends label 0 to None, a star"),
+        (mn(3, 1), {0: None, 1: 5, 2: 6}, "mapping sends label 0 to None, a star"),
+        (mn(3, 1), {0: 4, 1: 5, 2: None}, "mapping sends label 2 to None, a star"),
+        (mn(3, 1), {0: None}, "mapping does not cover labels [1, 2]"),  # cover first,
+        (mn(3, 1), {0: None, 1: None, 2: 6}, "mapping is not injective on the present labels"),
+    ]:
+        with pytest.raises(ValueError) as err:
+            relabel(p, mapping)
+        assert (type(err.value), str(err.value)) == (ValueError, message)
+
+
 def test_relabel_round_trip_on_random_pdas():
     rng = random.Random(20240)
     for _ in range(100):
@@ -227,6 +249,41 @@ def test_disjoint_copy():
         p = canonicalize(random_valid_pda(rng))
         for k in (0, 1, 37):
             assert disjoint_copy(p, k) == relabel(p, {s: s + k for s in p.labels()})
+
+
+def _random_block_grid(rng) -> list:
+    """Block rows of random heights and block columns of random widths from
+    1 (1x1, 1-row and 1-column blocks), each block copied unchanged or mapped
+    through a label map, some of them shared between blocks."""
+    heights = [rng.randint(1, 4) for _ in range(rng.randint(1, 3))]
+    widths = [rng.randint(1, 4) for _ in range(rng.randint(1, 3))]
+    shared = dict(enumerate(rng.sample(range(1000), 6))) | {None: None}
+    blocks = []
+    for h in heights:
+        block_row = []
+        for w in widths:
+            q = random_grid(rng, n_labels=6, shape=(h, w))
+            labels = rng.choice((None, shared, "own"))
+            if labels == "own":
+                labels = dict(zip(q.labels(), rng.sample(range(1000), len(q.labels())))) | {None: None}
+            block_row.append((q, labels))
+        blocks.append(block_row)
+    return blocks
+
+
+def test_assemble_blocks_places_every_cell_as_the_oracle_does():
+    rng = random.Random(33_2026)
+    for _ in range(600):
+        blocks = _random_block_grid(rng)
+        assert pdakit.core._assemble_blocks(blocks) == brute_force_assemble(blocks)
+    one = [[(Pda(1, 1, (3,)), {3: 8, None: None})]]
+    assert pdakit.core._assemble_blocks(one) == Pda(1, 1, (8,))
+
+
+def test_gather_of_fewer_than_two_keys_is_still_a_tuple():
+    gather = pdakit.core._gather
+    assert (gather({}, ()), gather({0: "17"}, (0,))) == ((), ("17",))
+    assert gather({0: "a", 1: "b"}, (1, 0)) == ("b", "a")
 
 
 def test_stacking_shape_checks():
@@ -466,6 +523,13 @@ def test_unchecked_grids_pass_the_full_cell_check(monkeypatch):
         vstack([q, q])
     made += [odd_tiling_lift(5, 3), shangguan_recursive(6, 2, 2)]
     assert len(made) > 1_000
+    _assert_checked_rebuild_agrees(made)
+
+    made.clear()  # the constructions that build their own cells
+    built = [mn_reverse(7, 3), mn_reverse(5, 2, range(40, 50)), shangguan_direct(6, 2, 2),
+             shangguan_direct(5, 1, 2, range(19, -1, -2)), g_array(6), g_array(4, [9, 7, 5, 3, 1, 0]),
+             yan_half_memory(5)]
+    assert all(any(q is r for r in made) for q in built)
     _assert_checked_rebuild_agrees(made)
 
 

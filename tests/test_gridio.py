@@ -1,14 +1,16 @@
 import random
 import sys
+from enum import IntEnum
 
 import pytest
 
 from pdakit import gridio
 import pdakit.core
-from pdakit.core import Pda
+from pdakit.core import Pda, relabel
 from pdakit.errors import GridParseError
 from pdakit.gridio import MAX_CELLS, parse_grid, pda_from_json, pda_to_json, serialize_grid
 
+from oracles import brute_force_serialize
 from randgen import random_grid, random_valid_pda
 
 
@@ -21,6 +23,28 @@ def test_round_trip_is_exact_on_canonical_text():
     assert serialize_grid(parse_grid(text)) == text
     messy = "  *   0 \n\n0    *\n\n"
     assert serialize_grid(parse_grid(messy)) == text
+
+
+def test_serialize_writes_what_the_per_cell_writer_writes():
+    rng = random.Random(33_1)
+    shapes = [(1, 1), (1, 5), (7, 1), None]
+    for i in range(800):
+        p = random_grid(rng, max_side=9, n_labels=rng.choice((1, 12, 10**6)), shape=shapes[i % 4])
+        if i % 10 == 0:
+            p = Pda(p.rows, p.cols, (None,) * (p.rows * p.cols))  # all stars
+        for header in (False, True):
+            assert serialize_grid(p, header) == brute_force_serialize(p, header)
+
+
+class _Label(IntEnum):
+    THREE = 3
+
+
+def test_int_enum_labels_are_written_as_their_digits_and_read_back():
+    q = relabel(Pda(1, 3, (None, 1, 0)), {0: _Label.THREE, 1: 4})
+    for header in (False, True):
+        assert serialize_grid(q, header).endswith("* 4 3\n")
+        assert parse_grid(serialize_grid(q, header)) == q
 
 
 def test_round_trip_on_random_pdas():
