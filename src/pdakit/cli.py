@@ -22,8 +22,9 @@ class _UsageError(Exception):
     """A usage error: main prints the message and exits 2."""
 
 
-def _witness_line(label, a, b, mirror) -> str:
-    return f"{label} ({a[0]},{a[1]}) ({b[0]},{b[1]}) mirror=({mirror[0]},{mirror[1]})"
+def _witness_line(label, a, b, mirror, pair=None) -> str:
+    line = f"{label} ({a[0]},{a[1]}) ({b[0]},{b[1]}) mirror=({mirror[0]},{mirror[1]})"
+    return line if pair is None else f"{line} pair=({pair[0]},{pair[1]})"
 
 
 # ----------------------------------------------------------------- gen
@@ -149,7 +150,7 @@ def _cmd_compat(args) -> int:
         }[mode]
         report = check(members[0], members[1], refs[0])
     for w in report.witnesses:
-        print(_witness_line(*w[:4]))
+        print(_witness_line(*w))
     return 0 if report.ok else 1
 
 

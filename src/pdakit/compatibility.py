@@ -14,15 +14,15 @@ compatibility is both at once with a single same-shape reference.
 Each failing pair is reported as a ``CompatWitness``, an immutable named
 tuple: it iterates and unpacks as ``(label, cell0, cell1, mirror, pair)``,
 compares equal to that plain 5-tuple and hashes like it.  Scans yield plain
-5-tuples and ``CompatReport.from_witnesses`` builds the records, so every
-check builds each witness once, and all of them before it returns.
+5-tuples already in their final cell order (the left check's scan yields
+each pair swapped), and ``CompatReport.from_witnesses`` gathers the records
+in a list before the one tuple, so every check builds each witness once, and
+all of them before it returns.
 """
 
 from __future__ import annotations
 
-from functools import partial
-from itertools import chain, permutations
-from operator import itemgetter
+from itertools import chain, permutations, repeat
 from typing import Mapping, NamedTuple, Sequence
 
 from .core import Pda, _check_kind, _check_members, _check_pda, _check_shape, _failing_pairs, _Frozen
@@ -60,15 +60,18 @@ class CompatReport(NamedTuple):
 
     @staticmethod
     def from_witnesses(witnesses) -> "CompatReport":
-        """Each ``(label, cell0, cell1, mirror, pair)`` becomes a ``CompatWitness`` at C level."""
-        witnesses = tuple(map(partial(tuple.__new__, CompatWitness), witnesses))
+        """Each ``(label, cell0, cell1, mirror, pair)`` becomes a ``CompatWitness`` at C level,
+        gathered in a list first: a tuple grown from an iterator re-enters the youngest
+        GC generation at every resize, so each collection rescans every record so far."""
+        witnesses = tuple([*map(tuple.__new__, repeat(CompatWitness), witnesses)])
         return CompatReport(not witnesses, witnesses)
 
 
-def _right_witnesses(p0: Pda, p1: Pda, pstar: Pda, pair=None, both=False):
+def _right_witnesses(p0: Pda, p1: Pda, pstar: Pda, pair=None, both=False, swap=False):
     """Witnesses per shared label in ascending order, each failing label's flat
     positions walked lazily by ``core._failing_pairs``; ``both`` adds the (i1, j0)
-    mirror after (i0, j1): full compatibility.  A label ``_stars_over`` clears is not walked."""
+    mirror after (i0, j1): full compatibility; ``swap`` names the p1 cell first: left
+    compatibility.  A label ``_stars_over`` clears is not walked."""
     ref, rows, w0, w1 = pstar.cells, pstar._star_rows, p0.cols, p1.cols
 
     def walks():
@@ -78,7 +81,7 @@ def _right_witnesses(p0: Pda, p1: Pda, pstar: Pda, pair=None, both=False):
             if _stars_over(rows, flat0, w0, flat1, w1) != g or (
                 both and _stars_over(rows, flat1, w1, flat0, w0) != g
             ):
-                yield _failing_pairs(ref, s, flat0, w0, flat1, w1, pair, both)
+                yield _failing_pairs(ref, s, flat0, w0, flat1, w1, pair, both, swap)
 
     return chain.from_iterable(walks())
 
@@ -93,7 +96,7 @@ def is_left_compatible(p0: Pda, p1: Pda, phash: Pda) -> CompatReport:
     """Right compatibility of (p1, p0), each witness naming the p0 cell first."""
     _check_pda(p0, "first array")
     _check_shape(phash, _check_pda(p1, "second array").rows, p0.cols, "left reference")
-    return CompatReport.from_witnesses(map(itemgetter(0, 2, 1, 3, 4), _right_witnesses(p1, p0, phash)))
+    return CompatReport.from_witnesses(_right_witnesses(p1, p0, phash, swap=True))
 
 
 def is_blackburn_compatible(p0: Pda, p1: Pda, pstar: Pda) -> CompatReport:

@@ -289,12 +289,14 @@ def _stars_over(rows: tuple, flat0: list, w0: int, flat1: list, w1: int) -> int:
     return stars
 
 
-def _failing_pairs(ref: tuple, s: int, flat0, w0: int, flat1, w1: int, pair=None, both=False):
+def _failing_pairs(ref: tuple, s: int, flat0, w0: int, flat1, w1: int, pair=None, both=False, swap=False):
     """The one walk over a failing label's cell pairs, for C3 and every
     compatibility check, on the flat positions ``_stars_over`` reads:
     ``(s, c0, c1, mirror, pair)`` for each c0 = (i0, j0) of ``flat0`` (width
     w0), then c1 = (i1, j1) of ``flat1`` (width w1), whose (i0, j1) mirror in
     ``ref``, w1 wide, is no star; with ``both``, then also its (i1, j0) one.
+    With ``swap``, each record is ``(s, c1, c0, mirror, pair)`` in the same
+    order: the left check's final cell order, built once.
     Each cell tuple is built once per call and shared by its witnesses."""
     cells1 = [divmod(pos, w1) for pos in flat1]
     for pos in flat0:
@@ -303,9 +305,9 @@ def _failing_pairs(ref: tuple, s: int, flat0, w0: int, flat1, w1: int, pair=None
         for c1 in cells1:
             i1, j1 = c1
             if ref[row0 + j1] is not None:
-                yield s, c0, c1, (i0, j1), pair
+                yield (s, c1, c0, (i0, j1), pair) if swap else (s, c0, c1, (i0, j1), pair)
             if both and ref[i1 * w1 + j0] is not None:
-                yield s, c0, c1, (i1, j0), pair
+                yield (s, c1, c0, (i1, j0), pair) if swap else (s, c0, c1, (i1, j0), pair)
 
 
 class PdaParams(NamedTuple):

@@ -1,5 +1,8 @@
 import json
+import os
+import subprocess
 import sys
+from pathlib import Path
 
 import pytest
 
@@ -17,6 +20,7 @@ from pdakit.constructions import (
     shangguan_direct,
     yan_half_memory,
 )
+from pdakit.core import hstack, vstack
 from pdakit.gridio import load_pda, parse_grid, save_pda, serialize_grid
 from pdakit.lifting import mn_recursive, odd_tiling_lift, shangguan_recursive
 
@@ -33,6 +37,19 @@ def test_gen_mn_to_stdout(capsys):
     code, out, _ = run_cli(capsys, "gen", "mn", "4", "2")
     assert code == 0
     assert parse_grid(out) == mn(4, 2)
+
+
+def test_gen_into_a_closed_stdout_is_one_error_line_and_exit_one():
+    src = Path(pdakit.core.__file__).parents[1]
+    proc = subprocess.Popen(
+        [sys.executable, "-m", "pdakit.cli", "gen", "mn", "12", "6"],
+        stdout=subprocess.PIPE, stderr=subprocess.PIPE,
+        env={**os.environ, "PYTHONPATH": str(src)},
+    )
+    proc.stdout.close()
+    with proc.stderr:
+        err = proc.stderr.read()
+    assert (proc.wait(timeout=120), err) == (1, b"error: [Errno 32] Broken pipe\n")
 
 
 def test_gen_corollary_odd_matches_printed(capsys):
@@ -232,9 +249,6 @@ def test_compat_full_failure_prints_witnesses(tmp_path, capsys):
 
 
 def test_compat_family_mode(tmp_path, capsys):
-    from pdakit.constructions import all_star, identity
-    from pdakit.core import hstack, vstack
-
     m0 = tmp_path / "m0.grid"
     m1 = tmp_path / "m1.grid"
     r01 = tmp_path / "r01.grid"
@@ -248,6 +262,39 @@ def test_compat_family_mode(tmp_path, capsys):
         str(m0), str(m1), "--ref", str(r01), "--ref", str(r10),
     )
     assert code == 0
+
+
+def test_compat_family_failure_lines_name_their_pair(tmp_path, capsys):
+    """Pairs (0,1) and (1,0) fail alike; each line ends with its member pair."""
+    paths = [tmp_path / name for name in ("m0.grid", "m1.grid", "r01.grid", "r10.grid")]
+    for path, p in zip(paths, (
+        vstack([identity(2, 0), identity(2, 1)]),
+        hstack([identity(2, 1), identity(2, 0)]),
+        filled(4, 4, range(10, 26)),
+        filled(2, 2, range(30, 34)),
+    )):
+        save_pda(p, path)
+    m0, m1, r01, r10 = map(str, paths)
+    code, out, err = run_cli(capsys, "compat", "--mode", "family", m0, m1, "--ref", r01, "--ref", r10)
+    assert (code, err) == (1, "")
+    assert out.splitlines() == [
+        "0 (0,0) (0,2) mirror=(0,2) pair=(0,1)",
+        "0 (0,0) (1,3) mirror=(0,3) pair=(0,1)",
+        "0 (1,1) (0,2) mirror=(1,2) pair=(0,1)",
+        "0 (1,1) (1,3) mirror=(1,3) pair=(0,1)",
+        "1 (2,0) (0,0) mirror=(2,0) pair=(0,1)",
+        "1 (2,0) (1,1) mirror=(2,1) pair=(0,1)",
+        "1 (3,1) (0,0) mirror=(3,0) pair=(0,1)",
+        "1 (3,1) (1,1) mirror=(3,1) pair=(0,1)",
+        "0 (0,2) (0,0) mirror=(0,0) pair=(1,0)",
+        "0 (0,2) (1,1) mirror=(0,1) pair=(1,0)",
+        "0 (1,3) (0,0) mirror=(1,0) pair=(1,0)",
+        "0 (1,3) (1,1) mirror=(1,1) pair=(1,0)",
+        "1 (0,0) (2,0) mirror=(0,0) pair=(1,0)",
+        "1 (0,0) (3,1) mirror=(0,1) pair=(1,0)",
+        "1 (1,1) (2,0) mirror=(1,0) pair=(1,0)",
+        "1 (1,1) (3,1) mirror=(1,1) pair=(1,0)",
+    ]
 
 
 def test_lift_uniform_writes_result_and_ledger(tmp_path, capsys):

@@ -1,5 +1,5 @@
 import random
-from itertools import permutations
+from itertools import permutations, product
 from math import comb
 
 import pytest
@@ -132,6 +132,29 @@ def test_witness_sequences_match_oracles_on_wide_grids():
             assert report.witnesses == tuple(CompatWitness(*w) for w in expected)
             verdicts[side, report.ok] = verdicts.get((side, report.ok), 0) + 1
     assert len(verdicts) == 6 and min(verdicts.values()) >= 5
+
+
+def test_every_2x2_member_pair_matches_the_oracles_record_for_record():
+    """All 6,561 pairs of 2x2 grids over {*, 0, 1} against references with
+    all, no and diagonal stars: the exact witness tuple of right, left and
+    full compatibility, a tuple of ``CompatWitness`` records."""
+    grids = [Pda(2, 2, cells) for cells in product((None, 0, 1), repeat=4)]
+    refs = [Pda(2, 2, cells) for cells in ((None,) * 4, (9,) * 4, (None, 9, 9, None))]
+    checks = (
+        (is_right_compatible, brute_force_right_witnesses),
+        (is_left_compatible, brute_force_left_witnesses),
+        (is_blackburn_compatible, brute_force_full_witnesses),
+    )
+    failing = 0
+    for p0, p1, ref in product(grids, grids, refs):
+        for check, oracle in checks:
+            report = check(p0, p1, ref)
+            assert report.witnesses == tuple(CompatWitness(*w) for w in oracle(p0, p1, ref))
+            assert type(report.witnesses) is tuple
+            assert all(type(w) is CompatWitness for w in report.witnesses)
+            assert report.ok is not report.witnesses
+            failing += not report.ok
+    assert 0 < failing < 3 * len(checks) * len(grids) ** 2
 
 
 def _random_labeled(rng, rows, cols, pool):
