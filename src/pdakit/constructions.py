@@ -68,7 +68,7 @@ def identity(n: int, s: int = 0, anti: bool = False) -> Pda:
     row of MN(n, n-1) misses one user, and that cell holds the one label.
     """
     _check_order(n)
-    return (mn if anti else mn_reverse)(n, n - 1, [s])
+    return (mn if anti else mn_reverse)(n, n - 1, [_check_kind(s, "s", int)])
 
 
 def g_array(n: int, labels: "Sequence[int] | None" = None) -> Pda:

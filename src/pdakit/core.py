@@ -25,6 +25,7 @@ from fractions import Fraction
 from functools import cached_property
 from itertools import chain, repeat
 from operator import is_, itemgetter
+from os import PathLike
 from typing import Iterable, Mapping, NamedTuple, Sequence
 
 from .errors import InvalidPdaError
@@ -331,14 +332,15 @@ class PdaParams(NamedTuple):
         return f"{tag}({self.k},{self.f},{self.z},{self.s})"
 
 
-_NOUNS = dict.fromkeys((Iterable, Sequence), "a sequence") | {Mapping: "a dict", int: "an int"}
+_NOUNS = dict.fromkeys((Iterable, Sequence), "a sequence") | {
+    Mapping: "a dict", int: "an int", (str, PathLike): "a str or an os.PathLike"}
 
 
 def _check_kind(x, what: str, kind=Iterable):
     """``x`` when it is a ``kind`` (iterable unless given) and no bool, else
     ValueError: ``what`` must be a sequence, a dict, an int or a ``kind``."""
     if isinstance(x, bool) or not isinstance(x, kind):
-        noun = _NOUNS.get(kind, f"a {kind.__name__}")
+        noun = _NOUNS.get(kind) or f"a {kind.__name__}"
         raise ValueError(f"{what} must be {noun}, got {type(x).__name__}")
     return x
 
@@ -372,11 +374,12 @@ def _check_members(xs, what: str = "members") -> list:
 
 
 def _write_text(text: str, path=None) -> None:
-    """The one writer: ``text`` to ``path`` as UTF-8 with LF line endings, or stdout when None."""
+    """The one writer: ``text`` to ``path`` as UTF-8 with LF line endings, or stdout when None.
+    Any other ``path`` than a str or an ``os.PathLike`` is a ValueError, never a file descriptor."""
     if path is None:
         sys.stdout.write(text)
     else:
-        with open(path, "w", encoding="utf-8", newline="\n") as fh:
+        with open(_check_kind(path, "path", (str, PathLike)), "w", encoding="utf-8", newline="\n") as fh:
             fh.write(text)
 
 

@@ -22,7 +22,7 @@ validity of the assembly is equivalent to generalized compatibility of the
 family.  The Shangguan construction is a recursive instance, and the MN
 construction is its b = 1 case: mn_recursive(K, t) is shangguan_recursive(K,
 t, 1).  Like the uniform lift, the recursion places its sources with label
-maps and validates each step once, building each sub-array once per call.
+maps, building each sub-array once per call, but validates only its result.
 
 Fresh labels are handed out by a single monotone allocator in emission
 order: reference copies first (star cells, row-major), then one shared set
@@ -113,9 +113,8 @@ def _check_family(members, pstar, what="member"):
             )
 
 
-def _assemble_valid(blocks) -> Pda:
-    """``_assemble_blocks(blocks)``, validated once in full (C1-C3)."""
-    result = _assemble_blocks(blocks)
+def _checked(result: Pda) -> Pda:
+    """``result`` once it has passed validation in full (C1-C3), else LiftError."""
     report = validate(result)
     if not report.ok:
         raise LiftError(f"lifted array failed validation: {report.violations}", report)
@@ -149,7 +148,7 @@ def _lift(base, members, pstar) -> LiftOutcome:
     unused = {s: iter(members) for s in shared}  # each occurrence takes the next member
     blocks = [[(pstar, next(stars)) if s is None else (next(unused[s]), shared[s]) for s in base.row(j)]
               for j in range(base.rows)]
-    return LiftOutcome(_assemble_valid(blocks), ledger)
+    return LiftOutcome(_checked(_assemble_blocks(blocks)), ledger)
 
 
 def uniform_lift(base: Pda, members: Sequence[Pda], pstar: Pda) -> LiftOutcome:
@@ -309,7 +308,8 @@ def shangguan_recursive(n: int, a: int, b: int) -> Pda:
     b) on a shared label set, an all-star block, and U(n-1, a, b) as
     reference on fresh labels.  Reproduces shangguan_direct(n, a, b) cell
     for cell, under the same argument rule and messages.  Each distinct
-    sub-array is built and validated once per call and reused, not kept.
+    sub-array is built once per call and reused, not kept.  Only the result
+    is validated: the label maps are injective, so no step's C3 failure hides.
     """
     _check_subset_point(n, a, b)
 
@@ -322,12 +322,12 @@ def shangguan_recursive(n: int, a: int, b: int) -> Pda:
         phash = all_star(comb(n - 1, a - 1), comb(n - 1, b - 1))
         # U's 0..S-1 onto the fresh labels past the shared set
         fresh = dict(enumerate(range(comb(n - 1, a + b - 1), comb(n, a + b)))) | {None: None}
-        return _assemble_valid([
+        return _assemble_blocks([
             [(phash, None), (build(n - 1, a - 1, b), None)],
             [(build(n - 1, a, b - 1), None), (build(n - 1, a, b), fresh)],
         ])
 
-    return build(n, a, b)
+    return _checked(build(n, a, b))
 
 
 def odd_tiling_lift(g: int, n: int) -> Pda:

@@ -94,14 +94,21 @@ class Library(_Frozen):
         return self._subfiles[i][j]
 
 
+MAX_LIBRARY_BYTES = 1 << 30
+
+
 def _check_sizes(n_files: int, file_size: int, f: int) -> None:
-    """ValueError naming the first of ``n_files``, ``file_size`` and ``f`` no library takes."""
+    """ValueError naming the first of ``n_files``, ``file_size`` and ``f`` no library takes, or
+    refusing more than ``MAX_LIBRARY_BYTES`` bytes in all before any file is made: 2^30 bytes,
+    about 85x the largest library perfbench simulates (12 files of 1 MiB)."""
     if _check_kind(n_files, "n_files", int) < 1:
         raise ValueError(f"need at least one file, got {n_files}")
     if _check_kind(file_size, "file_size", int) < 0:
         raise ValueError(f"file size must be non-negative, got {file_size}")
     if _check_kind(f, "f", int) < 1:
         raise ValueError(f"subpacketization must be positive, got {f}")
+    if n_files * file_size > MAX_LIBRARY_BYTES:
+        raise ValueError(f"library would exceed the limit of {MAX_LIBRARY_BYTES} bytes")
 
 
 def make_library(n_files: int, file_size: int, f: int, seed: int = 0) -> Library:

@@ -468,10 +468,12 @@ def test_sim_bad_parameters_are_usage_errors(tmp_path, capsys):
         (["--files", "0", "--size", "64"], "need at least one file, got 0"),
         (["--files", "0", "--size", "64", "--demands", "0,0,0,0"], "need at least one file"),
         (["--files", "4", "--size", "-5"], "file size must be non-negative, got -5"),
+        (["--files", "4", "--size", "1099511627776"], "library would exceed the limit of 1073741824 bytes"),
     ):
         code, out, err = run_cli(capsys, *sim, *argv)
         assert (code, out) == (2, "")
         assert err.startswith("bad parameters: ") and message in err
+        assert err.count("\n") == 1
     code, out, _ = run_cli(capsys, *sim, "--files", "2", "--size", "0")
     assert code == 0
     assert json.loads(out)["bytes_sent"] == 0

@@ -47,12 +47,17 @@ def test_identity_sweep(n, anti):
 @pytest.mark.parametrize("n", range(1, 13))
 @pytest.mark.parametrize("s", [0, 7, None])
 def test_identity_is_mn_at_t_k_minus_one(n, s):
+    if s is None:  # no label is refused, not built as an all-star array
+        for anti in (False, True):
+            with pytest.raises(ValueError, match="^s must be an int, got NoneType$"):
+                identity(n, s, anti)
+        return
     assert identity(n, s, anti=True) == mn(n, n - 1, [s])
     assert identity(n, s) == mn_reverse(n, n - 1, [s])
     for anti in (False, True):
         p = identity(n, s, anti)
         assert [(j, k) for j in range(n) for k in range(n) if p.cell(j, k) is not None] == (
-            [] if s is None else [(j, n - 1 - j if anti else j) for j in range(n)]
+            [(j, n - 1 - j if anti else j) for j in range(n)]
         )
 
 

@@ -389,6 +389,9 @@ def test_integer_mapping_and_family_arguments_are_value_errors_naming_them(call,
         (lambda: all_star(True, 2), "rows must be an int, got bool"),
         (lambda: mn_recursive(5, 2.0), "t must be an int, got float"),
         (lambda: identity(None), "n must be an int, got NoneType"),
+        (lambda: identity(3, None), "s must be an int, got NoneType"),
+        (lambda: identity(3, set()), "s must be an int, got set"),
+        (lambda: identity(3, True), "s must be an int, got bool"),
         (lambda: shangguan_direct(4, 1.0, 1), "a must be an int, got float"),
         (lambda: shangguan_direct(4, 1, None), "b must be an int, got NoneType"),
         (lambda: shangguan_recursive(None, 1, 1), "n must be an int, got NoneType"),
@@ -404,6 +407,7 @@ def test_integer_mapping_and_family_arguments_are_value_errors_naming_them(call,
     ids=["mn-K-None", "mn-K-bool", "mn_reverse-t", "h_array-n", "h_array-n-zero", "g_array-n-None",
          "g_array-n-float", "g_array-n-bool", "g_array-n-zero", "filled-rows", "filled-cols",
          "all_star-rows", "all_star-cols", "all_star-rows-bool", "mn_recursive-t", "identity-n",
+         "identity-s-None", "identity-s-set", "identity-s-bool",
          "shangguan_direct-a", "shangguan_direct-b", "shangguan_recursive-n", "odd_tiling-g-bool",
          "yan_half_memory-g", "odd_tiling_lift-g", "odd_tiling_lift-n", "make_library-n_files",
          "make_library-file_size", "make_library-f", "run-n_files"],

@@ -1,3 +1,4 @@
+import os
 import random
 import sys
 from enum import IntEnum
@@ -176,6 +177,23 @@ def test_save_pda_without_a_path_writes_the_file_bytes_to_stdout(tmp_path, capsy
     gridio.save_pda(p, path, fmt)
     gridio.save_pda(p, fmt=fmt)
     assert capsys.readouterr().out.encode() == path.read_bytes()
+
+
+def test_save_pda_refuses_a_path_that_is_no_str_or_path_and_leaves_a_descriptor_open():
+    p = random_valid_pda(random.Random(7))
+    read, write = os.pipe()
+    try:
+        for path in (write, True, b"p.grid"):
+            with pytest.raises(ValueError) as err:
+                gridio.save_pda(p, path)
+            assert str(err.value) == f"path must be a str or an os.PathLike, got {type(path).__name__}"
+        os.fstat(write)
+        os.set_blocking(read, False)
+        with pytest.raises(BlockingIOError):
+            os.read(read, 1)  # nothing was written to the pipe
+    finally:
+        os.close(read)
+        os.close(write)
 
 
 def test_save_pda_takes_the_format_from_the_path_when_given_none(tmp_path):

@@ -15,7 +15,7 @@ from pdakit.constructions import (
     odd_tiling,
     shangguan_direct,
 )
-from pdakit.core import Pda, disjoint_copy, params, relabel, validate
+from pdakit.core import Pda, ValidationReport, disjoint_copy, params, relabel, validate
 from pdakit.errors import CompatibilityError, InvalidPdaError, LiftError, PdaError
 from pdakit.gridio import parse_grid
 import pdakit.lifting
@@ -511,22 +511,53 @@ def _distinct_lifts(key, children, is_base):
 def test_recursion_lifts_each_sub_problem_once_per_call(
     monkeypatch, build, direct, key, children, is_base
 ):
-    calls = []
-    step = pdakit.lifting._assemble_valid
+    calls, checked = [], []
+    step, check = pdakit.lifting._assemble_blocks, pdakit.lifting.validate
 
-    def counted(blocks):
+    def counted(blocks, *rest):
         calls.append(tuple(tuple(q.shape for q, _ in row) for row in blocks))
-        return step(blocks)
+        return step(blocks, *rest)
 
-    monkeypatch.setattr(pdakit.lifting, "_assemble_valid", counted)
+    def counted_check(p, *rest):
+        checked.append(p.shape)
+        return check(p, *rest)
+
+    monkeypatch.setattr(pdakit.lifting, "_assemble_blocks", counted)
+    monkeypatch.setattr(pdakit.lifting, "validate", counted_check)
     want = len(_distinct_lifts(key, children, is_base))
     first = build(*key)
     assert len(calls) == want
+    # Only the returned array is validated, once.
+    assert checked == [first.shape]
     # A second call builds everything again: no sub-array outlives a call.
     second = build(*key)
     assert len(calls) == 2 * want
     assert calls[:want] == calls[want:]
+    assert checked == [first.shape] * 2
     assert first == second == direct(*key)
+
+
+@pytest.mark.parametrize(
+    "build,key", [(mn_recursive, (8, 3)), (shangguan_recursive, (8, 2, 2))], ids=["mn", "shangguan"]
+)
+def test_a_bad_inner_recursion_step_fails_the_top_level_validation(monkeypatch, build, key):
+    steps = []
+    step = pdakit.lifting._assemble_blocks
+
+    def colliding(blocks, *rest):
+        steps.append(blocks)
+        if len(steps) == 2:
+            # Copy the reference block unmapped: its labels 0..S-1 land on the shared set.
+            (corner, right), (left, (ref, _)) = blocks
+            blocks = [[corner, right], [left, (ref, None)]]
+        return step(blocks, *rest)
+
+    monkeypatch.setattr(pdakit.lifting, "_assemble_blocks", colliding)
+    with pytest.raises(LiftError) as err:
+        build(*key)
+    assert len(steps) > 2  # the bad step was an inner one, not the top
+    assert str(err.value).startswith("lifted array failed validation: ")
+    assert isinstance(err.value.report, ValidationReport) and not err.value.report.ok
 
 
 @pytest.mark.parametrize("n", range(2, 8))

@@ -11,11 +11,13 @@ from pdakit.gridio import parse_grid
 from pdakit.lifting import odd_tiling_lift
 from pdakit.simulate import (
     Library,
+    MAX_LIBRARY_BYTES,
     MissingSubfile,
     MissingTransmission,
     Transmission,
     UserOutOfRange,
     WrongLength,
+    _check_sizes,
     decode,
     deliver,
     make_library,
@@ -47,6 +49,22 @@ def test_place_all_star_and_filled():
     assert all(len(c) == 3 for c in caches)
     lib2 = make_library(3, 6, 2, seed=2)
     assert all(len(c) == 0 for c in place(filled(2, 3), lib2))
+
+
+def test_a_library_past_its_byte_limit_is_refused_before_any_file_is_made():
+    message = "^library would exceed the limit of 1073741824 bytes$"
+    assert MAX_LIBRARY_BYTES == 2**30
+    _check_sizes(1, MAX_LIBRARY_BYTES, 1)
+    _check_sizes(MAX_LIBRARY_BYTES, 1, 1)
+    for call in (
+        lambda: _check_sizes(2, MAX_LIBRARY_BYTES // 2 + 1, 1),
+        lambda: make_library(4, 2**40, 2),
+        lambda: make_library(2**40, 60, 6),
+        lambda: run(mn(4, 2), 2**40, 60),
+        lambda: run(mn(4, 2), 4, 2**40),
+    ):
+        with pytest.raises(ValueError, match=message):
+            call()
 
 
 def test_place_subpacketization_mismatch():
