@@ -244,8 +244,8 @@ def validate(p: Pda, expected_labels: "int | None" = None) -> ValidationReport:
     z = counts[0]
     c1 = next((Violation("C1", (k, c, z)) for k, c in enumerate(counts) if c != z), None)
 
-    present, c2 = p._label_index, None
-    if expected_labels is not None and len(present) < expected_labels:
+    c2 = None
+    if expected_labels is not None and len(present := p._label_index) < expected_labels:
         c2 = Violation("C2", (next(s for s in range(expected_labels) if s not in present),))
 
     c3 = p._c3
@@ -486,6 +486,59 @@ def _assemble_blocks(
             for src, w in parts:
                 cells += src[j * w : j * w + w]
     return Pda._of(rows, cols, tuple(cells))
+
+
+def _plan_star_counts(blocks: Sequence[Sequence[tuple]]) -> "tuple | None":
+    """The column star counts of the array :func:`_assemble_blocks` makes of
+    ``blocks`` when its block plan alone proves C1 and C3, else None, which
+    means unproven, not invalid: the paper's partial compatibility on a grid.
+
+    Two equal-label cells in blocks (r, c) and (r', c') have their mirrors in
+    blocks (r, c') and (r', c).  So C3 holds when every source passes C3 (an
+    injective map keeps it); the label spaces, one per shared dict and the
+    identity for labelled sources mapped by None, are injective and have
+    pairwise disjoint images; and every ordered pair of distinct
+    blocks of one space clears ``_stars_over`` on each shared source label
+    against the block at (row of the first, column of the second), once per
+    distinct triple of sources.  C1 holds when the star counts summed down
+    each block column are all equal.  Sources' cached verdicts, indexes and
+    counts are read; the assembled cells are not.
+    """
+    sources = {id(q): q for row in blocks for q, _ in row}.values()
+    if any(q._c3 is not None for q in sources):
+        return None
+    spaces: dict = {}
+    for r, row in enumerate(blocks):
+        for c, (q, m) in enumerate(row):
+            if q._label_index:
+                spaces.setdefault(id(m), (m, []))[1].append((r, c, q))
+    images = []
+    for m, placed in spaces.values():
+        if m is None:
+            images.append(set().union(*(q._label_index.keys() for _, _, q in placed)))
+        else:
+            image = set(m.values())
+            if len(image) != len(m):
+                return None
+            images.append(image - {None})
+    if len(set().union(*images)) != sum(map(len, images)):
+        return None
+    triples = {}
+    for _, placed in spaces.values():
+        for ra, ca, qa in placed:
+            for rb, cb, qb in placed:
+                if (ra, ca) != (rb, cb):
+                    qm = blocks[ra][cb][0]
+                    triples[id(qa), id(qb), id(qm)] = qa, qb, qm
+    for qa, qb, qm in triples.values():
+        ia, ib, rows = qa._label_index, qb._label_index, qm._star_rows
+        for s in ia.keys() & ib.keys():
+            if _stars_over(rows, ia[s], qa.cols, ib[s], qb.cols) != len(ia[s]) * len(ib[s]):
+                return None
+    counts = []
+    for c in range(len(blocks[0])):
+        counts += map(sum, zip(*(row[c][0]._star_counts for row in blocks)))
+    return tuple(counts) if len(set(counts)) == 1 else None
 
 
 def _gather(table, keys: Sequence) -> tuple:

@@ -23,6 +23,7 @@ import json
 import re
 import sys
 from itertools import chain
+from os import PathLike
 
 from .core import MAX_CELLS, Pda, _check_kind, _check_pda, _gather, _write_text
 from .errors import GridParseError
@@ -158,8 +159,9 @@ def _is_json(path) -> bool:
 
 
 def load_pda(path) -> Pda:
-    """Read a PDA from a file, JSON when the name ends in .json, grid text otherwise."""
-    with open(path, "r", encoding="utf-8") as fh:
+    """Read a PDA from a file, JSON when the name ends in .json, grid text otherwise.
+    Any other ``path`` than a str or an ``os.PathLike`` is a ValueError, never a file descriptor."""
+    with open(_check_kind(path, "path", (str, PathLike)), "r", encoding="utf-8") as fh:
         text = fh.read()
     if _is_json(path):
         return pda_from_json(text)

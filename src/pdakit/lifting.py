@@ -12,6 +12,14 @@ Star counts compose as Z' = Z_b * Z_ref + (f_b - Z_b) * Z_member, and with a
 g_b-regular base the member-derived labels appear g_b * g_c times, where
 g_c is the per-member label multiplicity.
 
+Uniform, basic and family lifts are validated from their block plan, the
+paper's partial compatibility of two PDAs with respect to a third
+(``core._plan_star_counts``): checked sources, disjoint label ranges and one
+star-count check per distinct (member, member, mirror) triple prove C1 and
+C3 without reading the result's cells.  A plan that proves nothing falls
+back to a full scan of the result.  The recursions and the non-uniform lift
+scan their result.
+
 A lifted family is each member's uniform lift by a second (q) family,
 all members sharing one label allocation, plus the basic lift of the
 reference; the lifted members stay compatible with respect to it.
@@ -41,7 +49,7 @@ from typing import Mapping, NamedTuple, Sequence
 from .compatibility import _check_pair_refs, check_condition_cstar, is_blackburn_compatible
 from .constructions import _check_memory_point, _check_subset_point, all_star, filled, h_array, odd_tiling
 from .core import Pda, PdaParams, _assemble_blocks, _check_kind, _check_members, _check_pda
-from .core import _check_shape, _params_of, _valid, params, validate
+from .core import _check_shape, _params_of, _plan_star_counts, _valid, params, validate
 from .errors import CompatibilityError, LiftError
 
 __all__ = [
@@ -114,7 +122,8 @@ def _check_family(members, pstar, what="member"):
 
 
 def _checked(result: Pda) -> Pda:
-    """``result`` once it has passed validation in full (C1-C3), else LiftError."""
+    """``result`` once it has passed validation (C1-C3), else LiftError: a full
+    scan, unless ``_lift`` proved the result from its plan and cached the verdict."""
     report = validate(result)
     if not report.ok:
         raise LiftError(f"lifted array failed validation: {report.violations}", report)
@@ -122,7 +131,8 @@ def _checked(result: Pda) -> Pda:
 
 
 def _lift(base, members, pstar) -> LiftOutcome:
-    """Uniform lift of a checked base by a checked family, validated in full.
+    """Uniform lift of a checked base by a checked family, validated from its
+    block plan when ``_plan_star_counts`` proves it, else by a full scan.
 
     One running counter hands out fresh labels, a reference range per base
     star (row-major) and then a shared range per base label ascending, and
@@ -148,7 +158,10 @@ def _lift(base, members, pstar) -> LiftOutcome:
     unused = {s: iter(members) for s in shared}  # each occurrence takes the next member
     blocks = [[(pstar, next(stars)) if s is None else (next(unused[s]), shared[s]) for s in base.row(j)]
               for j in range(base.rows)]
-    return LiftOutcome(_checked(_assemble_blocks(blocks)), ledger)
+    result, counts = _assemble_blocks(blocks), _plan_star_counts(blocks)
+    if counts is not None:  # proven: validate reads these caches and scans nothing
+        result.__dict__.update(_star_counts=counts, _c3=None)
+    return LiftOutcome(_checked(result), ledger)
 
 
 def uniform_lift(base: Pda, members: Sequence[Pda], pstar: Pda) -> LiftOutcome:

@@ -1,4 +1,5 @@
-"""Seeded random generators for valid PDAs and generalized families."""
+"""Seeded random generators for valid PDAs, generalized families, lift inputs
+and corrupted block plans."""
 
 import random
 
@@ -180,3 +181,60 @@ def random_gen_family(rng: random.Random):
         if not ok:
             continue
         return GenFamily.of(members, refs)
+
+
+def random_lift_inputs(rng: random.Random, max_cells: int = 30) -> tuple:
+    """(base, members, reference) for ``lifting._lift`` past the public checks.
+    The base is a valid PDA or, a quarter of the time, a random grid.  The
+    members share member 0's label set, as ``_lift`` maps them, and repeat as
+    often as a base label occurs: label permutations of one valid PDA over an
+    all-star reference and the odd-tiling pair (both compatible), or
+    ``random_full_triple``'s pair and reference (mostly not)."""
+    base = random_grid(rng, 4, 3) if rng.random() < 0.25 else random_valid_pda(rng, max_cells)
+    kind = rng.randrange(3)
+    if kind == 0:
+        p = random_valid_pda(rng, max_cells)
+        labels = sorted(p.labels())
+        pair, ref = [p, relabel(p, dict(zip(labels, rng.sample(labels, len(labels)))))], all_star(*p.shape)
+    elif kind == 1:
+        fam = odd_tiling(3)
+        pair, ref = [fam.p0, fam.p1], fam.pstar
+    else:
+        *pair, ref = random_full_triple(rng, max_cells)
+    need = max(map(len, base.label_positions().values()), default=1)
+    return base, pair * need, ref
+
+
+def corrupt_plan(rng: random.Random, blocks) -> list:
+    """A copy of the block plan ``blocks[r][c] = (grid, labels)`` with one block
+    corrupted: its grid replaced by a random one of its shape, over its map's
+    labels or, unmapped, over labels a lift's ranges also hold or fresh ones;
+    its map replaced by another block's (the same dict) whose keys cover it, or
+    by an equal copy of that dict, whose images collide with it; or its map
+    made non-injective, two labels onto one image, or sending one label onto
+    a fresh one.  Every map still sends None to None and labels to ints, as
+    ``core._assemble_blocks`` requires."""
+    plan = [list(row) for row in blocks]
+    r = rng.randrange(len(plan))
+    c = rng.randrange(len(plan[r]))
+    q, m = plan[r][c]
+    kind = rng.randrange(4)
+    keys = sorted(k for k in m if k is not None) if m else []
+    if kind in (1, 2):
+        covering = [m2 for row in plan for _, m2 in row
+                    if m2 is not None and m2 is not m and q.labels() <= m2.keys()]
+        if covering:
+            m2 = rng.choice(covering)
+            plan[r][c] = (q, m2 if kind == 1 else dict(m2))
+            return plan
+    if kind == 3 and keys:
+        m2 = dict(m)
+        a, b = rng.sample(keys, 2) if len(keys) > 1 else (keys[0], None)
+        m2[a] = m2[b] if b is not None and rng.random() < 0.8 else 10**6
+        plan[r][c] = (q, m2)
+        return plan
+    pool = keys or (range(3) if rng.random() < 0.5 else range(10**6, 10**6 + 3))
+    star = rng.random()
+    grid = tuple(None if rng.random() < star else rng.choice(pool) for _ in q.cells)
+    plan[r][c] = (Pda(q.rows, q.cols, grid), m)
+    return plan

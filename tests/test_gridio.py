@@ -196,6 +196,21 @@ def test_save_pda_refuses_a_path_that_is_no_str_or_path_and_leaves_a_descriptor_
         os.close(write)
 
 
+def test_load_pda_refuses_a_path_that_is_no_str_or_path_and_leaves_a_descriptor_open():
+    read, write = os.pipe()
+    try:
+        os.write(write, b"* 0\n0 *\n")
+        for path in (read, True, b"p.grid"):
+            with pytest.raises(ValueError) as err:
+                gridio.load_pda(path)
+            assert str(err.value) == f"path must be a str or an os.PathLike, got {type(path).__name__}"
+        os.fstat(read)
+        assert os.read(read, 64) == b"* 0\n0 *\n"  # nothing was read from the pipe
+    finally:
+        os.close(read)
+        os.close(write)
+
+
 def test_save_pda_takes_the_format_from_the_path_when_given_none(tmp_path):
     p = random_valid_pda(random.Random(6))
     for name, fmt, text in (

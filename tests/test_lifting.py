@@ -1,10 +1,12 @@
 import random
 from fractions import Fraction
+from functools import cached_property
+from itertools import product
 from math import comb
 
 import pytest
 
-from pdakit.compatibility import GenFamily, is_generalized_family
+from pdakit.compatibility import GenFamily, is_blackburn_compatible, is_generalized_family
 from pdakit.constructions import (
     all_star,
     filled,
@@ -15,7 +17,8 @@ from pdakit.constructions import (
     odd_tiling,
     shangguan_direct,
 )
-from pdakit.core import Pda, ValidationReport, disjoint_copy, params, relabel, validate
+import pdakit.core
+from pdakit.core import Pda, ValidationReport, _plan_star_counts, disjoint_copy, params, relabel, validate
 from pdakit.errors import CompatibilityError, InvalidPdaError, LiftError, PdaError
 from pdakit.gridio import parse_grid
 import pdakit.lifting
@@ -40,8 +43,9 @@ from pdakit.lifting import (
 )
 
 import printed
-from oracles import brute_force_full_ok, oracle_uniform_lift
-from randgen import random_valid_pda
+from oracles import brute_force_assemble, brute_force_blackburn_ok, brute_force_full_ok
+from oracles import brute_force_star_counts, oracle_uniform_lift
+from randgen import corrupt_plan, random_lift_inputs, random_valid_pda
 
 # ----------------------------------------------------------- uniform lifting
 
@@ -156,6 +160,141 @@ def test_basic_lift_matches_per_block_oracle(k, t, m):
     want, ledger = oracle_uniform_lift(base, [p] * (t + 1), all_star(m, m))
     assert outcome.result == want
     assert outcome.label_ledger == ledger
+
+
+# ------------------------------------------------- validation from the block plan
+
+def _plan_verdicts(monkeypatch) -> list:
+    """A list that gains ``(blocks, counts)`` each time ``_lift`` asks
+    ``_plan_star_counts`` about its block plan."""
+    verdicts, plan = [], pdakit.lifting._plan_star_counts
+
+    def recorded(blocks):
+        verdicts.append((blocks, plan(blocks)))
+        return verdicts[-1][1]
+
+    monkeypatch.setattr(pdakit.lifting, "_plan_star_counts", recorded)
+    return verdicts
+
+
+def test_the_block_plan_proves_exactly_the_valid_lifts_and_no_corrupted_plan_that_fails(monkeypatch):
+    # _lift's spaces are injective and disjoint, so its plan verdict is exact;
+    # a corrupted plan may be refused while valid, never proven while invalid.
+    verdicts = _plan_verdicts(monkeypatch)
+    rng = random.Random(37)
+    proven = {"lift": 0, "corrupted": 0}
+    refused = dict(proven)
+    for _ in range(600):
+        base, members, ref = random_lift_inputs(rng)
+        try:
+            outcome, error = _lift(base, members, ref), None
+        except LiftError as err:
+            outcome, error = None, err
+        blocks, counts = verdicts[-1]
+        fresh = brute_force_assemble(blocks)
+        report = validate(fresh)
+        assert (counts is not None) == report.ok
+        if counts is None:
+            refused["lift"] += 1
+            assert str(error) == f"lifted array failed validation: {report.violations}"
+            assert error.report == report
+        else:
+            proven["lift"] += 1
+            assert error is None and outcome.result == fresh
+            assert counts == brute_force_star_counts(fresh) == outcome.result._star_counts
+        for _ in range(3):
+            plan = corrupt_plan(rng, blocks)
+            counts = _plan_star_counts(plan)
+            fresh = brute_force_assemble(plan)
+            if counts is None:
+                refused["corrupted"] += 1
+            else:
+                proven["corrupted"] += 1
+                assert validate(fresh).ok and counts == brute_force_star_counts(fresh)
+    assert min(*proven.values(), *refused.values()) >= 100, (proven, refused)
+
+
+def test_the_plan_reads_each_mirror_in_the_block_at_row_of_the_first_and_column_of_the_second():
+    # Label 0 lies in a at (0, 0) and in b at (1, 1), so its composite mirrors are
+    # cell (0, 1) of the block right of a and cell (1, 0) of the block below a.
+    a, b = Pda.from_rows([[0, None], [None, 1]]), Pda.from_rows([[2, None], [None, 0]])
+    upper, lower = Pda.from_rows([[None, None], [8, 9]]), Pda.from_rows([[10, 11], [None, None]])
+    for right, below, ok in ((upper, lower, True), (lower, upper, False)):
+        blocks = [[(a, None), (right, None)], [(below, None), (b, None)]]
+        assert validate(brute_force_assemble(blocks)).ok is ok
+        assert (_plan_star_counts(blocks) is not None) is ok
+
+
+def test_lifts_are_proven_from_their_plan_without_a_scan_of_the_result(monkeypatch):
+    lift, first, index = pdakit.lifting._lift, pdakit.core._first_blackburn_violation, Pda._label_index.func
+    inside, scanned, results = [], [], []
+
+    def spied_lift(*args):
+        inside.append(args)
+        try:
+            outcome = lift(*args)
+        finally:
+            inside.pop()
+        results.append(outcome.result)
+        return outcome
+
+    def spied_first(p):
+        if inside:
+            scanned.append(p)
+        return first(p)
+
+    def spied_index(p):
+        if inside:
+            scanned.append(p)
+        return index(p)
+
+    spied = cached_property(spied_index)
+    spied.__set_name__(Pda, "_label_index")
+    monkeypatch.setattr(pdakit.lifting, "_lift", spied_lift)
+    monkeypatch.setattr(pdakit.core, "_first_blackburn_violation", spied_first)
+    monkeypatch.setattr(Pda, "_label_index", spied)
+    odd_tiling_lift(11, 24)
+    basic_lift(mn(7, 3), h_array(8))
+    p0, p1 = _transpose_family(3)
+    lift_family([p0, p1], h_array(3, [100, 101, 102]), _transpose_family(3), h_array(3, [100, 101, 102]))
+    assert [r.shape for r in results] == [(264, 264), (280, 56), (9, 9), (9, 9), (9, 9)]
+    assert not [p for p in scanned if any(p is r for r in results)]
+    assert all(validate(r).ok for r in results)
+
+
+def test_every_uniform_lift_of_a_2x2_base_by_a_2x2_family_matches_the_oracles(monkeypatch):
+    # Bases and members are the valid 2x2 grids over {*, 0, 1}, references those
+    # over {*, 2, 3}; a family is two members of one label set and star count.
+    # Only a base with labels has a regularity for lifted_params.
+    verdicts = _plan_verdicts(monkeypatch)
+    grids = [Pda(2, 2, c) for c in product((None, 0, 1), repeat=4)]
+    valid = [p for p in grids if validate(p).ok]
+    bases = [p for p in valid if p.labels()]
+    refs = [Pda(2, 2, tuple(c if c is None else c + 2 for c in p.cells)) for p in valid]
+    lifts = compatible = proven = 0
+    for m0, m1 in product(valid, repeat=2):
+        if (m0.labels(), m0._star_counts) != (m1.labels(), m1._star_counts):
+            continue
+        for ref in refs:
+            ok = is_blackburn_compatible(m0, m1, ref).ok
+            assert ok == brute_force_full_ok(m0, m1, ref)
+            family = measure_family([m0, m1], ref)
+            for base in bases:
+                lift = uniform_lift if ok else _lift
+                try:
+                    result = lift(base, [m0, m1], ref).result
+                except LiftError:
+                    result = None
+                blocks, counts = verdicts[-1]
+                cells = brute_force_assemble(blocks)
+                assert (counts is not None) == (
+                    brute_force_blackburn_ok(cells) and len(set(brute_force_star_counts(cells))) == 1
+                )
+                lifts, compatible, proven = lifts + 1, compatible + ok, proven + (counts is not None)
+                if ok:
+                    assert counts == brute_force_star_counts(cells)
+                    assert params(result) == lifted_params(params(base), family)
+    assert (lifts, compatible, proven) == (11388, 1596, 8124)
 
 
 # ------------------------------------------------------------- basic lifting
