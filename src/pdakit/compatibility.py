@@ -1,10 +1,10 @@
 """Decision procedures for Blackburn-compatibility between PDAs.
 
-Two arrays interact only through cells that carry the same label.  The
-checks below read the flat label index: they clear a label of g0 and g1
-cells in O(g0 + g1) with the star count ``core._stars_over``, and walk only a
-failing label's positions pair by pair with ``core._failing_pairs``; C3 uses
-both.  Witness order is deterministic: lowest label first, then row-major cell pairs.
+Two arrays interact only through cells that carry the same label.  Every
+check below is the walk ``core._right_witnesses``, shared by a lift's block
+plan: it clears a label in O(g0 + g1) with ``core._stars_over`` and walks a
+failing label's cell pairs with ``core._failing_pairs``, the two parts of C3.
+Witness order is deterministic: lowest label first, then row-major cell pairs.
 
 Right compatibility of (p0, p1) with respect to a reference of shape
 rows(p0) x cols(p1) demands a star at (i0, j1) for every equal-label pair
@@ -25,8 +25,7 @@ from __future__ import annotations
 from itertools import chain, permutations, repeat
 from typing import Mapping, NamedTuple, Sequence
 
-from .core import Pda, _check_kind, _check_members, _check_pda, _check_shape, _failing_pairs, _Frozen
-from .core import _stars_over
+from .core import Pda, _check_kind, _check_members, _check_pda, _check_shape, _Frozen, _right_witnesses
 
 __all__ = [
     "CompatWitness",
@@ -65,25 +64,6 @@ class CompatReport(NamedTuple):
         GC generation at every resize, so each collection rescans every record so far."""
         witnesses = tuple([*map(tuple.__new__, repeat(CompatWitness), witnesses)])
         return CompatReport(not witnesses, witnesses)
-
-
-def _right_witnesses(p0: Pda, p1: Pda, pstar: Pda, pair=None, both=False, swap=False):
-    """Witnesses per shared label in ascending order, each failing label's flat
-    positions walked lazily by ``core._failing_pairs``; ``both`` adds the (i1, j0)
-    mirror after (i0, j1): full compatibility; ``swap`` names the p1 cell first: left
-    compatibility.  A label ``_stars_over`` clears is not walked."""
-    ref, rows, w0, w1 = pstar.cells, pstar._star_rows, p0.cols, p1.cols
-
-    def walks():
-        for s in sorted(p0._label_index.keys() & p1._label_index.keys()):
-            flat0, flat1 = p0._label_index[s], p1._label_index[s]
-            g = len(flat0) * len(flat1)  # the reference is w1 wide, and w0 == w1 with both
-            if _stars_over(rows, flat0, w0, flat1, w1) != g or (
-                both and _stars_over(rows, flat1, w1, flat0, w0) != g
-            ):
-                yield _failing_pairs(ref, s, flat0, w0, flat1, w1, pair, both, swap)
-
-    return chain.from_iterable(walks())
 
 
 def is_right_compatible(p0: Pda, p1: Pda, pstar: Pda) -> CompatReport:

@@ -157,10 +157,7 @@ def shangguan_direct(n: int, a: int, b: int, labels: "Sequence[int] | None" = No
     label_of = dict(zip(_subset_masks(n, a + b), _check_labels(labels, comb(n, a + b))))
     rows, cols = _subset_masks(n, a), _subset_masks(n, b)
     cells = tuple([None if r & c else label_of[r | c] for r in rows for c in cols])
-    # Cells are stars or labels, so the labels' check clears them; else Pda(...) names the first bad one.
-    if rows and cols and all(type(s) is int and s >= 0 for s in label_of.values()):
-        return Pda._of(len(rows), len(cols), cells)
-    return Pda(len(rows), len(cols), cells)
+    return Pda._labelled(len(rows), len(cols), cells, label_of.values())
 
 
 class OddTilingFamily(NamedTuple):

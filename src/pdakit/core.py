@@ -23,7 +23,7 @@ from __future__ import annotations
 import sys
 from fractions import Fraction
 from functools import cached_property
-from itertools import chain, repeat
+from itertools import chain, permutations, repeat
 from operator import is_, itemgetter
 from os import PathLike
 from typing import Iterable, Mapping, NamedTuple, Sequence
@@ -121,6 +121,14 @@ class Pda(_Frozen):
         d = p.__dict__
         d["rows"], d["cols"], d["cells"] = rows, cols, cells
         return p
+
+    @classmethod
+    def _labelled(cls, rows: int, cols: int, cells: tuple, labels: Iterable) -> "Pda":
+        """A grid whose cells are stars or ``labels``: by ``_of`` when it is at least 1x1 and
+        every label is a plain non-negative ``int``, else by ``Pda(...)``, which names the fault."""
+        if rows and cols and all(type(s) is int and s >= 0 for s in labels):
+            return cls._of(rows, cols, cells)
+        return cls(rows, cols, cells)
 
     @classmethod
     def from_rows(cls, rows: Iterable[Sequence]) -> "Pda":
@@ -311,6 +319,24 @@ def _failing_pairs(ref: tuple, s: int, flat0, w0: int, flat1, w1: int, pair=None
                 yield (s, c1, c0, (i1, j0), pair) if swap else (s, c0, c1, (i1, j0), pair)
 
 
+def _right_witnesses(p0: Pda, p1: Pda, pstar: Pda, pair=None, both=False, swap=False):
+    """Witnesses per shared label in ascending order, each failing label's flat
+    positions walked lazily by ``_failing_pairs``; ``both`` adds the (i1, j0)
+    mirror after (i0, j1): full compatibility; ``swap`` names the p1 cell first:
+    left compatibility.  A label ``_stars_over`` clears is not walked."""
+    ref, rows, w0, w1 = pstar.cells, pstar._star_rows, p0.cols, p1.cols
+
+    def walks():
+        for s in sorted(p0._label_index.keys() & p1._label_index.keys()):
+            flat0, flat1 = p0._label_index[s], p1._label_index[s]
+            g = len(flat0) * len(flat1)  # the reference is w1 wide, and w0 == w1 with both
+            fails = _stars_over(rows, flat0, w0, flat1, w1) != g
+            if fails or both and _stars_over(rows, flat1, w1, flat0, w0) != g:
+                yield _failing_pairs(ref, s, flat0, w0, flat1, w1, pair, both, swap)
+
+    return chain.from_iterable(walks())
+
+
 class PdaParams(NamedTuple):
     """The (K, f, Z, S) tuple of a PDA plus derived exact ratios.
 
@@ -430,12 +456,7 @@ def relabel(p: Pda, mapping: Mapping[int, int]) -> Pda:
     if starred:
         raise ValueError(f"mapping sends label {starred[0]} to None, a star")
     cells = _gather(dict(zip(present, images)) | {None: None}, p.cells)
-    # The cells take exactly the images checked here, so plain non-negative
-    # ints need no second check per cell; any other image goes through
-    # Pda(...), which names the first bad cell.
-    if all(type(i) is int and i >= 0 for i in images):
-        return Pda._of(p.rows, p.cols, cells)
-    return Pda(p.rows, p.cols, cells)
+    return Pda._labelled(p.rows, p.cols, cells, images)
 
 
 def canonicalize(p: Pda) -> Pda:
@@ -497,12 +518,12 @@ def _plan_star_counts(blocks: Sequence[Sequence[tuple]]) -> "tuple | None":
     blocks (r, c') and (r', c).  So C3 holds when every source passes C3 (an
     injective map keeps it); the label spaces, one per shared dict and the
     identity for labelled sources mapped by None, are injective and have
-    pairwise disjoint images; and every ordered pair of distinct
-    blocks of one space clears ``_stars_over`` on each shared source label
-    against the block at (row of the first, column of the second), once per
-    distinct triple of sources.  C1 holds when the star counts summed down
-    each block column are all equal.  Sources' cached verdicts, indexes and
-    counts are read; the assembled cells are not.
+    pairwise disjoint images; and every ordered pair of distinct blocks of
+    one space is right compatible, with no first ``_right_witnesses`` record,
+    with respect to the block at (row of the first, column of the second),
+    once per distinct triple of sources.  C1 holds when the star counts summed
+    down each block column are all equal.  Sources' cached verdicts, indexes
+    and counts are read; the assembled cells are not.
     """
     sources = {id(q): q for row in blocks for q, _ in row}.values()
     if any(q._c3 is not None for q in sources):
@@ -525,16 +546,11 @@ def _plan_star_counts(blocks: Sequence[Sequence[tuple]]) -> "tuple | None":
         return None
     triples = {}
     for _, placed in spaces.values():
-        for ra, ca, qa in placed:
-            for rb, cb, qb in placed:
-                if (ra, ca) != (rb, cb):
-                    qm = blocks[ra][cb][0]
-                    triples[id(qa), id(qb), id(qm)] = qa, qb, qm
-    for qa, qb, qm in triples.values():
-        ia, ib, rows = qa._label_index, qb._label_index, qm._star_rows
-        for s in ia.keys() & ib.keys():
-            if _stars_over(rows, ia[s], qa.cols, ib[s], qb.cols) != len(ia[s]) * len(ib[s]):
-                return None
+        for (ra, _, qa), (_, cb, qb) in permutations(placed, 2):
+            qm = blocks[ra][cb][0]
+            triples[id(qa), id(qb), id(qm)] = qa, qb, qm
+    if any(next(_right_witnesses(qa, qb, qm), None) is not None for qa, qb, qm in triples.values()):
+        return None
     counts = []
     for c in range(len(blocks[0])):
         counts += map(sum, zip(*(row[c][0]._star_counts for row in blocks)))

@@ -14,9 +14,9 @@ g_c is the per-member label multiplicity.
 
 Uniform, basic and family lifts are validated from their block plan, the
 paper's partial compatibility of two PDAs with respect to a third
-(``core._plan_star_counts``): checked sources, disjoint label ranges and one
-star-count check per distinct (member, member, mirror) triple prove C1 and
-C3 without reading the result's cells.  A plan that proves nothing falls
+(``core._plan_star_counts``): checked sources, disjoint label ranges and the
+right-compatibility walk per distinct (member, member, mirror) triple prove
+C1 and C3 without reading the result's cells.  A plan that proves nothing falls
 back to a full scan of the result.  The recursions and the non-uniform lift
 scan their result.
 
@@ -29,8 +29,10 @@ Non-uniform lifting drops the equal-size requirement: members sit on the
 validity of the assembly is equivalent to generalized compatibility of the
 family.  The Shangguan construction is a recursive instance, and the MN
 construction is its b = 1 case: mn_recursive(K, t) is shangguan_recursive(K,
-t, 1).  Like the uniform lift, the recursion places its sources with label
-maps, building each sub-array once per call, but validates only its result.
+t, 1).  Each step is the anti-diagonal lift laid out by ``_identity_plan``, as
+the non-uniform lift is; it builds each sub-array once per call, validates
+only its result, and refuses a call whose distinct steps would hold more
+than ``MAX_CELLS`` cells in all.
 
 Fresh labels are handed out by a single monotone allocator in emission
 order: reference copies first (star cells, row-major), then one shared set
@@ -40,15 +42,14 @@ published example arrays digit for digit.
 
 from __future__ import annotations
 
-from bisect import bisect_right
 from functools import cache
-from itertools import accumulate, combinations, permutations
+from itertools import combinations, permutations
 from math import comb
 from typing import Mapping, NamedTuple, Sequence
 
 from .compatibility import _check_pair_refs, check_condition_cstar, is_blackburn_compatible
 from .constructions import _check_memory_point, _check_subset_point, all_star, filled, h_array, odd_tiling
-from .core import Pda, PdaParams, _assemble_blocks, _check_kind, _check_members, _check_pda
+from .core import MAX_CELLS, Pda, PdaParams, _assemble_blocks, _check_kind, _check_members, _check_pda
 from .core import _check_shape, _params_of, _plan_star_counts, _valid, params, validate
 from .errors import CompatibilityError, LiftError
 
@@ -247,11 +248,15 @@ def assemble_identity_lift(
         raise ValueError(f"orientation must be 'main' or 'anti', got {orientation!r}")
     members = _check_members(members)
     _check_pair_refs(members, refs)
+    return _assemble_blocks(_identity_plan(members, {k: (q, None) for k, q in refs.items()}, orientation))
+
+
+def _identity_plan(members: Sequence[Pda], refs: Mapping, orientation: str) -> list:
+    """The one block plan of an identity-base lift: each member unmapped on the diagonal
+    ``orientation`` names, and the ``(grid, labels)`` block ``refs[i, j]`` at its (i, j) place."""
     g = len(members)
-    # Each block row takes its rows from member i, block column j from member j.
     rows = range(g) if orientation == "main" else range(g - 1, -1, -1)
-    blocks = [[(members[i] if i == j else refs[i, j], None) for j in range(g)] for i in rows]
-    return _assemble_blocks(blocks)
+    return [[(members[i], None) if i == j else refs[i, j] for j in range(g)] for i in rows]
 
 
 def nonuniform_lift(
@@ -288,15 +293,15 @@ def nonuniform_lift(
     report = validate(result)
     if report.ok:
         return result
-    starts = list(accumulate((m.cols for m in members[:-1]), initial=0))
+    owner = [i for i, m in enumerate(members) for _ in range(m.cols)]  # each column's member
     if not report.c1_ok:
-        counts = [result._star_counts[c] for c in starts]
+        counts = [result._star_counts[owner.index(i)] for i in range(len(members))]
         raise LiftError(f"per-column-block star counts differ: {counts}; C1 would fail", report)
     # C2 is not checked without an expected label count, so this is C3.
     a, b, mirror = report.violations[0].witness
     raise LiftError(
         f"assembly violates the Blackburn property between members "
-        f"{bisect_right(starts, a[1]) - 1} and {bisect_right(starts, b[1]) - 1}: "
+        f"{owner[a[1]]} and {owner[b[1]]}: "
         f"cells {a} and {b} share a label but {mirror} is not a star", report
     )
 
@@ -317,14 +322,19 @@ def shangguan_recursive(n: int, a: int, b: int) -> Pda:
     """Build the subset-indexed Shangguan PDA by anti-diagonal lifting.
 
     Base cases: a filled array when min(a, b) = 0, an all-star array when
-    a + b = n + 1.  Otherwise lift with members U(n-1, a, b-1), U(n-1, a-1,
-    b) on a shared label set, an all-star block, and U(n-1, a, b) as
-    reference on fresh labels.  Reproduces shangguan_direct(n, a, b) cell
+    a + b = n + 1.  Otherwise each step is the anti-diagonal identity lift by
+    ``_identity_plan`` of members U(n-1, a, b-1), U(n-1, a-1, b) on a shared
+    label set, with U(n-1, a, b) on fresh labels and an all-star array as
+    references (0, 1) and (1, 0).  Reproduces shangguan_direct(n, a, b) cell
     for cell, under the same argument rule and messages.  Each distinct
-    sub-array is built once per call and reused, not kept.  Only the result
-    is validated: the label maps are injective, so no step's C3 failure hides.
+    sub-array is built once per call and reused, not kept, so a call whose
+    distinct steps would hold more than ``MAX_CELLS`` cells in all is refused
+    first.  Only the result is validated: the label maps are injective, so no
+    step's C3 failure hides.
     """
     _check_subset_point(n, a, b)
+    if _recursion_cells(n, a, b) > MAX_CELLS:
+        raise ValueError(f"recursion steps would exceed the limit of {MAX_CELLS} cells in all")
 
     @cache
     def build(n: int, a: int, b: int) -> Pda:
@@ -332,15 +342,28 @@ def shangguan_recursive(n: int, a: int, b: int) -> Pda:
             return filled(comb(n, a), comb(n, b), range(comb(n, a) * comb(n, b)))
         if a + b == n + 1:
             return all_star(comb(n, a), comb(n, b))
-        phash = all_star(comb(n - 1, a - 1), comb(n - 1, b - 1))
-        # U's 0..S-1 onto the fresh labels past the shared set
+        members, ref = [build(n - 1, a, b - 1), build(n - 1, a - 1, b)], build(n - 1, a, b)
+        # U's 0..S-1 onto the fresh labels past the shared set, made last: one map alive at a time
         fresh = dict(enumerate(range(comb(n - 1, a + b - 1), comb(n, a + b)))) | {None: None}
-        return _assemble_blocks([
-            [(phash, None), (build(n - 1, a - 1, b), None)],
-            [(build(n - 1, a, b - 1), None), (build(n - 1, a, b), fresh)],
-        ])
+        phash = all_star(comb(n - 1, a - 1), comb(n - 1, b - 1))
+        return _assemble_blocks(_identity_plan(members, {(0, 1): (ref, fresh), (1, 0): (phash, None)}, "anti"))
 
     return _checked(build(n, a, b))
+
+
+def _recursion_cells(n: int, a: int, b: int) -> int:
+    """The cells of the distinct steps of ``shangguan_recursive(n, a, b)``,
+    base cases included, summed one recursion level (one n) at a time; the
+    count stops after the first level that takes it past ``MAX_CELLS``."""
+    total, level = 0, {(a, b)}
+    while level and total <= MAX_CELLS:
+        below = set()
+        for a, b in level:
+            total += comb(n, a) * comb(n, b)
+            if min(a, b) and a + b != n + 1:
+                below |= {(a, b - 1), (a - 1, b), (a, b)}
+        level, n = below, n - 1
+    return total
 
 
 def odd_tiling_lift(g: int, n: int) -> Pda:

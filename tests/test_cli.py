@@ -97,6 +97,14 @@ def test_gen_past_the_cell_limit_is_refused_before_any_subset_is_built(capsys):
         assert run_cli(capsys, "gen", *argv) == (2, "", message)
 
 
+def test_gen_a_recursion_past_its_work_bound_is_one_usage_error_line(capsys):
+    # mn(1100, 1) has 1,210,000 cells, but the recursion's distinct steps
+    # would hold 445,480,750.
+    message = "bad parameters: recursion steps would exceed the limit of 16777216 cells in all\n"
+    for argv in (["mn-recursive", "1100", "1"], ["shangguan-recursive", "370", "1", "1"]):
+        assert run_cli(capsys, "gen", *argv) == (2, "", message)
+
+
 def test_gen_option_the_generator_does_not_take_is_a_usage_error(tmp_path, capsys, monkeypatch):
     monkeypatch.chdir(tmp_path)
     for name, params, option in (

@@ -152,7 +152,7 @@ def test_every_2x2_member_pair_matches_the_oracles_record_for_record():
             assert report.witnesses == tuple(CompatWitness(*w) for w in oracle(p0, p1, ref))
             assert type(report.witnesses) is tuple
             assert all(type(w) is CompatWitness for w in report.witnesses)
-            assert report.ok is not report.witnesses
+            assert report.ok is (not report.witnesses)
             failing += not report.ok
     assert 0 < failing < 3 * len(checks) * len(grids) ** 2
 
@@ -292,6 +292,37 @@ def test_generalized_family_witnesses_match_oracle_on_random_3_member_families()
         assert report.ok == (not expected)
         verdicts[report.ok] += 1
     assert min(verdicts.values()) >= 20
+
+
+def test_every_two_member_family_of_a_small_world_matches_the_oracle_record_for_record():
+    """Every ordered pair of members over {*, 0, 1} in 1x2, 2x1 and 2x2 shapes
+    (9,801 families), each with one pair of references over {*, 9}; per shape
+    pair the references cycle so that every reference pair occurs.  The exact
+    witness tuple, pair (0, 1) first, then (1, 0), each with its ``pair``."""
+    shapes = [(1, 2), (2, 1), (2, 2)]
+    grids = {(r, c): [Pda(r, c, cells) for cells in product((None, 0, 1), repeat=r * c)] for r, c in shapes}
+    refs = {
+        (r, c): [Pda(r, c, cells) for cells in product((None, 9), repeat=r * c)] for r in (1, 2) for c in (1, 2)
+    }
+    verdicts = {True: 0, False: 0}
+    for s0, s1 in product(shapes, repeat=2):
+        r01, r10 = refs[s0[0], s1[1]], refs[s1[0], s0[1]]
+        used = set()
+        for pick, members in enumerate(product(grids[s0], grids[s1])):
+            pair_refs = {(0, 1): r01[pick % len(r01)], (1, 0): r10[pick // len(r01) % len(r10)]}
+            used.add(tuple(pair_refs.values()))
+            report = is_generalized_family(GenFamily.of(members, pair_refs))
+            expected = tuple(
+                CompatWitness(*w, (i, j))
+                for i, j in ((0, 1), (1, 0))
+                for w in brute_force_right_witnesses(members[i], members[j], pair_refs[i, j])
+            )
+            assert report.witnesses == expected
+            assert all(type(w) is CompatWitness for w in report.witnesses)
+            assert report.ok == (not expected)
+            verdicts[report.ok] += 1
+        assert len(used) == len(r01) * len(r10)
+    assert sum(verdicts.values()) == 99 ** 2 and min(verdicts.values()) >= 1000, verdicts
 
 
 def test_generalized_family_missing_ref():

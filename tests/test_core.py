@@ -559,6 +559,24 @@ def test_relabel_accepts_an_int_enum_image():
     assert type(q.cell(0, 2)) is _Label
 
 
+@pytest.mark.parametrize(
+    "build",
+    [lambda labels: relabel(Pda(1, 3, (None, 1, 0)), dict(enumerate(labels))),
+     lambda labels: shangguan_direct(2, 1, 0, labels)],
+    ids=["relabel", "shangguan_direct"],
+)
+def test_relabel_and_shangguan_direct_share_one_rule_for_proven_labels(monkeypatch, build):
+    made = _recording_unchecked(monkeypatch)
+    q = build([4, 3])  # plain non-negative ints: no check per cell
+    assert len(made) == 1 and made[0] is q
+    made.clear()
+    q = build([4, _Label.THREE])  # any other label goes through Pda(...)
+    assert made == [] and _Label in map(type, q.cells)
+    with pytest.raises(ValueError) as err:
+        build([4, -1])
+    assert str(err.value) == "cells must be None or non-negative int, got -1"
+
+
 def test_unreached_error_paths_keep_type_and_message():
     p = mn(4, 2)
     for call, kind, message in [

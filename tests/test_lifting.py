@@ -18,7 +18,7 @@ from pdakit.constructions import (
     shangguan_direct,
 )
 import pdakit.core
-from pdakit.core import Pda, ValidationReport, _plan_star_counts, disjoint_copy, params, relabel, validate
+from pdakit.core import MAX_CELLS, Pda, ValidationReport, _plan_star_counts, disjoint_copy, params, relabel, validate
 from pdakit.errors import CompatibilityError, InvalidPdaError, LiftError, PdaError
 from pdakit.gridio import parse_grid
 import pdakit.lifting
@@ -41,6 +41,7 @@ from pdakit.lifting import (
     shangguan_recursive,
     uniform_lift,
 )
+from pdakit.lifting import _recursion_cells
 
 import printed
 from oracles import brute_force_assemble, brute_force_blackburn_ok, brute_force_full_ok
@@ -718,6 +719,74 @@ def test_each_recursion_step_is_the_public_anti_diagonal_lift_of_its_family(n):
 def test_shangguan_recursive_all_star_case():
     assert shangguan_recursive(4, 2, 3) == all_star(comb(4, 2), comb(4, 3))
     assert shangguan_direct(4, 2, 3) == all_star(comb(4, 2), comb(4, 3))
+
+
+def test_each_identity_lift_and_recursion_step_is_placed_by_the_one_identity_plan(monkeypatch):
+    planned, assembled = [], []
+    plan, step = pdakit.lifting._identity_plan, pdakit.lifting._assemble_blocks
+
+    def recorded_plan(*args):
+        planned.append(plan(*args))
+        return planned[-1]
+
+    def recorded_step(blocks, *rest):
+        assembled.append(blocks)
+        return step(blocks, *rest)
+
+    monkeypatch.setattr(pdakit.lifting, "_identity_plan", recorded_plan)
+    monkeypatch.setattr(pdakit.lifting, "_assemble_blocks", recorded_step)
+    assert shangguan_recursive(8, 2, 2) == shangguan_direct(8, 2, 2)
+    members = [filled(1, 2), Pda(2, 1, (None, None))]
+    assert assemble_identity_lift(members, {(0, 1): all_star(1, 1), (1, 0): all_star(2, 2)}, "anti") == Pda(
+        3, 3, (None, None, None, None, None, None, 0, 1, None))
+    assert len(assembled) == len(planned) > 2
+    assert all(blocks is plan for blocks, plan in zip(assembled, planned))
+
+
+# ------------------------------------------------------ the recursions' total work
+
+_RECURSION_REFUSED = "recursion steps would exceed the limit of 16777216 cells in all"
+
+
+def _all_step_cells(n, a, b):
+    """Cells of every distinct step of ``shangguan_recursive(n, a, b)``, base cases included."""
+    def children(n, a, b):
+        base = min(a, b) == 0 or a + b == n + 1
+        return [] if base else [(n - 1, a, b - 1), (n - 1, a - 1, b), (n - 1, a, b)]
+
+    steps = _distinct_lifts((n, a, b), children, lambda *_: False)
+    return sum(comb(n, a) * comb(n, b) for n, a, b in steps)
+
+
+def test_the_recursion_work_count_is_the_sum_over_its_distinct_steps():
+    for n in range(9):
+        for a in range(n + 2):
+            for b in range(n + 2 - a):
+                assert _recursion_cells(n, a, b) == _all_step_cells(n, a, b), (n, a, b)
+
+
+def test_the_recursion_work_bound_admits_and_refuses_the_documented_calls():
+    # Exact sums under the limit; past it the count stops, so only the side is pinned.
+    assert _recursion_cells(18, 9, 1) == 3_082_058  # mn_recursive(18, 9)
+    assert _recursion_cells(20, 10, 1) == 13_168_055  # mn_recursive(20, 10)
+    assert _recursion_cells(300, 1, 1) == 9_134_750
+    assert _recursion_cells(370, 1, 1) > MAX_CELLS
+    assert _recursion_cells(1100, 1, 1) > MAX_CELLS  # mn_recursive(1100, 1)
+
+
+@pytest.mark.parametrize(
+    "build,args", [(mn_recursive, (1100, 1)), (shangguan_recursive, (370, 1, 1))], ids=["mn", "shangguan"]
+)
+def test_a_recursion_past_the_work_bound_is_refused_before_any_step_is_assembled(monkeypatch, build, args):
+    calls = []
+    monkeypatch.setattr(pdakit.lifting, "_assemble_blocks", lambda *a: calls.append(a))
+    with pytest.raises(ValueError) as err:
+        build(*args)
+    assert (type(err.value), str(err.value), calls) == (ValueError, _RECURSION_REFUSED, [])
+
+
+def test_mn_recursive_at_the_largest_built_size_equals_mn():
+    assert mn_recursive(18, 9) == mn(18, 9)
 
 
 # ------------------------------------------------------------ odd-tiling lift
