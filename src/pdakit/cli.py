@@ -226,11 +226,12 @@ def _parse_family(text: str) -> "ParamTuple":
 
 
 def _parse_base(text: str) -> PdaParams:
+    from .lifting import _check_base
+
     parts = [int(x) for x in text.split(",")]
     if len(parts) != 5:
         raise ValueError("base tuple is K,f,Z,S,g")
-    if parts[1] < 1:
-        raise ValueError("base subpacketization f must be positive")
+    _check_base(*parts)
     return _params_of(*parts)
 
 

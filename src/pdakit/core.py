@@ -97,7 +97,7 @@ class Pda(_Frozen):
         if rows < 1 or cols < 1:
             raise ValueError(f"grid must be at least 1x1, got {rows}x{cols}")
         if type(cells) is not tuple:
-            cells = tuple(cells)
+            cells = tuple(_check_kind(cells, "cells"))
         if len(cells) != rows * cols:
             raise ValueError(
                 f"expected {rows * cols} cells for a {rows}x{cols} grid, got {len(cells)}"

@@ -30,9 +30,10 @@ validity of the assembly is equivalent to generalized compatibility of the
 family.  The Shangguan construction is a recursive instance, and the MN
 construction is its b = 1 case: mn_recursive(K, t) is shangguan_recursive(K,
 t, 1).  Each step is the anti-diagonal lift laid out by ``_identity_plan``, as
-the non-uniform lift is; it builds each sub-array once per call, validates
-only its result, and refuses a call whose distinct steps would hold more
-than ``MAX_CELLS`` cells in all.
+the non-uniform lift is.  A call lists its distinct steps one level (one n)
+at a time, refused if they would hold more than ``MAX_CELLS`` cells in all,
+then builds them one level at a time, deepest first, holding at most two
+levels, and validates only its result.
 
 Fresh labels are handed out by a single monotone allocator in emission
 order: reference copies first (star cells, row-major), then one shared set
@@ -42,7 +43,6 @@ published example arrays digit for digit.
 
 from __future__ import annotations
 
-from functools import cache
 from itertools import combinations, permutations
 from math import comb
 from typing import Mapping, NamedTuple, Sequence
@@ -326,44 +326,41 @@ def shangguan_recursive(n: int, a: int, b: int) -> Pda:
     ``_identity_plan`` of members U(n-1, a, b-1), U(n-1, a-1, b) on a shared
     label set, with U(n-1, a, b) on fresh labels and an all-star array as
     references (0, 1) and (1, 0).  Reproduces shangguan_direct(n, a, b) cell
-    for cell, under the same argument rule and messages.  Each distinct
-    sub-array is built once per call and reused, not kept, so a call whose
-    distinct steps would hold more than ``MAX_CELLS`` cells in all is refused
-    first.  Only the result is validated: the label maps are injective, so no
-    step's C3 failure hides.
+    for cell, under the same argument rule and messages.  The steps are built
+    one level (one n) at a time, deepest first, so at most two levels are
+    alive, and only the result is validated: the label maps are injective,
+    so no step's C3 failure hides.
     """
     _check_subset_point(n, a, b)
-    if _recursion_cells(n, a, b) > MAX_CELLS:
-        raise ValueError(f"recursion steps would exceed the limit of {MAX_CELLS} cells in all")
-
-    @cache
-    def build(n: int, a: int, b: int) -> Pda:
-        if min(a, b) == 0:
-            return filled(comb(n, a), comb(n, b), range(comb(n, a) * comb(n, b)))
-        if a + b == n + 1:
-            return all_star(comb(n, a), comb(n, b))
-        members, ref = [build(n - 1, a, b - 1), build(n - 1, a - 1, b)], build(n - 1, a, b)
-        # U's 0..S-1 onto the fresh labels past the shared set, made last: one map alive at a time
-        fresh = dict(enumerate(range(comb(n - 1, a + b - 1), comb(n, a + b)))) | {None: None}
-        phash = all_star(comb(n - 1, a - 1), comb(n - 1, b - 1))
-        return _assemble_blocks(_identity_plan(members, {(0, 1): (ref, fresh), (1, 0): (phash, None)}, "anti"))
-
-    return _checked(build(n, a, b))
+    built = {}
+    for m, level in reversed(_recursion_levels(n, a, b)):
+        built = {(x, y): _recursion_step(m, x, y, built) for x, y in level}
+    return _checked(built[a, b])
 
 
-def _recursion_cells(n: int, a: int, b: int) -> int:
-    """The cells of the distinct steps of ``shangguan_recursive(n, a, b)``,
-    base cases included, summed one recursion level (one n) at a time; the
-    count stops after the first level that takes it past ``MAX_CELLS``."""
-    total, level = 0, {(a, b)}
-    while level and total <= MAX_CELLS:
-        below = set()
-        for a, b in level:
-            total += comb(n, a) * comb(n, b)
-            if min(a, b) and a + b != n + 1:
-                below |= {(a, b - 1), (a - 1, b), (a, b)}
-        level, n = below, n - 1
-    return total
+def _recursion_levels(n: int, a: int, b: int) -> list:
+    """The distinct steps (a, b) of ``shangguan_recursive(n, a, b)``, base cases included, as one
+    ``(n, steps)`` pair per level from n down; ValueError once they pass ``MAX_CELLS`` cells in all."""
+    levels, level, cells = [], {(a, b)}, 0
+    while level:
+        cells += sum(comb(n, x) * comb(n, y) for x, y in level)
+        if cells > MAX_CELLS:
+            raise ValueError(f"recursion steps would exceed the limit of {MAX_CELLS} cells in all")
+        levels.append((n, level))
+        level = {s for x, y in level if min(x, y) and x + y != n + 1 for s in ((x, y - 1), (x - 1, y), (x, y))}
+        n -= 1
+    return levels
+
+
+def _recursion_step(n: int, a: int, b: int, below: Mapping) -> Pda:
+    """U(n, a, b), its sub-arrays read from ``below``, the steps at n - 1."""
+    if min(a, b) == 0:
+        return filled(comb(n, a), comb(n, b))
+    if a + b == n + 1:
+        return all_star(comb(n, a), comb(n, b))
+    fresh = dict(enumerate(range(comb(n - 1, a + b - 1), comb(n, a + b)))) | {None: None}
+    refs = {(0, 1): (below[a, b], fresh), (1, 0): (all_star(comb(n - 1, a - 1), comb(n - 1, b - 1)), None)}
+    return _assemble_blocks(_identity_plan([below[a, b - 1], below[a - 1, b]], refs, "anti"))
 
 
 def odd_tiling_lift(g: int, n: int) -> Pda:
@@ -428,10 +425,20 @@ def _exact_div(num: int, den: int, what: str) -> int:
     return num // den
 
 
+def _check_base(k: int, f: int, z: int, s: int, g: int) -> None:
+    """ValueError unless a (K, f, Z, S) base of regularity g is in the calculus's domain."""
+    if not (min(k, f, g) >= 1 and 0 <= z <= f and s >= 0):
+        raise ValueError(f"base needs K, f, g >= 1, 0 <= Z <= f and S >= 0, got ({k},{f},{z},{s}) g={g}")
+
+
 def _label_counts(fam: ParamTuple, what: str = "family") -> tuple:
     lm, lr = _check_kind(fam, what, ParamTuple).member_labels, fam.ref_labels
     if lm is None or lr is None:
         raise ValueError("member and reference label counts are required")
+    if not (min(fam.k, fam.f, fam.family_size) >= 1 and min(lm, lr) >= 0
+            and all(0 <= z <= fam.f for z in (fam.z_member, fam.z_ref))):
+        raise ValueError(f"{what} needs K, f, family_size >= 1, 0 <= Z_member, Z_ref <= f and label counts "
+                         f">= 0, got {fam.notation()} member_labels={lm} ref_labels={lr}")
     ref_cells = fam.k * (fam.f - fam.z_ref)
     if lr == 0:
         if ref_cells != 0:
@@ -467,6 +474,7 @@ def lifted_params(base: PdaParams, fam: ParamTuple) -> PdaParams:
     lm, lr = _label_counts(fam)
     if _check_kind(base, "base", PdaParams).g is None:
         raise ValueError("base must be regular for the lifted-parameter calculus")
+    _check_base(*base[:5])
     if base.g > fam.family_size:
         raise ValueError(
             f"base regularity {base.g} exceeds family size {fam.family_size}"

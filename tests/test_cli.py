@@ -430,6 +430,23 @@ def test_params_malformed_tuples_are_usage_errors(capsys):
         assert err.startswith("bad parameters: ")
 
 
+def test_params_refuses_a_base_outside_the_calculus_domain(capsys):
+    family = ["--family", "4,4,1,3,2,4,6,1"]
+    for base in ("4,6,3,-4,2", "0,6,3,4,2", "4,0,3,4,2", "4,6,7,4,2", "4,6,-1,4,2", "4,6,3,4,0", "4,6,3,4,-2"):
+        got = "({}) g={}".format(*base.rsplit(",", 1))
+        err = f"bad parameters: base needs K, f, g >= 1, 0 <= Z <= f and S >= 0, got {got}\n"
+        assert run_cli(capsys, "params", *family, "--base", base) == (2, "", err), base
+    assert run_cli(capsys, "params", *family, "--base", "4,6,3,4,2") == (
+        0, "valid (16,24,12,36) g=4 M/N=1/2 R=3/2\n", "")
+
+
+def test_params_refuses_a_family_outside_the_calculus_domain(capsys):
+    # Z_member 5 exceeds f 4: the calculus would print (16,24,24,28) with M/N=1.
+    err = ("error: family needs K, f, family_size >= 1, 0 <= Z_member, Z_ref <= f and label counts >= 0, "
+           "got (4,4)_{5,3}^{2,4} member_labels=4 ref_labels=1\n")
+    assert run_cli(capsys, "params", "--family", "4,4,5,3,2,4,4,1", "--base", "4,6,3,4,2") == (1, "", err)
+
+
 def test_table_commands(capsys, tmp_path):
     code, out, _ = run_cli(capsys, "table", "table1")
     assert code == 0

@@ -46,7 +46,7 @@ from pdakit.constructions import (
     shangguan_direct,
     yan_half_memory,
 )
-from pdakit.core import canonicalize, disjoint_copy, hstack, params, relabel, validate, vstack
+from pdakit.core import Pda, canonicalize, disjoint_copy, hstack, params, relabel, validate, vstack
 from pdakit.errors import DecodeError, PdaError
 from pdakit.gridio import parse_grid, pda_to_json, save_pda, serialize_grid
 from pdakit.lifting import (
@@ -416,6 +416,16 @@ def test_integer_parameters_of_the_constructions_are_value_errors_naming_them(ca
     with pytest.raises((ValueError, TypeError, PdaError)) as err:
         call()
     assert (type(err.value), str(err.value)) == (ValueError, message)
+
+
+@pytest.mark.parametrize("cells", [None, True, 1.5, -1, object(), Pda(1, 1, (None,))],
+                         ids=["None", "bool", "float", "int", "object", "Pda"])
+def test_pda_cells_that_are_not_a_sequence_are_a_value_error_naming_them(cells):
+    with pytest.raises((ValueError, TypeError)) as err:
+        Pda(1, 1, cells)
+    message = f"cells must be a sequence, got {type(cells).__name__}"
+    assert (type(err.value), str(err.value)) == (ValueError, message)
+    assert Pda(1, 2, iter([0, None])) == Pda(1, 2, [0, None]) == Pda(1, 2, (0, None))
 
 
 def test_a_hand_built_empty_family_is_compatible():

@@ -1,4 +1,6 @@
+import gc
 import random
+import weakref
 from fractions import Fraction
 from functools import cached_property
 from itertools import product
@@ -18,7 +20,7 @@ from pdakit.constructions import (
     shangguan_direct,
 )
 import pdakit.core
-from pdakit.core import MAX_CELLS, Pda, ValidationReport, _plan_star_counts, disjoint_copy, params, relabel, validate
+from pdakit.core import Pda, ValidationReport, _plan_star_counts, disjoint_copy, params, relabel, validate
 from pdakit.errors import CompatibilityError, InvalidPdaError, LiftError, PdaError
 from pdakit.gridio import parse_grid
 import pdakit.lifting
@@ -41,7 +43,7 @@ from pdakit.lifting import (
     shangguan_recursive,
     uniform_lift,
 )
-from pdakit.lifting import _recursion_cells
+from pdakit.lifting import _recursion_levels
 
 import printed
 from oracles import brute_force_assemble, brute_force_blackburn_ok, brute_force_full_ok
@@ -681,21 +683,23 @@ def test_recursion_lifts_each_sub_problem_once_per_call(
     "build,key", [(mn_recursive, (8, 3)), (shangguan_recursive, (8, 2, 2))], ids=["mn", "shangguan"]
 )
 def test_a_bad_inner_recursion_step_fails_the_top_level_validation(monkeypatch, build, key):
-    steps = []
+    steps, bad = [], []
     step = pdakit.lifting._assemble_blocks
 
     def colliding(blocks, *rest):
-        steps.append(blocks)
-        if len(steps) == 2:
-            # Copy the reference block unmapped: its labels 0..S-1 land on the shared set.
-            (corner, right), (left, (ref, _)) = blocks
+        (corner, right), (left, (ref, _)) = blocks
+        if not bad and ref.labels():
+            # The first step whose reference has labels copies it unmapped:
+            # its labels 0..S-1 land on the shared set.
+            bad.append(len(steps))
             blocks = [[corner, right], [left, (ref, None)]]
+        steps.append(blocks)
         return step(blocks, *rest)
 
     monkeypatch.setattr(pdakit.lifting, "_assemble_blocks", colliding)
     with pytest.raises(LiftError) as err:
         build(*key)
-    assert len(steps) > 2  # the bad step was an inner one, not the top
+    assert bad and bad[0] < len(steps) - 1  # the bad step was an inner one, not the top
     assert str(err.value).startswith("lifted array failed validation: ")
     assert isinstance(err.value.report, ValidationReport) and not err.value.report.ok
 
@@ -748,30 +752,42 @@ def test_each_identity_lift_and_recursion_step_is_placed_by_the_one_identity_pla
 _RECURSION_REFUSED = "recursion steps would exceed the limit of 16777216 cells in all"
 
 
+def _step_children(n, a, b):
+    base = min(a, b) == 0 or a + b == n + 1
+    return [] if base else [(n - 1, a, b - 1), (n - 1, a - 1, b), (n - 1, a, b)]
+
+
 def _all_step_cells(n, a, b):
     """Cells of every distinct step of ``shangguan_recursive(n, a, b)``, base cases included."""
-    def children(n, a, b):
-        base = min(a, b) == 0 or a + b == n + 1
-        return [] if base else [(n - 1, a, b - 1), (n - 1, a - 1, b), (n - 1, a, b)]
-
-    steps = _distinct_lifts((n, a, b), children, lambda *_: False)
+    steps = _distinct_lifts((n, a, b), _step_children, lambda *_: False)
     return sum(comb(n, a) * comb(n, b) for n, a, b in steps)
+
+
+def _level_cells(n, a, b):
+    """Cells of the steps ``_recursion_levels(n, a, b)`` lists."""
+    return sum(comb(m, x) * comb(m, y) for m, level in _recursion_levels(n, a, b) for x, y in level)
 
 
 def test_the_recursion_work_count_is_the_sum_over_its_distinct_steps():
     for n in range(9):
         for a in range(n + 2):
             for b in range(n + 2 - a):
-                assert _recursion_cells(n, a, b) == _all_step_cells(n, a, b), (n, a, b)
+                levels = _recursion_levels(n, a, b)
+                assert [m for m, _ in levels] == list(range(n, n - len(levels), -1))  # one level per n, n down
+                steps = {(m, x, y) for m, level in levels for x, y in level}
+                assert steps == _distinct_lifts((n, a, b), _step_children, lambda *_: False), (n, a, b)
+                assert _level_cells(n, a, b) == _all_step_cells(n, a, b), (n, a, b)
 
 
 def test_the_recursion_work_bound_admits_and_refuses_the_documented_calls():
-    # Exact sums under the limit; past it the count stops, so only the side is pinned.
-    assert _recursion_cells(18, 9, 1) == 3_082_058  # mn_recursive(18, 9)
-    assert _recursion_cells(20, 10, 1) == 13_168_055  # mn_recursive(20, 10)
-    assert _recursion_cells(300, 1, 1) == 9_134_750
-    assert _recursion_cells(370, 1, 1) > MAX_CELLS
-    assert _recursion_cells(1100, 1, 1) > MAX_CELLS  # mn_recursive(1100, 1)
+    # Exact sums under the limit; past it the walk stops and refuses.
+    assert _level_cells(18, 9, 1) == 3_082_058  # mn_recursive(18, 9)
+    assert _level_cells(20, 10, 1) == 13_168_055  # mn_recursive(20, 10)
+    assert _level_cells(300, 1, 1) == 9_134_750
+    for args in [(370, 1, 1), (1100, 1, 1)]:  # the second is mn_recursive(1100, 1)
+        with pytest.raises(ValueError) as err:
+            _recursion_levels(*args)
+        assert str(err.value) == _RECURSION_REFUSED
 
 
 @pytest.mark.parametrize(
@@ -783,6 +799,30 @@ def test_a_recursion_past_the_work_bound_is_refused_before_any_step_is_assembled
     with pytest.raises(ValueError) as err:
         build(*args)
     assert (type(err.value), str(err.value), calls) == (ValueError, _RECURSION_REFUSED, [])
+
+
+@pytest.mark.parametrize(
+    "build,key", [(mn_recursive, (10, 4)), (shangguan_recursive, (8, 2, 2))], ids=["mn", "shangguan"]
+)
+def test_nothing_but_its_result_outlives_a_recursion_call(monkeypatch, build, key):
+    # With the cyclic collector off, only reference counting frees the steps.
+    assembled, step = [], pdakit.lifting._assemble_blocks
+
+    def watched(blocks, *rest):
+        result = step(blocks, *rest)
+        assembled.append(weakref.ref(result))
+        return result
+
+    monkeypatch.setattr(pdakit.lifting, "_assemble_blocks", watched)
+    gc.collect()
+    gc.disable()
+    try:
+        result = build(*key)
+        alive = [r() for r in assembled if r() is not None]
+    finally:
+        gc.enable()
+    assert len(assembled) > 2
+    assert len(alive) == 1 and alive[0] is result
 
 
 def test_mn_recursive_at_the_largest_built_size_equals_mn():
@@ -895,6 +935,34 @@ def test_lifted_params_inconsistent_tuples():
         lifted_params(base, ParamTuple(60, 60, 11, 51, 3, 12, 735, 44))
     with pytest.raises(ValueError):
         lifted_params(base, ParamTuple(60, 60, 11, 51, 2, 12, 735, 45))
+
+
+_BASE_DOMAIN = "base needs K, f, g >= 1, 0 <= Z <= f and S >= 0"
+_FAMILY_DOMAIN = "needs K, f, family_size >= 1, 0 <= Z_member, Z_ref <= f and label counts >= 0"
+
+
+@pytest.mark.parametrize("change", [{"k": 0}, {"f": 0}, {"z": 7}, {"z": -1}, {"s": -4}, {"g": 0}, {"g": -2}])
+def test_lifted_params_refuses_a_base_outside_its_domain(change):
+    base = params(mn(4, 2))._replace(**change)
+    with pytest.raises(ValueError) as err:
+        lifted_params(base, ParamTuple(6, 6, 1, 5, 3, 6, 15, 1))
+    assert str(err.value) == f"{_BASE_DOMAIN}, got ({base.k},{base.f},{base.z},{base.s}) g={base.g}"
+
+
+@pytest.mark.parametrize("change", [
+    {"k": 0}, {"f": 0}, {"z_member": 7}, {"z_member": -1}, {"z_ref": 7}, {"z_ref": -1},
+    {"family_size": 0}, {"member_labels": -15}, {"ref_labels": -1},
+])
+def test_the_calculus_refuses_a_family_outside_its_domain(change):
+    good = ParamTuple(6, 6, 1, 5, 3, 6, 15, 1)
+    fam = good._replace(**change)
+    got = f"got {fam.notation()} member_labels={fam.member_labels} ref_labels={fam.ref_labels}"
+    for what, call in (("family", lambda: lifted_params(params(mn(4, 2)), fam)),
+                       ("p", lambda: lift_family_params(fam, good)),
+                       ("q", lambda: lift_family_params(good, fam))):
+        with pytest.raises(ValueError) as err:
+            call()
+        assert str(err.value) == f"{what} {_FAMILY_DOMAIN}, {got}"
 
 
 def test_lift_family_params_requires_label_counts():
